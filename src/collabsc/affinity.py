@@ -24,15 +24,16 @@ def class_affinity(predictions: np.ndarray) -> np.ndarray:
     nu = np.asarray(predictions, dtype=np.float64)
     if nu.ndim != 2:
         raise ValueError(f"predictions must be 2-d (n, k), got shape {nu.shape}")
-    if (nu < 0).any():
-        raise ValueError("predictions must be non-negative")
+    # each check is stated positively, so NaN (unordered) fails it
+    if not (nu >= 0).all():
+        raise ValueError("predictions must be non-negative (and not NaN)")
     norms = np.sqrt((nu * nu).sum(axis=1))
     worst = float(np.abs(norms - 1.0).max())
-    if worst > 1e-9:
+    if not worst <= 1e-9:
         raise ValueError(f"prediction rows are not l2-normalized (max deviation {worst:.3e})")
     a = nu @ nu.T
     overshoot = float(a.max()) - 1.0
-    if overshoot > 1e-12:
+    if not overshoot <= 1e-12:
         raise ValueError(f"affinity exceeds 1 by {overshoot:.3e}, beyond rounding tolerance")
     a = np.clip(a, 0.0, 1.0)
     np.fill_diagonal(a, 1.0)

@@ -8,7 +8,11 @@ row-vector bias add, no mixed precision, and no graph rewriting.
 A forward pass builds an implicit DAG: every op output records its parent
 tensors and a closure computing parent gradients. ``backward`` topologically
 sorts the DAG and walks it in exact reverse order, accumulating gradients
-into every tensor that (transitively) requires them.
+into every tensor that (transitively) requires them. Op closures skip the
+gradient of a constant parent, and ``backward`` releases each op output's
+gradient once its parents have it, so only leaf gradients outlive the call.
+Convolutions keep the patch matrix of their forward pass for the kernel
+gradient instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -61,13 +65,6 @@ class Tensor:
             raise AutodiffError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        """Constant copy, cut off from the graph."""
-        return Tensor(self.values.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op_kind!r}, requires_grad={self.requires_grad})"
 
@@ -112,10 +109,14 @@ def topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dT into ``grad`` of every tracked tensor under loss.
+    """Accumulate dLoss/dT into ``grad`` of every tracked leaf under loss.
 
-    The loss must be scalar. Gradients accumulate across calls; callers zero
-    parameter grads between steps.
+    The loss must be scalar. Leaf gradients accumulate across calls; callers
+    zero parameter grads between steps. An op output's gradient is released
+    (set to None) once it has been passed to its parents, so after the call
+    only leaves hold gradients and a second call on the same graph adds the
+    same leaf gradients again. Ops compute no gradient for a parent that
+    does not require one (a constant); they return None in its slot.
     """
     if loss.values.shape != ():
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -126,6 +127,7 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is None or node.grad is None:
             continue
         parent_grads = node._backward_fn(node.grad)
+        node.grad = None
         for parent, pg in zip(node._parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
@@ -145,9 +147,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if a_grad else None), (av.T @ g if b_grad else None)
 
     return _make(av @ bv, (a, b), "matmul", bwd)
 
@@ -183,9 +186,10 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"elementwise-multiply: shapes differ, {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return g * bv, g * av
+        return (g * bv if a_grad else None), (g * av if b_grad else None)
 
     return _make(av * bv, (a, b), "elementwise-multiply", bwd)
 
@@ -275,9 +279,9 @@ def frobenius_sq(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    if (x.values <= 0.0).any():
+    if not (x.values > 0.0).all():
         bad = float(x.values.min())
-        raise AutodiffError(f"log: non-positive input (min value {bad}); clamp before log")
+        raise AutodiffError(f"log: non-positive or NaN input (min value {bad}); clamp before log")
     xv = x.values
 
     def bwd(g):
@@ -342,56 +346,65 @@ def _pads(in_hw, kernel, stride, padding):
 
 
 def _im2col(x, kernel, stride, pads, out_hw):
+    """(n*oh*ow, c*k*k) patch matrix of the zero-padded input, one row per output pixel."""
     (plo_h, phi_h), (plo_w, phi_w) = pads
-    n, c = x.shape[0], x.shape[1]
+    n, c, h, w = x.shape
     oh, ow = out_hw
-    xp = np.pad(x, ((0, 0), (0, 0), (plo_h, phi_h), (plo_w, phi_w)))
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=np.float64)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-    return cols
+    if plo_h or phi_h or plo_w or phi_w:
+        xp = np.zeros((n, c, h + plo_h + phi_h, w + plo_w + phi_w), dtype=np.float64)
+        xp[:, :, plo_h:plo_h + h, plo_w:plo_w + w] = x
+    else:
+        xp = x
+    sn, sc, sh, sw = xp.strides
+    # every window lies inside xp: (oh - 1) * stride + kernel <= padded height
+    patches = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, oh, ow, c, kernel, kernel),
+        strides=(sn, stride * sh, stride * sw, sc, sh, sw), writeable=False)
+    # the matrix layout sets the GEMM's summation order, so it is fixed: a
+    # fresh row-major copy for a batch, and for a single image the
+    # channel-major (F-ordered) matrix such batches have always had
+    if n == 1:
+        cols = np.ascontiguousarray(patches.transpose(0, 3, 4, 5, 1, 2))
+        return cols.reshape(c * kernel * kernel, oh * ow).T
+    return np.ascontiguousarray(patches).reshape(n * oh * ow, c * kernel * kernel)
 
 
-def _col2im(cols, in_hw, kernel, stride, pads, out_hw):
+def _col2im(mat, c, in_hw, kernel, stride, pads, out_hw):
+    """Adjoint of `_im2col`: scatter-add the patch matrix rows into an image.
+
+    The patches are copied once into (k, k, n, c, oh, ow) order so that each
+    of the k*k strided adds reads a contiguous block; the adds run in (ki, kj)
+    order into an NCHW buffer, which fixes the summation order of overlaps.
+    """
     (plo_h, phi_h), (plo_w, phi_w) = pads
-    n, c = cols.shape[0], cols.shape[1]
     oh, ow = out_hw
+    n = mat.shape[0] // (oh * ow)
+    cols = np.ascontiguousarray(
+        mat.reshape(n, oh, ow, c, kernel, kernel).transpose(4, 5, 0, 3, 1, 2))
     xp = np.zeros((n, c, in_hw[0] + plo_h + phi_h, in_hw[1] + plo_w + phi_w), dtype=np.float64)
     for ki in range(kernel):
         for kj in range(kernel):
-            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += cols[:, :, ki, kj]
+            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += cols[ki, kj]
     return xp[:, :, plo_h:plo_h + in_hw[0], plo_w:plo_w + in_hw[1]]
 
 
-def _conv_forward(x, w, stride, pads, out_hw):
-    n = x.shape[0]
-    co, ci, kernel = w.shape[0], w.shape[1], w.shape[2]
-    oh, ow = out_hw
-    cols = _im2col(x, kernel, stride, pads, out_hw)
-    mat = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, ci * kernel * kernel)
+def _pixel_rows(t):
+    """(n, c, h, w) -> (n*h*w, c), one row per pixel."""
+    n, c, h, w = t.shape
+    return t.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+
+
+def _patch_gemm(mat, w, n, out_hw):
+    """Conv output (n, co, oh, ow) from a patch matrix and a (co, ci, k, k) kernel."""
+    co = w.shape[0]
     out = mat @ w.reshape(co, -1).T
-    return out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    return out.reshape(n, out_hw[0], out_hw[1], co).transpose(0, 3, 1, 2)
 
 
-def _conv_dweight(x, grad_out, stride, pads, out_hw, kernel):
-    n, ci = x.shape[0], x.shape[1]
-    co = grad_out.shape[1]
-    oh, ow = out_hw
-    cols = _im2col(x, kernel, stride, pads, out_hw)
-    mat = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, ci * kernel * kernel)
-    gmat = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, co)
-    return (gmat.T @ mat).reshape(co, ci, kernel, kernel)
-
-
-def _conv_dinput(grad_out, w, stride, pads, in_hw):
-    n = grad_out.shape[0]
+def _rows_col2im(rows, w, stride, pads, in_hw, rows_hw):
+    """Image (n, ci, *in_hw) that pixel rows (n*h*w, co) map to through a (co, ci, k, k) kernel."""
     co, ci, kernel = w.shape[0], w.shape[1], w.shape[2]
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    gmat = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, co)
-    dcols = (gmat @ w.reshape(co, -1)).reshape(n, oh, ow, ci, kernel, kernel)
-    dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
-    return _col2im(dcols, in_hw, kernel, stride, pads, (oh, ow))
+    return _col2im(rows @ w.reshape(co, -1), ci, in_hw, kernel, stride, pads, rows_hw)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -408,18 +421,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     out_hw = (conv_output_size(in_hw[0], kernel, stride, padding),
               conv_output_size(in_hw[1], kernel, stride, padding))
     pads = _pads(in_hw, kernel, stride, padding)
-    out = _conv_forward(x.values, w.values, stride, pads, out_hw)
+    mat = _im2col(x.values, kernel, stride, pads, out_hw)
+    out = _patch_gemm(mat, w.values, x.shape[0], out_hw)
     parents = [x, w]
     if b is not None:
         if b.shape != (w.shape[0],):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({w.shape[0]},)")
         out = out + b.values[None, :, None, None]
         parents.append(b)
-    xv, wv = x.values, w.values
+    wv = w.values
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    if not w_grad:
+        mat = None  # only the kernel gradient reads the patch matrix
 
     def bwd(g):
-        dx = _conv_dinput(g, wv, stride, pads, in_hw)
-        dw = _conv_dweight(xv, g, stride, pads, out_hw, kernel)
+        grows = _pixel_rows(g)
+        dx = _rows_col2im(grows, wv, stride, pads, in_hw, out_hw) if x_grad else None
+        dw = (grows.T @ mat).reshape(wv.shape) if w_grad else None
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
@@ -447,24 +465,29 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     out_hw = (int(output_hw[0]), int(output_hw[1]))
     check = (conv_output_size(out_hw[0], kernel, stride, padding),
              conv_output_size(out_hw[1], kernel, stride, padding))
-    if check != (x.shape[2], x.shape[3]):
+    x_hw = (x.shape[2], x.shape[3])
+    if check != x_hw:
         raise ShapeError(
             f"conv2d-transpose: output size {out_hw} maps to {check} under the forward "
-            f"shape rule, but the input is {(x.shape[2], x.shape[3])}")
+            f"shape rule, but the input is {x_hw}")
     pads = _pads(out_hw, kernel, stride, padding)
-    out = _conv_dinput(x.values, w.values, stride, pads, out_hw)
+    xrows = _pixel_rows(x.values)
+    out = _rows_col2im(xrows, w.values, stride, pads, out_hw, x_hw)
     parents = [x, w]
     if b is not None:
         if b.shape != (w.shape[1],):
             raise ShapeError(f"conv2d-transpose: bias shape {b.shape} != ({w.shape[1]},)")
         out = out + b.values[None, :, None, None]
         parents.append(b)
-    xv, wv = x.values, w.values
-    x_hw = (x.shape[2], x.shape[3])
+    wv = w.values
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    if not w_grad:
+        xrows = None  # only the kernel gradient reads the input rows
 
     def bwd(g):
-        dx = _conv_forward(g, wv, stride, pads, x_hw)
-        dw = _conv_dweight(g, xv, stride, pads, x_hw, kernel)
+        gmat = _im2col(g, kernel, stride, pads, x_hw)
+        dx = _patch_gemm(gmat, wv, g.shape[0], x_hw) if x_grad else None
+        dw = (xrows.T @ gmat).reshape(wv.shape) if w_grad else None
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))

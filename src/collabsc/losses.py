@@ -58,7 +58,7 @@ def build_masks(subspace_aff: np.ndarray, class_aff: np.ndarray, u: float, l: fl
     if not (0.0 < l and u < 1.0):
         raise ValueError(f"thresholds must satisfy 0 < l < u < 1, got l={l}, u={u}")
     for name, a in (("subspace", a_s), ("class", a_c)):
-        if float(a.min()) < 0.0 or float(a.max()) > 1.0:
+        if not (float(a.min()) >= 0.0 and float(a.max()) <= 1.0):  # False for NaN
             raise ValueError(f"{name} affinity entries must lie in [0, 1]")
     off = ~np.eye(a_s.shape[0], dtype=bool)
     return ConfidenceMasks(positive=(a_s > u) & off, negative=(a_c < l) & off, u=u, l=l)

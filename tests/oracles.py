@@ -114,3 +114,99 @@ def central_difference_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarr
         flat[i] = orig
         gflat[i] = (f_plus - f_minus) / (2 * eps)
     return g
+
+
+# ---------------------------------------------------------------------------
+# strided convolution, one kernel offset at a time
+# ---------------------------------------------------------------------------
+# The conv oracles spell out im2col/col2im with one slice per kernel offset
+# and feed the GEMMs the same operands, in the same layout, as the engine.
+# The engine's conv ops must match them bit for bit, not just to a tolerance:
+# any reordered float sum would change the training logs.
+
+def reference_im2col(x, kernel, stride, pads, out_hw):
+    """(n, c, k, k, oh, ow) patches of the zero-padded input."""
+    (plo_h, phi_h), (plo_w, phi_w) = pads
+    n, c = x.shape[0], x.shape[1]
+    oh, ow = out_hw
+    xp = np.pad(x, ((0, 0), (0, 0), (plo_h, phi_h), (plo_w, phi_w)))
+    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=np.float64)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    return cols
+
+
+def reference_col2im(cols, in_hw, kernel, stride, pads, out_hw):
+    """Adjoint of `reference_im2col`: scatter-add patches in (ki, kj) order."""
+    (plo_h, phi_h), (plo_w, phi_w) = pads
+    n, c = cols.shape[0], cols.shape[1]
+    oh, ow = out_hw
+    xp = np.zeros((n, c, in_hw[0] + plo_h + phi_h, in_hw[1] + plo_w + phi_w), dtype=np.float64)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += cols[:, :, ki, kj]
+    return xp[:, :, plo_h:plo_h + in_hw[0], plo_w:plo_w + in_hw[1]]
+
+
+def _reference_patch_matrix(x, kernel, stride, pads, out_hw):
+    n, c = x.shape[0], x.shape[1]
+    cols = reference_im2col(x, kernel, stride, pads, out_hw)
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_hw[0] * out_hw[1], c * kernel * kernel)
+
+
+def _reference_rows(t):
+    """(n, c, h, w) -> (n*h*w, c) rows, one per pixel."""
+    return t.transpose(0, 2, 3, 1).reshape(-1, t.shape[1])
+
+
+def reference_conv_forward(x, w, stride, pads, out_hw):
+    n, co = x.shape[0], w.shape[0]
+    mat = _reference_patch_matrix(x, w.shape[2], stride, pads, out_hw)
+    out = mat @ w.reshape(co, -1).T
+    return out.reshape(n, out_hw[0], out_hw[1], co).transpose(0, 3, 1, 2)
+
+
+def reference_conv_dweight(x, grad_out, stride, pads, out_hw, kernel):
+    co, ci = grad_out.shape[1], x.shape[1]
+    mat = _reference_patch_matrix(x, kernel, stride, pads, out_hw)
+    return (_reference_rows(grad_out).T @ mat).reshape(co, ci, kernel, kernel)
+
+
+def reference_conv_dinput(grad_out, w, stride, pads, in_hw):
+    n = grad_out.shape[0]
+    co, ci, kernel = w.shape[0], w.shape[1], w.shape[2]
+    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    dcols = _reference_rows(grad_out) @ w.reshape(co, -1)
+    dcols = dcols.reshape(n, oh, ow, ci, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
+    return reference_col2im(dcols, in_hw, kernel, stride, pads, (oh, ow))
+
+
+def reference_conv2d(x, w, b, stride, pads, out_hw):
+    """Output and backward closure g -> (dx, dw, db) of a strided conv; b may be None."""
+    in_hw, kernel = (x.shape[2], x.shape[3]), w.shape[2]
+    out = reference_conv_forward(x, w, stride, pads, out_hw)
+    if b is not None:
+        out = out + b[None, :, None, None]
+
+    def bwd(g):
+        return (reference_conv_dinput(g, w, stride, pads, in_hw),
+                reference_conv_dweight(x, g, stride, pads, out_hw, kernel),
+                g.sum(axis=(0, 2, 3)))
+
+    return out, bwd
+
+
+def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
+    """Output and backward closure g -> (dx, dw, db) of the adjoint conv; b may be None."""
+    x_hw, kernel = (x.shape[2], x.shape[3]), w.shape[2]
+    out = reference_conv_dinput(x, w, stride, pads, out_hw)
+    if b is not None:
+        out = out + b[None, :, None, None]
+
+    def bwd(g):
+        return (reference_conv_forward(g, w, stride, pads, x_hw),
+                reference_conv_dweight(g, x, stride, pads, x_hw, kernel),
+                g.sum(axis=(0, 2, 3)))
+
+    return out, bwd

@@ -39,6 +39,12 @@ class TestClassAffinity:
         with pytest.raises(ValueError, match="normalized"):
             class_affinity(np.array([[0.5, 0.5], [1.0, 0.0]]))
 
+    def test_rejects_nan_predictions(self):
+        nu = np.eye(3)
+        nu[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            class_affinity(nu)
+
     def test_gram_is_positive_semidefinite_with_unit_diagonal(self):
         a = class_affinity(random_predictions(12, 5, seed=3))
         assert (np.diag(a) == 1.0).all()

@@ -7,7 +7,7 @@ import collabsc.autodiff as ad
 from collabsc.gradcheck import run_gradient_checks
 from collabsc.rng import Xorshift64Star
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, reference_conv2d, reference_conv2d_transpose
 
 
 class TestForwardSemantics:
@@ -49,6 +49,10 @@ class TestForwardSemantics:
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ad.AutodiffError, match="non-positive"):
             ad.log(ad.constant(np.array([1.0, 0.0])))
+
+    def test_log_rejects_nan(self):
+        with pytest.raises(ad.AutodiffError, match="NaN"):
+            ad.log(ad.constant(np.array([1.0, np.nan])))
 
     def test_forward_determinism(self):
         rng = Xorshift64Star(5)
@@ -139,6 +143,67 @@ class TestBackward:
                 assert positions[id(parent)] < positions[id(node)]
 
 
+def conv_pads(in_hw, kernel, stride, padding):
+    if padding == "valid":
+        return (0, 0), (0, 0)
+    return ad.same_padding(in_hw[0], kernel, stride), ad.same_padding(in_hw[1], kernel, stride)
+
+
+class TestBackwardSemantics:
+    @staticmethod
+    def conv_net(seed):
+        """Conv, relu, conv-transpose on a constant input; each parameter is used once."""
+        rng = Xorshift64Star(seed)
+        x = ad.constant(rng.normals((2, 1, 6, 5)))
+        w1, b1 = ad.parameter(rng.normals((3, 1, 3, 3))), ad.parameter(rng.normals((3,)))
+        w2 = ad.parameter(rng.normals((3, 2, 2, 2)))
+        h = ad.relu(ad.conv2d(x, w1, b1, stride=2, padding="same"))
+        out = ad.conv2d_transpose(h, w2, None, stride=1, padding="valid", output_hw=(4, 4))
+        return x, [w1, b1, w2], ad.frobenius_sq(out)
+
+    def test_only_leaves_keep_gradients(self):
+        _, params, loss = self.conv_net(31)
+        ad.backward(loss)
+        for node in ad.topological_order(loss):
+            if node._backward_fn is not None:
+                assert node.grad is None, node.op_kind
+        assert all(p.grad is not None for p in params)
+
+    def test_leaf_gradients_match_the_reference_chain(self):
+        x, (w1, b1, w2), loss = self.conv_net(32)
+        ad.backward(loss)
+        pre, conv_bwd = reference_conv2d(x.values, w1.values, b1.values, 2,
+                                         conv_pads((6, 5), 3, 2, "same"), (3, 3))
+        mask = pre > 0.0
+        out, tconv_bwd = reference_conv2d_transpose(np.where(mask, pre, 0.0), w2.values, None, 1,
+                                                    conv_pads((4, 4), 2, 1, "valid"), (4, 4))
+        dh, dw2, _ = tconv_bwd(2.0 * out)
+        _, dw1, db1 = conv_bwd(dh * mask)
+        for p, expected in ((w1, dw1), (b1, db1), (w2, dw2)):
+            assert np.array_equal(p.grad, expected)
+
+    def test_second_backward_doubles_leaf_gradients(self):
+        _, params, loss = self.conv_net(33)
+        ad.backward(loss)
+        first = [p.grad.copy() for p in params]
+        ad.backward(loss)
+        for p, g in zip(params, first):
+            np.testing.assert_array_equal(p.grad, 2.0 * g)
+
+    def test_constant_parents_get_no_gradient(self):
+        rng = Xorshift64Star(34)
+        x = ad.constant(rng.normals((1, 2, 5, 5)))
+        w = ad.parameter(rng.normals((3, 2, 3, 3)))
+        out = ad.conv2d(x, w, stride=2)
+        dx, dw = out._backward_fn(rng.normals(out.shape))
+        assert dx is None and dw.shape == w.shape
+        a = ad.constant(rng.normals((2, 3)))
+        b = ad.parameter(rng.normals((3, 2)))
+        for op in (ad.matmul(a, b), ad.multiply(a, ad.transpose(b))):
+            da, db = op._backward_fn(rng.normals(op.shape))
+            assert da is None and db is not None
+
+
 class TestConvSemantics:
     def test_same_padding_output_sizes_mnist_chain(self):
         # 28 -> 14 -> 7 -> 4 with stride 2
@@ -179,6 +244,102 @@ class TestConvSemantics:
         w = ad.constant(np.ones((2, 3, 3, 3)))
         with pytest.raises(ad.ShapeError, match="forward"):
             ad.conv2d_transpose(x, w, stride=2, padding="same", output_hw=(9, 9))
+
+
+def assert_same_array(actual, expected):
+    """Bit-identical values in the same memory layout (layout fixes later sum orders)."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert actual.strides == expected.strides
+
+
+def check_conv_against_reference(transpose, x, w, b, stride, padding, hw, g=None):
+    """Forward and every backward output of a conv op equal the reference's bit for bit.
+
+    ``hw`` is the conv's output size, or for the transpose its output_hw.
+    """
+    kernel = w.shape[2]
+    if transpose:
+        out = ad.conv2d_transpose(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride=stride,
+                                  padding=padding, output_hw=hw)
+        ref_out, ref_bwd = reference_conv2d_transpose(x, w, b, stride,
+                                                      conv_pads(hw, kernel, stride, padding), hw)
+    else:
+        in_hw = (x.shape[2], x.shape[3])
+        out = ad.conv2d(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride=stride,
+                        padding=padding)
+        ref_out, ref_bwd = reference_conv2d(x, w, b, stride,
+                                            conv_pads(in_hw, kernel, stride, padding), hw)
+    assert_same_array(out.values, ref_out)
+    if g is None:
+        g = Xorshift64Star(x.size + w.size).normals(out.shape)
+    for actual, expected in zip(out._backward_fn(g), ref_bwd(g)):
+        assert_same_array(actual, expected)
+
+
+class TestConvBitIdentity:
+    # (transpose, input shape, kernel shape, output size): the conv-28 encoder and decoder
+    CONV28_LAYERS = (
+        (False, (150, 1, 28, 28), (4, 1, 3, 3), (14, 14)),
+        (False, (150, 4, 14, 14), (8, 4, 3, 3), (7, 7)),
+        (True, (150, 8, 7, 7), (8, 4, 3, 3), (14, 14)),
+        (True, (150, 4, 14, 14), (4, 1, 3, 3), (28, 28)),
+    )
+
+    @pytest.mark.parametrize("layer", range(4))
+    def test_conv28_layers(self, layer):
+        transpose, x_shape, w_shape, hw = self.CONV28_LAYERS[layer]
+        rng = Xorshift64Star(40 + layer)
+        b = rng.normals((w_shape[1] if transpose else w_shape[0],))
+        check_conv_against_reference(transpose, rng.normals(x_shape), rng.normals(w_shape), b,
+                                     2, "same", hw)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4])
+    def test_grid(self, kernel, stride, padding):
+        # 7x10 input: valid padding leaves rows or columns over at stride 2 and 3
+        in_hw = (7, 10)
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in in_hw)
+        rng = Xorshift64Star(100 * kernel + 10 * stride + (padding == "valid"))
+        for n, ci, co in ((1, 1, 1), (2, 3, 2), (1, 2, 3)):
+            w = rng.normals((co, ci, kernel, kernel))
+            check_conv_against_reference(False, rng.normals((n, ci) + in_hw), w,
+                                         rng.normals((co,)), stride, padding, out_hw)
+            check_conv_against_reference(True, rng.normals((n, co) + out_hw), w,
+                                         rng.normals((ci,)), stride, padding, in_hw)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_non_contiguous_operands(self, padding):
+        rng = Xorshift64Star(50)
+        x = rng.normals((2, 3, 9, 8)).transpose(0, 1, 3, 2)  # (2, 3, 8, 9) view
+        w = rng.normals((2, 3, 3, 3))
+        out_hw = tuple(ad.conv_output_size(s, 3, 2, padding) for s in (8, 9))
+        g = rng.normals((2, out_hw[1], out_hw[0], 2)).transpose(0, 3, 2, 1)
+        assert not x.flags.c_contiguous and not g.flags.c_contiguous
+        check_conv_against_reference(False, x, w, rng.normals((2,)), 2, padding, out_hw, g)
+        xt = rng.normals((2, out_hw[1], out_hw[0], 2)).transpose(0, 3, 2, 1)
+        gt = rng.normals((2, 3, 9, 8)).transpose(0, 1, 3, 2)
+        check_conv_against_reference(True, xt, w, rng.normals((3,)), 2, padding, (8, 9), gt)
+
+    def test_grad_check_stride_3_valid(self):
+        # 8x7 input at stride 3, valid: the last two rows and the last column are never read
+        rng = Xorshift64Star(60)
+        x = ad.parameter(rng.normals((2, 2, 8, 7)))
+        kernel = ad.parameter(rng.normals((3, 2, 3, 3)) * 0.5)
+        bias = ad.parameter(rng.normals((3,)))
+        weights = ad.constant(rng.normals((2, 3, 2, 2)))
+        err = ad.grad_check(lambda: ad.tensor_sum(ad.multiply(
+            ad.conv2d(x, kernel, bias, stride=3, padding="valid"), weights)), [x, kernel, bias])
+        assert err < 1e-4
+        xt = ad.parameter(rng.normals((2, 3, 2, 2)))
+        tkernel = ad.parameter(rng.normals((3, 2, 3, 3)) * 0.5)
+        tbias = ad.parameter(rng.normals((2,)))
+        tweights = ad.constant(rng.normals((2, 2, 8, 7)))
+        err = ad.grad_check(lambda: ad.tensor_sum(ad.multiply(
+            ad.conv2d_transpose(xt, tkernel, tbias, stride=3, padding="valid", output_hw=(8, 7)),
+            tweights)), [xt, tkernel, tbias])
+        assert err < 1e-4
 
 
 class TestGradCheckSuite:

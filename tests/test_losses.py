@@ -56,6 +56,14 @@ class TestBuildMasks:
         with pytest.raises(ValueError, match="l < u"):
             build_masks(np.eye(2), np.eye(2), u=0.3, l=0.5)
 
+    @pytest.mark.parametrize("which", ["subspace", "class"])
+    def test_rejects_nan_affinity(self, which):
+        bad = np.eye(3)
+        bad[0, 1] = bad[1, 0] = np.nan
+        a_s, a_c = (bad, np.eye(3)) if which == "subspace" else (np.eye(3), bad)
+        with pytest.raises(ValueError, match=f"{which} affinity entries"):
+            build_masks(a_s, a_c, u=0.7, l=0.1)
+
     def test_mask_monotonicity_in_thresholds(self):
         a_s, a_c = affinity_pair(n=6, seed=2)
         low = build_masks(a_s, a_c, u=0.5, l=0.2)

@@ -360,12 +360,7 @@ def _im2col(x, kernel, stride, pads, out_hw):
     patches = np.lib.stride_tricks.as_strided(
         xp, shape=(n, oh, ow, c, kernel, kernel),
         strides=(sn, stride * sh, stride * sw, sc, sh, sw), writeable=False)
-    # the matrix layout sets the GEMM's summation order, so it is fixed: a
-    # fresh row-major copy for a batch, and for a single image the
-    # channel-major (F-ordered) matrix such batches have always had
-    if n == 1:
-        cols = np.ascontiguousarray(patches.transpose(0, 3, 4, 5, 1, 2))
-        return cols.reshape(c * kernel * kernel, oh * ow).T
+    # always a fresh row-major matrix: its layout sets the GEMM's summation order
     return np.ascontiguousarray(patches).reshape(n * oh * ow, c * kernel * kernel)
 
 

@@ -150,9 +150,15 @@ def reference_col2im(cols, in_hw, kernel, stride, pads, out_hw):
 
 
 def _reference_patch_matrix(x, kernel, stride, pads, out_hw):
+    """Row-major (n*oh*ow, c*k*k) patch matrix, the layout the engine's GEMMs read.
+
+    For a single image the reshape alone would return a column-major view,
+    which BLAS sums in another order, so the copy is explicit.
+    """
     n, c = x.shape[0], x.shape[1]
     cols = reference_im2col(x, kernel, stride, pads, out_hw)
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_hw[0] * out_hw[1], c * kernel * kernel)
+    return np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3)).reshape(
+        n * out_hw[0] * out_hw[1], c * kernel * kernel)
 
 
 def _reference_rows(t):

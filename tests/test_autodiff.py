@@ -143,12 +143,6 @@ class TestBackward:
                 assert positions[id(parent)] < positions[id(node)]
 
 
-def conv_pads(in_hw, kernel, stride, padding):
-    if padding == "valid":
-        return (0, 0), (0, 0)
-    return ad.same_padding(in_hw[0], kernel, stride), ad.same_padding(in_hw[1], kernel, stride)
-
-
 class TestBackwardSemantics:
     @staticmethod
     def conv_net(seed):
@@ -173,10 +167,10 @@ class TestBackwardSemantics:
         x, (w1, b1, w2), loss = self.conv_net(32)
         ad.backward(loss)
         pre, conv_bwd = reference_conv2d(x.values, w1.values, b1.values, 2,
-                                         conv_pads((6, 5), 3, 2, "same"), (3, 3))
+                                         ad._pads((6, 5), 3, 2, "same"), (3, 3))
         mask = pre > 0.0
         out, tconv_bwd = reference_conv2d_transpose(np.where(mask, pre, 0.0), w2.values, None, 1,
-                                                    conv_pads((4, 4), 2, 1, "valid"), (4, 4))
+                                                    ad._pads((4, 4), 2, 1, "valid"), (4, 4))
         dh, dw2, _ = tconv_bwd(2.0 * out)
         _, dw1, db1 = conv_bwd(dh * mask)
         for p, expected in ((w1, dw1), (b1, db1), (w2, dw2)):
@@ -263,13 +257,13 @@ def check_conv_against_reference(transpose, x, w, b, stride, padding, hw, g=None
         out = ad.conv2d_transpose(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride=stride,
                                   padding=padding, output_hw=hw)
         ref_out, ref_bwd = reference_conv2d_transpose(x, w, b, stride,
-                                                      conv_pads(hw, kernel, stride, padding), hw)
+                                                      ad._pads(hw, kernel, stride, padding), hw)
     else:
         in_hw = (x.shape[2], x.shape[3])
         out = ad.conv2d(ad.parameter(x), ad.parameter(w), ad.parameter(b), stride=stride,
                         padding=padding)
         ref_out, ref_bwd = reference_conv2d(x, w, b, stride,
-                                            conv_pads(in_hw, kernel, stride, padding), hw)
+                                            ad._pads(in_hw, kernel, stride, padding), hw)
     assert_same_array(out.values, ref_out)
     if g is None:
         g = Xorshift64Star(x.size + w.size).normals(out.shape)

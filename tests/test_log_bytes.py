@@ -60,4 +60,8 @@ def test_train_log_bytes_are_unchanged(case):
     assert len(result.train_log) == 2  # two batches of one epoch
     assert all(np.isfinite(b.total) for b in result.train_log)
     digest = hashlib.sha256(train_log_csv(result).encode()).hexdigest()
-    assert digest == TRAIN_LOG_SHA256[case]
+    assert digest == TRAIN_LOG_SHA256[case], (
+        f"{case} train-log sha256 {digest} differs from the constant captured with numpy 2.4.6 "
+        f"on OpenBLAS 0.3.31 (Haswell kernels); on numpy {np.__version__} or another BLAS "
+        f"build or CPU, recapture on the unchanged parent commit before reading this as a "
+        f"numerics regression")

@@ -278,16 +278,28 @@ def frobenius_sq(x: Tensor) -> Tensor:
     return _make(np.asarray((xv * xv).sum()), (x,), "frobenius-norm-squared", bwd)
 
 
-def log(x: Tensor) -> Tensor:
-    if not (x.values > 0.0).all():
-        bad = float(x.values.min())
-        raise AutodiffError(f"log: non-positive or NaN input (min value {bad}); clamp before log")
+def log(x: Tensor, floor: float) -> Tensor:
+    """Elementwise log(max(x, floor)), with ``floor > 0``.
+
+    Entries at or below the floor are clamped to it and get zero gradient
+    (the subgradient of the max); the others get g / x. The gradient is
+    formed as (g / clamped) * keep, with keep the 0/1 float mask of entries
+    above the floor. NaN input raises.
+    """
+    floor = float(floor)
+    if not floor > 0.0:
+        raise AutodiffError(f"log: the floor must be positive, got {floor}")
     xv = x.values
+    if np.isnan(xv).any():
+        raise AutodiffError("log: NaN input")
+    above = xv > floor
+    clamped = np.where(above, xv, floor)
+    keep = above.astype(np.float64)
 
     def bwd(g):
-        return (g / xv,)
+        return ((g / clamped) * keep,)
 
-    return _make(np.log(xv), (x,), "log", bwd)
+    return _make(np.log(clamped), (x,), "log", bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:

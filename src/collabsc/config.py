@@ -36,7 +36,6 @@ class ExperimentConfig:
     classifier_steps: int = 1
     seed: int = 0
     soft_mask: bool = True
-    teacher_grad: bool = False
     reinit_coeffs_each_epoch: bool = False
     warm_start_classifier: bool = True
 
@@ -77,7 +76,7 @@ class ExperimentConfig:
 
 
 _LAYER_FIELDS = ("kind", "channels_or_units", "kernel_size", "stride", "activation", "padding")
-_BOOL_KEYS = ("soft_mask", "teacher_grad", "reinit_coeffs_each_epoch", "warm_start_classifier")
+_BOOL_KEYS = ("soft_mask", "reinit_coeffs_each_epoch", "warm_start_classifier")
 _INT_KEYS = ("batch_size", "epochs", "pretrain_epochs", "inner_se_steps",
              "classifier_steps", "seed")
 _FLOAT_KEYS = ("lambda1", "lambda_cl", "u", "l", "alpha_fixed",

@@ -2,8 +2,8 @@
 
 Each op kind gets seeded random instances; the scalar loss is a fixed
 random-weighted sum of the op output, so transposition and indexing errors
-cannot cancel. Kinked ops (relu, abs) are sampled with every coordinate at
-least 10*eps away from the kink.
+cannot cancel. Kinked ops (relu, abs, the clamped log) are sampled with
+every coordinate at least 10*eps away from the kink.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
         x = ad.parameter(rng.normals((3, 4)))
         return ad.grad_check(lambda: ad.frobenius_sq(x), [x], EPS)
     if kind == "log":
-        x = ad.parameter(np.abs(rng.normals((3, 4))) + 0.5)
+        # entries on both sides of the floor, each at least 10*eps from it
+        floor = 1.0
+        x = ad.parameter(floor + _away_from_zero(0.5 * rng.normals((3, 4))))
         w = rng.normals((3, 4))
-        return ad.grad_check(lambda: _weighted(ad.log(x), w), [x], EPS)
+        return ad.grad_check(lambda: _weighted(ad.log(x, floor), w), [x], EPS)
     if kind == "scalar-multiply":
         x = ad.parameter(rng.normals((3, 4)))
         c = rng.normal()

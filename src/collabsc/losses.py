@@ -4,8 +4,8 @@ The two affinity matrices teach each other: confident positives from the
 subspace affinity supervise the classifier affinity (cross-entropy pulls
 selected class-affinity entries toward 1), and confident negatives from the
 classifier affinity supervise the subspace affinity (pulls selected entries
-toward 0). Mask weights are teacher signal and receive no gradient by
-default; ``teacher_grad=True`` lets gradients flow through them.
+toward 0). The teacher side of each term (selection, count and mask
+weights) is a constant: no gradient flows into it.
 
 The entropy in the source formulation is written without a sign, but
 minimizing +sum(p log q) is ill-posed (it drives q to 0); the standard
@@ -47,6 +47,11 @@ class ConfidenceMasks:
         return int(self.negative.sum())
 
 
+def _check_unit_range(name: str, a: np.ndarray) -> None:
+    if not (float(a.min()) >= 0.0 and float(a.max()) <= 1.0):  # False for NaN
+        raise ValueError(f"{name} affinity entries must lie in [0, 1]")
+
+
 def build_masks(subspace_aff: np.ndarray, class_aff: np.ndarray, u: float, l: float,
                 ) -> ConfidenceMasks:
     a_s = np.asarray(subspace_aff, dtype=np.float64)
@@ -57,9 +62,8 @@ def build_masks(subspace_aff: np.ndarray, class_aff: np.ndarray, u: float, l: fl
         raise ValueError(f"selection bands overlap: need l < u, got l={l}, u={u}")
     if not (0.0 < l and u < 1.0):
         raise ValueError(f"thresholds must satisfy 0 < l < u < 1, got l={l}, u={u}")
-    for name, a in (("subspace", a_s), ("class", a_c)):
-        if not (float(a.min()) >= 0.0 and float(a.max()) <= 1.0):  # False for NaN
-            raise ValueError(f"{name} affinity entries must lie in [0, 1]")
+    _check_unit_range("subspace", a_s)
+    _check_unit_range("class", a_c)
     off = ~np.eye(a_s.shape[0], dtype=bool)
     return ConfidenceMasks(positive=(a_s > u) & off, negative=(a_c < l) & off, u=u, l=l)
 
@@ -68,78 +72,88 @@ def _as_tensor(a) -> ad.Tensor:
     return a if isinstance(a, ad.Tensor) else ad.constant(np.asarray(a, dtype=np.float64))
 
 
-def _clamped_log(student: ad.Tensor) -> tuple[ad.Tensor, np.ndarray]:
-    """log(max(student, 1e-12)) built from tape ops.
+def _cross_entropy(weights: np.ndarray, count: int, student: ad.Tensor) -> ad.Tensor:
+    """-sum(weights * log(max(student, 1e-12))) / count, for count > 0."""
+    log_student = ad.log(student, LOG_CLAMP)
+    return ad.scale(ad.tensor_sum(ad.multiply(ad.constant(weights), log_student)), -1.0 / count)
 
-    The clamp is an indicator rewrite: entries above the floor pass through
-    (and keep their gradient), entries at or below it become the constant
-    floor (zero gradient, the subgradient of the max).
+
+def _clamped_count(selected: np.ndarray, student: ad.Tensor) -> int:
+    """Selected pairs whose student entry sits at or below the log floor."""
+    return int((selected & ~(student.values > LOG_CLAMP)).sum())
+
+
+@dataclass(frozen=True)
+class PositiveTeacher:
+    """The subspace side of the positive term on one batch.
+
+    ``selected`` marks the confident pairs (A_s > u, off the diagonal) and
+    ``weights`` their mask weights (A_s with soft masks, else 1; 0 elsewhere).
+    Both depend only on A_s and u, so stage 2 builds them once for all its
+    classifier steps.
     """
-    keep = (student.values > LOG_CLAMP).astype(np.float64)
-    floor = ad.constant(LOG_CLAMP * (1.0 - keep))
-    clamped = ad.add(ad.multiply(student, ad.constant(keep)), floor)
-    return ad.log(clamped), keep
+
+    selected: np.ndarray
+    weights: np.ndarray
+    count: int
+
+
+def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True,
+                     selected: np.ndarray | None = None) -> PositiveTeacher:
+    """Selection, weights and count of the positive term.
+
+    ``selected`` is the positive mask of ``build_masks``, which has checked
+    the affinity already; without it the affinity is checked to lie in
+    [0, 1] and the selection is built here.
+    """
+    a_s = np.asarray(subspace_aff, dtype=np.float64)
+    if selected is None:
+        _check_unit_range("subspace", a_s)
+        selected = (a_s > u) & ~np.eye(a_s.shape[0], dtype=bool)
+    weights = selected.astype(np.float64) * (a_s if soft_mask else 1.0)
+    return PositiveTeacher(selected=selected, weights=weights, count=int(selected.sum()))
+
+
+def positive_term(teacher: PositiveTeacher, class_aff) -> ad.Tensor:
+    """Mean over the teacher's selected pairs of -w * log(class affinity)."""
+    if teacher.count == 0:
+        return ad.constant(np.asarray(0.0))
+    return _cross_entropy(teacher.weights, teacher.count, _as_tensor(class_aff))
 
 
 def positive_loss(subspace_aff: np.ndarray, class_aff, u: float, soft_mask: bool = True,
-                  masks: ConfidenceMasks | None = None, teacher_grad: bool = False,
-                  subspace_aff_tensor: ad.Tensor | None = None):
+                  masks: ConfidenceMasks | None = None):
     """Mean over selected pairs of -w * log(class affinity).
 
-    The teacher is the subspace affinity: selection is A_s > u off-diagonal,
-    and in soft-mask mode w = A_s on selected pairs (constant unless
-    ``teacher_grad``). Returns (loss tensor, selected count, clamped count).
+    The teacher is the subspace affinity (see ``positive_teacher``). Returns
+    (loss tensor, selected count, clamped count).
     """
-    a_s = np.asarray(subspace_aff, dtype=np.float64)
+    teacher = positive_teacher(subspace_aff, u, soft_mask,
+                               None if masks is None else masks.positive)
     student = _as_tensor(class_aff)
-    if masks is None:
-        off = ~np.eye(a_s.shape[0], dtype=bool)
-        selected = (a_s > u) & off
-    else:
-        selected = masks.positive
-    count = int(selected.sum())
-    if count == 0:
-        return ad.constant(np.asarray(0.0)), 0, 0
-    log_student, keep = _clamped_log(student)
-    sel = selected.astype(np.float64)
-    clamped = int((selected & (keep == 0.0)).sum())
-    if soft_mask and teacher_grad and subspace_aff_tensor is not None:
-        weighted = ad.multiply(ad.multiply(ad.constant(sel), subspace_aff_tensor), log_student)
-    else:
-        w = sel * (a_s if soft_mask else 1.0)
-        weighted = ad.multiply(ad.constant(w), log_student)
-    return ad.scale(ad.tensor_sum(weighted), -1.0 / count), count, clamped
+    return (positive_term(teacher, student), teacher.count,
+            _clamped_count(teacher.selected, student))
 
 
 def negative_loss(class_aff: np.ndarray, subspace_aff, l: float, soft_mask: bool = True,
-                  masks: ConfidenceMasks | None = None, teacher_grad: bool = False,
-                  class_aff_tensor: ad.Tensor | None = None):
+                  masks: ConfidenceMasks | None = None):
     """Mean over selected pairs of -w * log(1 - subspace affinity).
 
     The teacher is the classifier affinity: selection is A_c < l
     off-diagonal, and in soft-mask mode w = 1 - A_c on selected pairs.
     """
     a_c = np.asarray(class_aff, dtype=np.float64)
-    student = _as_tensor(subspace_aff)
     if masks is None:
-        off = ~np.eye(a_c.shape[0], dtype=bool)
-        selected = (a_c < l) & off
+        selected = (a_c < l) & ~np.eye(a_c.shape[0], dtype=bool)
     else:
         selected = masks.negative
     count = int(selected.sum())
     if count == 0:
         return ad.constant(np.asarray(0.0)), 0, 0
-    ones = ad.constant(np.ones(student.shape))
-    log_student, keep = _clamped_log(ad.subtract(ones, student))
-    sel = selected.astype(np.float64)
-    clamped = int((selected & (keep == 0.0)).sum())
-    if soft_mask and teacher_grad and class_aff_tensor is not None:
-        one_minus_teacher = ad.subtract(ad.constant(np.ones(a_c.shape)), class_aff_tensor)
-        weighted = ad.multiply(ad.multiply(ad.constant(sel), one_minus_teacher), log_student)
-    else:
-        w = sel * ((1.0 - a_c) if soft_mask else 1.0)
-        weighted = ad.multiply(ad.constant(w), log_student)
-    return ad.scale(ad.tensor_sum(weighted), -1.0 / count), count, clamped
+    subspace = _as_tensor(subspace_aff)
+    student = ad.subtract(ad.constant(np.ones(subspace.shape)), subspace)
+    weights = selected.astype(np.float64) * ((1.0 - a_c) if soft_mask else 1.0)
+    return _cross_entropy(weights, count, student), count, _clamped_count(selected, student)
 
 
 def collaboration_rate(masks: ConfidenceMasks) -> float:

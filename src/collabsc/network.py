@@ -277,24 +277,23 @@ class Network:
     # forward passes
     # ------------------------------------------------------------------
 
-    def _apply(self, plan: _LayerPlan, x: ad.Tensor) -> ad.Tensor:
+    def _apply(self, plan: _LayerPlan, x: ad.Tensor, params=None) -> ad.Tensor:
         spec = plan.spec
         n = x.shape[0]
+        params = self.params if params is None else params
+        w, b = params[f"{plan.name}.W"], params[f"{plan.name}.b"]
         if spec.kind == "dense":
             if x.ndim == 4:
                 x = ad.reshape(x, (n, int(np.prod(x.shape[1:]))))
-            out = ad.add(ad.matmul(x, self.params[f"{plan.name}.W"]),
-                         self.params[f"{plan.name}.b"])
+            out = ad.add(ad.matmul(x, w), b)
         else:
             if x.ndim == 2:
                 x = ad.reshape(x, (n,) + plan.in_shape)
             if spec.kind == "conv":
-                out = ad.conv2d(x, self.params[f"{plan.name}.W"], self.params[f"{plan.name}.b"],
-                                stride=spec.stride, padding=spec.padding)
+                out = ad.conv2d(x, w, b, stride=spec.stride, padding=spec.padding)
             else:
-                out = ad.conv2d_transpose(x, self.params[f"{plan.name}.W"],
-                                          self.params[f"{plan.name}.b"], stride=spec.stride,
-                                          padding=spec.padding, output_hw=plan.out_shape[1:])
+                out = ad.conv2d_transpose(x, w, b, stride=spec.stride, padding=spec.padding,
+                                          output_hw=plan.out_shape[1:])
         if spec.activation == "relu":
             out = ad.relu(out)
         return out
@@ -308,11 +307,23 @@ class Network:
             raise ad.ShapeError(f"batches need at least 2 rows, got {t.shape[0]}")
         return t
 
-    def encode(self, x) -> ad.Tensor:
-        """Input rows to latent rows (n, latent_dim)."""
+    def frozen_params(self) -> dict[str, ad.Tensor]:
+        """Constant views of the parameters (no copy).
+
+        Forward passes given these build no backward tape. The views see
+        later in-place optimizer steps, so take them right before use.
+        """
+        return {name: ad.constant(p.values) for name, p in self.params.items()}
+
+    def encode(self, x, params=None) -> ad.Tensor:
+        """Input rows to latent rows (n, latent_dim).
+
+        ``params`` (default: the trainable parameters) may be
+        ``frozen_params()`` for a forward-only pass.
+        """
         t = self._as_input(x)
         for plan in self.encoder_plans:
-            t = self._apply(plan, t)
+            t = self._apply(plan, t, params=params)
         if t.ndim != 2:
             t = ad.reshape(t, (t.shape[0], self.latent_dim))
         return t
@@ -329,26 +340,36 @@ class Network:
             t = ad.reshape(t, (t.shape[0], self.input_dim))
         return t
 
-    def classify(self, latent: ad.Tensor) -> ad.Tensor:
-        """Latent rows to prediction rows: softmax then row l2 normalization.
-
-        Every entry is positive and every row has unit l2 norm.
-        """
+    def classifier_features(self, latent: ad.Tensor, params=None) -> ad.Tensor:
+        """Latent rows through the classifier head: the output layer's input rows."""
         if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
             raise ad.ShapeError(
                 f"classifier expects (n, {self.latent_dim}) latent rows, got {latent.shape}")
         t = latent
         for plan in self.classifier_plans:
-            t = self._apply(plan, t)
+            t = self._apply(plan, t, params=params)
         if t.ndim != 2:
             t = ad.reshape(t, (t.shape[0], self.classifier_out_in_dim))
-        logits = ad.add(ad.matmul(t, self.params["classifier.out.W"]),
-                        self.params["classifier.out.b"])
+        return t
+
+    def classify(self, latent: ad.Tensor, params=None) -> ad.Tensor:
+        """Latent rows to prediction rows: softmax then row l2 normalization.
+
+        Every entry is positive and every row has unit l2 norm. ``params``
+        as for ``encode``.
+        """
+        params = self.params if params is None else params
+        t = self.classifier_features(latent, params=params)
+        logits = ad.add(ad.matmul(t, params["classifier.out.W"]), params["classifier.out.b"])
         return ad.l2_normalize_rows(ad.softmax_rows(logits))
 
     def predictions(self, x) -> ad.Tensor:
-        """Inference path: encode then classify; decoder and coefficients untouched."""
-        return self.classify(self.encode(x))
+        """Inference path: encode then classify; decoder and coefficients untouched.
+
+        Forward only: the result is a constant with no backward tape.
+        """
+        params = self.frozen_params()
+        return self.classify(self.encode(x, params=params), params=params)
 
     # ------------------------------------------------------------------
     # parameter groups

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,15 @@ class Adam:
             m_hat = s.m[name] / bc1
             v_hat = s.v[name] / bc2
             p.values -= s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
+
+    def state_copy(self) -> AdamState:
+        """A copy of the state for restoring into ``self.state`` later.
+
+        ``step`` binds fresh moment arrays instead of writing into them, so
+        copying the two dicts is enough; no array is copied.
+        """
+        s = self.state
+        return replace(s, m=dict(s.m), v=dict(s.v))
 
     def zero_grads(self) -> None:
         for p in self.params.values():

@@ -5,8 +5,9 @@ Per batch, one training round is:
             autoencoder and the batch's coefficient matrix (diagonal
             re-projected to zero after every step), then refresh the
             subspace affinity;
-  stage 2 - classifier-only steps on the collaborative loss, with the
-            encoder output frozen;
+  stage 2 - classifier-only steps on the positive collaborative term, with
+            the encoder output frozen (the negative term's teacher and
+            student are both constants here, so it has no gradient);
   stage 3 - one joint step on the full objective over all parameters, the
             autoencoder group at its own smaller learning rate.
 
@@ -26,7 +27,8 @@ from .affinity import class_affinity, subspace_affinity
 from .config import ExperimentConfig
 from .data import Dataset
 from .losses import (LossBreakdown, build_masks, collaboration_rate, negative_loss,
-                     positive_loss, subspace_affinity_tensor, subspace_loss, total_loss)
+                     positive_loss, positive_teacher, positive_term, subspace_affinity_tensor,
+                     subspace_loss, total_loss)
 from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
 from .network import Network, SelfExpressiveLayer
 from .optim import Adam
@@ -53,33 +55,33 @@ class TrainingDivergedError(RuntimeError):
     ``pretrain`` raises it when a batch's reconstruction loss is non-finite,
     or its per-point value exceeds ``PRETRAIN_DIVERGENCE_FACTOR`` times the
     first batch's; the network then holds its parameters from the end of
-    the last completed epoch (or from before pretraining). ``train_batch`` raises it when a stage's loss
-    is non-finite before its step, or a parameter is non-finite after the
-    joint step; the network and the batch's coefficient matrix then hold
-    their values from the start of that call.
+    the last completed epoch (or from before pretraining). ``train_batch``
+    raises it when a stage's loss is non-finite before its step, or a
+    parameter is non-finite after the joint step; the network, the batch's
+    coefficient matrix and the three optimizers it steps then hold their
+    values from the start of that call.
     """
 
 
-def make_batches(n: int, batch_size: int, rng: Xorshift64Star) -> list[np.ndarray]:
-    """Fixed seeded partition into index chunks; a lone trailing point is
-    folded into the previous batch so every batch has at least 2 rows."""
-    if n < 2:
-        raise ValueError(f"need at least 2 points to train, got {n}")
-    perm = rng.shuffled(n)
-    chunks = [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+def _chunks(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Consecutive chunks of ``order``; a lone trailing point is folded into
+    the previous chunk so every chunk has at least 2 rows."""
+    chunks = [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
     if len(chunks) > 1 and chunks[-1].size == 1:
         chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
         chunks.pop()
     return chunks
+
+
+def make_batches(n: int, batch_size: int, rng: Xorshift64Star) -> list[np.ndarray]:
+    """Fixed seeded partition into index chunks of at least 2 rows."""
+    if n < 2:
+        raise ValueError(f"need at least 2 points to train, got {n}")
+    return _chunks(rng.shuffled(n), batch_size)
 
 
 def eval_chunks(n: int, batch_size: int) -> list[np.ndarray]:
-    idx = np.arange(n)
-    chunks = [idx[i:i + batch_size] for i in range(0, n, batch_size)]
-    if len(chunks) > 1 and chunks[-1].size == 1:
-        chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-        chunks.pop()
-    return chunks
+    return _chunks(np.arange(n), batch_size)
 
 
 @dataclass
@@ -231,15 +233,12 @@ class CollaborativeTrainer:
         from .affinity import kmeans as _kmeans
 
         features = self.dataset.features
-        parts = []
-        for chunk in eval_chunks(features.shape[0], self.config.batch_size):
-            t = self.network.encode(ad.constant(features[chunk]))
-            for plan in self.network.classifier_plans:
-                t = self.network._apply(plan, t)
-            if t.ndim != 2:
-                t = ad.reshape(t, (t.shape[0], self.network.classifier_out_in_dim))
-            parts.append(t.values)
-        feats = np.concatenate(parts)
+        frozen = self.network.frozen_params()
+        feats = np.concatenate([
+            self.network.classifier_features(
+                self.network.encode(ad.constant(features[chunk]), params=frozen),
+                params=frozen).values
+            for chunk in eval_chunks(features.shape[0], self.config.batch_size)])
         k = self.config.network.num_clusters
         labels = _kmeans(feats, k, seed=mix_seed(self.config.seed, 3), restarts=10)
         centroids = np.stack([
@@ -267,18 +266,23 @@ class CollaborativeTrainer:
         """One three-stage round on one batch (see the module docstring).
 
         Each stage's loss is checked before its step, and every parameter
-        after the joint step. On a non-finite value the network and this
-        batch's coefficient matrix are reset to their values at the start of
-        the call and ``TrainingDivergedError`` is raised.
+        after the joint step. On a non-finite value the network, this
+        batch's coefficient matrix and the optimizers (step counts and
+        moments) are reset to their values at the start of the call and
+        ``TrainingDivergedError`` is raised.
         """
         layer = self._coeff_layer(batch_index)
         params_before = self.network.snapshot()
         coeffs_before = layer.coeffs.values.copy()
+        adams = (self.ae_adam, self.cls_adam, self.coeff_adams[batch_index])
+        adam_states = [adam.state_copy() for adam in adams]
         try:
             return self._train_batch_stages(batch_index, layer, u)
         except TrainingDivergedError:
             self.network.load_values(params_before)
             layer.coeffs.values = coeffs_before
+            for adam, state in zip(adams, adam_states):
+                adam.state = state
             raise
 
     def _train_batch_stages(self, batch_index: int, layer: SelfExpressiveLayer,
@@ -301,21 +305,17 @@ class CollaborativeTrainer:
             layer.project_diagonal()
         subspace_aff = subspace_affinity(layer.coeffs.values)
 
-        # stage 2: classifier-only steps on the collaborative loss
-        latent_frozen = ad.constant(self.network.encode(x).values)
+        # stage 2: classifier-only steps on the positive term, whose teacher
+        # is fixed for the stage; the negative term would only add a constant
+        latent_frozen = self.network.encode(x, params=self.network.frozen_params())
+        teacher = positive_teacher(subspace_aff, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)
-            class_aff_t = ad.matmul(nu, ad.transpose(nu))
-            class_aff = class_affinity(nu.values)
-            masks = build_masks(subspace_aff, class_aff, u, cfg.l)
-            l_pos_t, _, _ = positive_loss(subspace_aff, class_aff_t, u,
-                                          soft_mask=cfg.soft_mask, masks=masks)
-            l_neg_t, _, _ = negative_loss(class_aff, subspace_aff, cfg.l,
-                                          soft_mask=cfg.soft_mask, masks=masks)
-            omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, self._alpha(masks)))
-            self._check_finite("stage-2 collaborative loss", omega_t)
+            class_affinity(nu.values)  # rejects NaN or unnormalized prediction rows
+            l_pos_t = positive_term(teacher, ad.matmul(nu, ad.transpose(nu)))
+            self._check_finite("stage-2 collaborative loss", l_pos_t)
             self._zero_grads()
-            ad.backward(omega_t)
+            ad.backward(l_pos_t)
             self.cls_adam.step()
 
         # stage 3: one joint step on the full objective
@@ -325,17 +325,17 @@ class CollaborativeTrainer:
         nu = self.network.classify(latent)
         l_sub_t, coeff_norm_t, self_expr_t, recon_t = subspace_loss(
             latent, layer.coeffs, x, recon, cfg.lambda1)
-        subspace_aff = subspace_affinity(layer.coeffs.values)
         subspace_aff_t = subspace_affinity_tensor(layer.coeffs)
+        # the same numbers as subspace_affinity(C), which would redo the work
+        subspace_aff = subspace_aff_t.values.copy()
+        np.fill_diagonal(subspace_aff, 1.0)
         class_aff_t = ad.matmul(nu, ad.transpose(nu))
         class_aff = class_affinity(nu.values)
         masks = build_masks(subspace_aff, class_aff, u, cfg.l)
         l_pos_t, count_pos, clamped_pos = positive_loss(
-            subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask, masks=masks,
-            teacher_grad=cfg.teacher_grad, subspace_aff_tensor=subspace_aff_t)
+            subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask, masks=masks)
         l_neg_t, count_neg, clamped_neg = negative_loss(
-            class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask, masks=masks,
-            teacher_grad=cfg.teacher_grad, class_aff_tensor=class_aff_t)
+            class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask, masks=masks)
         alpha = self._alpha(masks)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)

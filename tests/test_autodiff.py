@@ -47,12 +47,30 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(y, np.zeros((1, 3)))
 
     def test_log_rejects_nonpositive(self):
-        with pytest.raises(ad.AutodiffError, match="non-positive"):
-            ad.log(ad.constant(np.array([1.0, 0.0])))
+        # a non-positive floor; inputs at or below a positive floor are clamped
+        for floor in (0.0, -1e-12, np.nan):
+            with pytest.raises(ad.AutodiffError, match="floor must be positive"):
+                ad.log(ad.constant(np.array([1.0, 2.0])), floor)
 
     def test_log_rejects_nan(self):
         with pytest.raises(ad.AutodiffError, match="NaN"):
-            ad.log(ad.constant(np.array([1.0, np.nan])))
+            ad.log(ad.constant(np.array([1.0, np.nan])), 1e-12)
+
+    def test_log_clamp_matches_the_masked_tape_bit_for_bit(self):
+        # log(x * keep + floor * (1 - keep)), differentiated through the mask
+        floor = 1e-12
+        xv = np.array([[0.5, 1e-12, 0.0, -0.0], [-3.0, 2e-12, 1e-13, 7.0]])
+        g = np.array([[1.5, -2.0, 0.25, -1.0], [-0.5, 3.0, -4.0, 0.0]])
+        keep = (xv > floor).astype(np.float64)
+        clamped = xv * keep + floor * (1.0 - keep)
+        x = ad.parameter(xv)
+        out = ad.log(x, floor)
+        np.testing.assert_array_equal(out.values, np.log(clamped))
+        ad.backward(ad.tensor_sum(ad.multiply(out, ad.constant(g))))
+        expected = (g / clamped) * keep
+        np.testing.assert_array_equal(x.grad, expected)
+        assert (np.signbit(x.grad) == np.signbit(expected)).all()
+        assert np.signbit(x.grad[0, 1])  # -2.0 / floor * 0 is -0.0
 
     def test_forward_determinism(self):
         rng = Xorshift64Star(5)
@@ -374,7 +392,7 @@ def test_forward_op_dispatch_covers_every_kind():
         "sum": ([x22()], {}),
         "mean": ([x22()], {}),
         "frobenius-norm-squared": ([x22()], {}),
-        "log": ([ad.constant(np.abs(rng.normals((2, 2))) + 1.0)], {}),
+        "log": ([ad.constant(np.abs(rng.normals((2, 2))) + 1.0)], {"floor": 1e-12}),
         "scalar-multiply": ([x22()], {"c": 2.5}),
         "transpose": ([x22()], {}),
         "abs": ([x22()], {}),

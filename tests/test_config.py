@@ -56,6 +56,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config_text(SAMPLE + "\nfrobnicate = 1\n")
 
+    def test_removed_teacher_grad_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="teacher_grad"):
+            parse_config_text(SAMPLE + "\nteacher_grad = true\n")
+
     def test_bad_number_named_in_error(self):
         with pytest.raises(ConfigError, match="lambda1"):
             parse_config_text(SAMPLE.replace("lambda1 = 10.0", "lambda1 = ten"))

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import collabsc.autodiff as ad
 from collabsc.losses import (build_masks, collaboration_rate, negative_loss, positive_loss,
-                             subspace_affinity_tensor, subspace_loss, total_loss)
+                             positive_teacher, positive_term, subspace_affinity_tensor,
+                             subspace_loss, total_loss)
 from collabsc.rng import Xorshift64Star
 
 from oracles import central_difference_gradient
@@ -140,6 +141,23 @@ class TestPositiveLoss:
         bumped[i, j] = min(bumped[i, j] + 0.05, 1.0)
         higher, _, _ = positive_loss(a_s, bumped, u=0.6, masks=masks)
         assert higher.item() < base.item()
+
+
+    @pytest.mark.parametrize("soft_mask", [True, False])
+    def test_teacher_built_once_gives_the_same_loss(self, soft_mask):
+        a_s, a_c = affinity_pair(n=6, seed=11)
+        masks = build_masks(a_s, a_c, u=0.6, l=0.2)
+        teacher = positive_teacher(a_s, u=0.6, soft_mask=soft_mask)
+        assert (teacher.selected == masks.positive).all()
+        assert teacher.count == masks.count_positive > 0
+        loss, _, _ = positive_loss(a_s, a_c, u=0.6, soft_mask=soft_mask, masks=masks)
+        assert positive_term(teacher, a_c).item() == loss.item()
+
+    def test_teacher_rejects_nan_affinity(self):
+        bad = np.eye(3)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="subspace affinity entries"):
+            positive_teacher(bad, u=0.7)
 
 
 class TestNegativeLoss:
@@ -279,6 +297,19 @@ class TestSubspaceAffinityTensor:
         expected = subspace_affinity(coeffs)
         off = ~np.eye(6, dtype=bool)
         np.testing.assert_allclose(tensor.values[off], expected[off], atol=1e-15)
+
+    def test_unit_diagonal_copy_equals_numpy_construction_bitwise(self):
+        # the trainer's stage 3 takes its numpy subspace affinity from the tensor
+        from collabsc.affinity import subspace_affinity
+        rng = Xorshift64Star(12)
+        for trial in range(5):
+            coeffs = rng.normals((7, 7)) * 10.0 ** (trial - 2)
+            coeffs[3] = 0.0
+            coeffs[:, 3] = 0.0  # an all-zero row scales to zero
+            np.fill_diagonal(coeffs, 0.0)
+            values = subspace_affinity_tensor(ad.parameter(coeffs)).values.copy()
+            np.fill_diagonal(values, 1.0)
+            np.testing.assert_array_equal(values, subspace_affinity(coeffs))
 
     def test_gradient_flows_into_coefficients(self):
         rng = Xorshift64Star(9)

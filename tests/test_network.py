@@ -125,6 +125,29 @@ class TestForward:
         assert any((a.params[n].values != c.params[n].values).any() for n in a.params)
 
 
+class TestForwardOnly:
+    @pytest.mark.parametrize("which", ["dense", "conv"])
+    def test_predictions_build_no_tape_and_match_the_taped_pass(self, which):
+        if which == "dense":
+            net, x = Network(dense_config(), (8,), seed=2), Xorshift64Star(5).normals((5, 8))
+        else:
+            net = Network(conv_config(), (1, 28, 28), seed=2)
+            x = Xorshift64Star(5).normals((3, 784))
+        out = net.predictions(x)
+        assert not out.requires_grad and out._backward_fn is None
+        taped = net.classify(net.encode(x))
+        assert taped.requires_grad and taped._backward_fn is not None
+        assert np.array_equal(out.values, taped.values)
+
+    def test_frozen_params_are_constant_views(self):
+        net = Network(dense_config(), (8,), seed=2)
+        frozen = net.frozen_params()
+        assert frozen.keys() == net.params.keys()
+        for name, p in net.params.items():
+            assert not frozen[name].requires_grad
+            assert frozen[name].values is p.values
+
+
 class TestSelfExpressiveLayer:
     def test_zero_coefficients_zero_output(self):
         layer = SelfExpressiveLayer(4)

@@ -49,6 +49,11 @@ class TestBatching:
         assert [len(c) for c in chunks] == [10, 10, 5]
         assert (np.concatenate(chunks) == np.arange(25)).all()
 
+    def test_eval_chunks_fold_a_lone_trailing_point(self):
+        chunks = eval_chunks(21, 10)
+        assert [len(c) for c in chunks] == [10, 11]
+        assert (np.concatenate(chunks) == np.arange(21)).all()
+
 
 class TestPretrain:
     def test_zero_epochs_leave_parameters_unchanged(self):
@@ -108,9 +113,18 @@ class TestTrainBatchDivergence:
 
     @staticmethod
     def state(trainer):
+        """Parameters, coefficients, and every optimizer's step count and
+        moments, all copied (so in-place moment updates would show)."""
         values = trainer.network.snapshot()
         for i, layer in trainer.coeff_layers.items():
             values[f"C{i}"] = layer.coeffs.values.copy()
+        adams = {"ae": trainer.ae_adam, "cls": trainer.cls_adam}
+        adams.update({f"C{i}": adam for i, adam in trainer.coeff_adams.items()})
+        for group, adam in adams.items():
+            values[f"{group}.adam.step"] = np.asarray(adam.state.step)
+            for moment in ("m", "v"):
+                for name, arr in getattr(adam.state, moment).items():
+                    values[f"{group}.adam.{moment}.{name}"] = arr.copy()
         return values
 
     def assert_state_equals(self, trainer, before):

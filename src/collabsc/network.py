@@ -363,12 +363,14 @@ class Network:
         logits = ad.add(ad.matmul(t, params["classifier.out.W"]), params["classifier.out.b"])
         return ad.l2_normalize_rows(ad.softmax_rows(logits))
 
-    def predictions(self, x) -> ad.Tensor:
+    def predictions(self, x, params=None) -> ad.Tensor:
         """Inference path: encode then classify; decoder and coefficients untouched.
 
-        Forward only: the result is a constant with no backward tape.
+        Forward only: it runs on ``params`` (default: fresh
+        ``frozen_params()``, which callers predicting many chunks build once),
+        so the result is a constant with no backward tape.
         """
-        params = self.frozen_params()
+        params = self.frozen_params() if params is None else params
         return self.classify(self.encode(x, params=params), params=params)
 
     # ------------------------------------------------------------------

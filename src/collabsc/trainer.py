@@ -112,14 +112,16 @@ class TrainResult:
         return params
 
 
-def predict(network: Network, features) -> np.ndarray:
+def predict(network: Network, features, params=None) -> np.ndarray:
     """Inference path: encode, classify, row argmax. Never touches the
-    decoder or any coefficient matrix."""
-    return infer_labels(network.predictions(features).values)
+    decoder or any coefficient matrix. ``params`` as for
+    ``Network.predictions``."""
+    return infer_labels(network.predictions(features, params=params).values)
 
 
 def predict_dataset(network: Network, features: np.ndarray, batch_size: int) -> np.ndarray:
-    parts = [predict(network, features[chunk])
+    params = network.frozen_params()
+    parts = [predict(network, features[chunk], params=params)
              for chunk in eval_chunks(features.shape[0], batch_size)]
     return np.concatenate(parts)
 

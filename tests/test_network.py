@@ -138,6 +138,8 @@ class TestForwardOnly:
         taped = net.classify(net.encode(x))
         assert taped.requires_grad and taped._backward_fn is not None
         assert np.array_equal(out.values, taped.values)
+        reused = net.predictions(x, params=net.frozen_params())
+        assert not reused.requires_grad and np.array_equal(reused.values, taped.values)
 
     def test_frozen_params_are_constant_views(self):
         net = Network(dense_config(), (8,), seed=2)

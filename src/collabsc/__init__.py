@@ -12,18 +12,18 @@ from .affinity import (class_affinity, kmeans, ridge_self_expression, spectral_c
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config_file, parse_config_text, config_to_text
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx, subset
-from .losses import (ConfidenceMasks, LossBreakdown, build_masks, collaboration_rate,
-                     negative_loss, positive_loss, subspace_loss, total_loss)
+from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
+                     subspace_loss, total_loss)
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
 from .network import ConfigError, LayerSpec, Network, NetworkConfig, SelfExpressiveLayer
 from .optim import Adam, AdamState
 from .trainer import CollaborativeTrainer, TrainResult, TrainingDivergedError, evaluate, fit, predict
 
 __all__ = [
-    "Adam", "AdamState", "CollaborativeTrainer", "ConfidenceMasks", "ConfigError",
+    "Adam", "AdamState", "CollaborativeTrainer", "ConfigError",
     "Dataset", "ExperimentConfig", "LayerSpec", "LossBreakdown", "Network",
     "NetworkConfig", "SelfExpressiveLayer", "SyntheticSpec", "TrainResult",
-    "TrainingDivergedError", "accuracy", "ari", "autodiff", "build_masks",
+    "TrainingDivergedError", "accuracy", "ari", "autodiff",
     "class_affinity", "collaboration_rate", "config_to_text", "evaluate", "fit",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
     "load_idx", "negative_loss", "nmi", "parse_config_file", "parse_config_text",

@@ -3,14 +3,18 @@
 Two affinities drive training: the classifier affinity (Gram matrix of
 l2-normalized prediction rows) and the subspace affinity (symmetrized
 absolute coefficients, row-normalized by each row's largest off-diagonal
-entry). The ridge self-expression solver and spectral clustering here are
-validation tools only; the training loop never calls them.
+entry). The subspace affinity has one formula, the autodiff
+``subspace_affinity_tensor``; ``subspace_affinity`` is its values on a
+constant with the diagonal set to 1. The ridge self-expression solver and
+spectral clustering here are validation tools only; the training loop never
+calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .rng import Xorshift64Star
 
 
@@ -43,18 +47,6 @@ def class_affinity(predictions: np.ndarray) -> np.ndarray:
 DUST_TOLERANCE = 1e-15
 
 
-def subspace_row_scales(coeffs: np.ndarray) -> np.ndarray:
-    """Per-row normalizers 1/max|off-diagonal| of the symmetrized coefficients.
-
-    Rows whose off-diagonal entries are all below 1e-15 scale to zero rather
-    than amplifying numerical dust.
-    """
-    c = np.asarray(coeffs, dtype=np.float64)
-    s = (np.abs(c) + np.abs(c.T)) / 2.0
-    row_max = s.max(axis=1)  # diagonal is zero, so this is the off-diagonal max
-    return np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
-
-
 def _check_coeffs(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -64,16 +56,31 @@ def _check_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return c
 
 
+def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
+    """Differentiable subspace affinity, 0 on the diagonal.
+
+    (|C| + |C^T|)/2 with each row divided by its largest entry (the
+    off-diagonal maximum, as the diagonal of C is zero). Rows whose entries
+    are all below 1e-15 scale to zero rather than amplifying numerical dust.
+    The row normalizers are recomputed each forward pass but treated as
+    constants during differentiation, so gradients keep the direction of
+    the unnormalized entries.
+    """
+    sym = ad.scale(ad.add(ad.absolute(coeff_tensor), ad.transpose(ad.absolute(coeff_tensor))), 0.5)
+    row_max = sym.values.max(axis=1)
+    scales = np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
+    scale_matrix = np.repeat(scales[:, None], coeff_tensor.shape[0], axis=1)
+    return ad.multiply(sym, ad.constant(scale_matrix))
+
+
 def subspace_affinity(coeffs: np.ndarray) -> np.ndarray:
-    """Symmetrize |coeffs|, divide each row by its largest entry, diagonal 1.
+    """``subspace_affinity_tensor`` of a constant, with the diagonal set to 1.
 
     All-zero rows stay zero off the diagonal. The row normalization makes
     the result scale-invariant in the coefficients but not symmetric in
     general (rows own their normalizers).
     """
-    c = _check_coeffs(coeffs)
-    s = (np.abs(c) + np.abs(c.T)) / 2.0
-    a = s * subspace_row_scales(c)[:, None]
+    a = subspace_affinity_tensor(ad.constant(_check_coeffs(coeffs))).values
     np.fill_diagonal(a, 1.0)
     return a
 

@@ -259,15 +259,6 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _make(np.asarray(x.values.sum()), (x,), "sum", bwd)
 
 
-def tensor_mean(x: Tensor) -> Tensor:
-    shape, n = x.shape, x.size
-
-    def bwd(g):
-        return (np.full(shape, float(g) / n),)
-
-    return _make(np.asarray(x.values.mean()), (x,), "mean", bwd)
-
-
 def frobenius_sq(x: Tensor) -> Tensor:
     """Sum of squared entries (squared Frobenius norm), a scalar."""
     xv = x.values
@@ -518,21 +509,12 @@ OP_KINDS = {
     "conv2d-transpose-strided": conv2d_transpose,
     "reshape": reshape,
     "sum": tensor_sum,
-    "mean": tensor_mean,
     "frobenius-norm-squared": frobenius_sq,
     "log": log,
     "scalar-multiply": scale,
     "transpose": transpose,
     "abs": absolute,
 }
-
-
-def forward_op(kind: str, inputs: list[Tensor], **attrs) -> Tensor:
-    """Dispatch by op-kind name; attrs carry stride/padding/shape/scalar."""
-    fn = OP_KINDS.get(kind)
-    if fn is None:
-        raise AutodiffError(f"unknown op kind {kind!r}; known kinds: {sorted(OP_KINDS)}")
-    return fn(*inputs, **attrs)
 
 
 def zero_grads(params) -> None:

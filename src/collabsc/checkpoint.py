@@ -17,7 +17,8 @@ VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Malformed checkpoint file; the message carries the byte offset."""
+    """Malformed checkpoint file (the message carries the byte offset), or a
+    key that does not fit the model it is loaded into (the message names it)."""
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -191,9 +191,7 @@ def _cmd_pretrain(args) -> int:
         return 2
     save_checkpoint(args.checkpoint, trainer.network.snapshot())
     if args.log:
-        lines = ["epoch,reconstruction_loss"]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(history, start=1)]
-        _write(args.log, "\n".join(lines) + "\n")
+        _write(args.log, pretrain_log_csv(history))
     final = history[-1] if history else float("nan")
     print(f"pretrained {config.pretrain_epochs} epochs, final reconstruction loss {final}")
     return 0
@@ -210,7 +208,7 @@ def _cmd_train(args) -> int:
     if args.metrics_log:
         _write(args.metrics_log, metrics_csv(result))
     if result.pretrain_log and args.train_log:
-        _write(args.train_log + ".pretrain", pretrain_log_csv(result))
+        _write(args.train_log + ".pretrain", pretrain_log_csv(result.pretrain_log))
     print(metrics_header(config.network.num_clusters))
     print(format_metrics_row(result.metrics_history[-1]))
     return 0
@@ -231,9 +229,7 @@ def _cmd_eval(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
     dataset = _load_data(args)
     trainer = CollaborativeTrainer(config, dataset)
-    params = load_checkpoint(args.checkpoint)
-    trainer.network.load_values(
-        {k_: v for k_, v in params.items() if not k_.startswith("selfexpr.")})
+    trainer.load_checkpoint_params(load_checkpoint(args.checkpoint))
     row = evaluate(trainer.network, dataset, 0, config.batch_size)
     print(metrics_header(config.network.num_clusters))
     print(format_metrics_row(row))
@@ -244,25 +240,22 @@ def _cmd_export_affinity(args) -> int:
     config = _apply_overrides(parse_config_file(args.config), args)
     dataset = _load_data(args)
     trainer = CollaborativeTrainer(config, dataset)
-    params = load_checkpoint(args.checkpoint)
-    trainer.network.load_values(
-        {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
+    trainer.load_checkpoint_params(load_checkpoint(args.checkpoint))
     if not 0 <= args.batch < len(trainer.batches):
         raise CliValidationError(
             f"--batch {args.batch} out of range; the partition has {len(trainer.batches)} batches")
-    coeff_key = f"selfexpr.batch_{args.batch}.C"
-    if coeff_key not in params:
+    if args.batch not in trainer.coeff_layers:
         raise CliValidationError(
-            f"checkpoint has no coefficients for batch {args.batch} ({coeff_key}); "
-            f"export needs a checkpoint written by `train`")
-    subspace = subspace_affinity(params[coeff_key])
+            f"checkpoint has no coefficients for batch {args.batch} "
+            f"(selfexpr.batch_{args.batch}.C); export needs a checkpoint written by `train`")
+    subspace = subspace_affinity(trainer.coeff_layers[args.batch].coeffs.values)
     x = dataset.features[trainer.batches[args.batch]]
     predictions = trainer.network.predictions(x).values
     class_aff = class_affinity(predictions)
     for name, matrix in (("subspace", subspace), ("class", class_aff)):
         affinity_to_csv(matrix, f"{args.out}_{name}.csv")
         affinity_to_pgm(matrix, f"{args.out}_{name}.pgm")
-    print(f"wrote {args.out}_subspace/.csv/.pgm and {args.out}_class.csv/.pgm "
+    print(f"wrote {args.out}_subspace.csv/.pgm and {args.out}_class.csv/.pgm "
           f"for batch {args.batch} ({x.shape[0]} points)")
     return 0
 

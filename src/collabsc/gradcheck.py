@@ -88,9 +88,6 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
     if kind == "sum":
         x = ad.parameter(rng.normals((3, 4)))
         return ad.grad_check(lambda: ad.tensor_sum(x), [x], EPS)
-    if kind == "mean":
-        x = ad.parameter(rng.normals((3, 4)))
-        return ad.grad_check(lambda: ad.tensor_mean(x), [x], EPS)
     if kind == "frobenius-norm-squared":
         x = ad.parameter(rng.normals((3, 4)))
         return ad.grad_check(lambda: ad.frobenius_sq(x), [x], EPS)

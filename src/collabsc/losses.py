@@ -1,11 +1,13 @@
-"""Confidence masks, collaborative losses, and the joint training objective.
+"""Collaborative losses and the joint training objective.
 
 The two affinity matrices teach each other: confident positives from the
-subspace affinity supervise the classifier affinity (cross-entropy pulls
-selected class-affinity entries toward 1), and confident negatives from the
-classifier affinity supervise the subspace affinity (pulls selected entries
-toward 0). The teacher side of each term (selection, count and mask
-weights) is a constant: no gradient flows into it.
+subspace affinity (A_s > u) supervise the classifier affinity (cross-entropy
+pulls selected class-affinity entries toward 1), and confident negatives
+from the classifier affinity (A_c < l) supervise the subspace affinity
+(pulls selected entries toward 0). Each term builds its own teacher from
+its teacher affinity: the selected pairs (off the diagonal, where both
+affinities are pinned to 1 and carry no signal), their count and their mask
+weights. A teacher is a constant: no gradient flows into it.
 
 The entropy in the source formulation is written without a sign, but
 minimizing +sum(p log q) is ill-posed (it drives q to 0); the standard
@@ -20,52 +22,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .affinity import subspace_row_scales
 
 LOG_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class ConfidenceMasks:
-    """Binary pair selections: positives from A_s > u, negatives from A_c < l.
+class Teacher:
+    """The constant side of one collaborative term on one batch.
 
-    Diagonal pairs are excluded from both masks; the affinity diagonals are
-    pinned to 1 by construction and carry no training signal.
+    ``selected`` marks the confident pairs and ``weights`` their mask
+    weights (0 elsewhere). Both depend only on the teacher affinity and its
+    threshold, so stage 2 builds its positive teacher once for all its
+    classifier steps.
     """
 
-    positive: np.ndarray
-    negative: np.ndarray
-    u: float
-    l: float
-
-    @property
-    def count_positive(self) -> int:
-        return int(self.positive.sum())
-
-    @property
-    def count_negative(self) -> int:
-        return int(self.negative.sum())
+    selected: np.ndarray
+    weights: np.ndarray
+    count: int
 
 
-def _check_unit_range(name: str, a: np.ndarray) -> None:
+def _checked_affinity(name: str, affinity: np.ndarray) -> np.ndarray:
+    a = np.asarray(affinity, dtype=np.float64)
     if not (float(a.min()) >= 0.0 and float(a.max()) <= 1.0):  # False for NaN
         raise ValueError(f"{name} affinity entries must lie in [0, 1]")
+    return a
 
 
-def build_masks(subspace_aff: np.ndarray, class_aff: np.ndarray, u: float, l: float,
-                ) -> ConfidenceMasks:
-    a_s = np.asarray(subspace_aff, dtype=np.float64)
-    a_c = np.asarray(class_aff, dtype=np.float64)
-    if a_s.shape != a_c.shape or a_s.ndim != 2 or a_s.shape[0] != a_s.shape[1]:
-        raise ValueError(f"affinities must be square and same shape, got {a_s.shape} vs {a_c.shape}")
-    if u <= l:
-        raise ValueError(f"selection bands overlap: need l < u, got l={l}, u={u}")
-    if not (0.0 < l and u < 1.0):
-        raise ValueError(f"thresholds must satisfy 0 < l < u < 1, got l={l}, u={u}")
-    _check_unit_range("subspace", a_s)
-    _check_unit_range("class", a_c)
-    off = ~np.eye(a_s.shape[0], dtype=bool)
-    return ConfidenceMasks(positive=(a_s > u) & off, negative=(a_c < l) & off, u=u, l=l)
+def _teacher(confident: np.ndarray, weight) -> Teacher:
+    selected = confident & ~np.eye(confident.shape[0], dtype=bool)
+    return Teacher(selected=selected, weights=selected.astype(np.float64) * weight,
+                   count=int(selected.sum()))
+
+
+def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True) -> Teacher:
+    """Pairs with A_s > u; weight A_s with soft masks, else 1."""
+    a_s = _checked_affinity("subspace", subspace_aff)
+    return _teacher(a_s > u, a_s if soft_mask else 1.0)
+
+
+def negative_teacher(class_aff: np.ndarray, l: float, soft_mask: bool = True) -> Teacher:
+    """Pairs with A_c < l; weight 1 - A_c with soft masks, else 1."""
+    a_c = _checked_affinity("class", class_aff)
+    return _teacher(a_c < l, (1.0 - a_c) if soft_mask else 1.0)
+
+
+def collaboration_rate(count_pos: int, count_neg: int) -> float:
+    """Ratio of confident positive to confident negative pair counts."""
+    return max(count_pos, 1) / max(count_neg, 1)
 
 
 def _as_tensor(a) -> ad.Tensor:
@@ -83,97 +86,38 @@ def _clamped_count(selected: np.ndarray, student: ad.Tensor) -> int:
     return int((selected & ~(student.values > LOG_CLAMP)).sum())
 
 
-@dataclass(frozen=True)
-class PositiveTeacher:
-    """The subspace side of the positive term on one batch.
-
-    ``selected`` marks the confident pairs (A_s > u, off the diagonal) and
-    ``weights`` their mask weights (A_s with soft masks, else 1; 0 elsewhere).
-    Both depend only on A_s and u, so stage 2 builds them once for all its
-    classifier steps.
-    """
-
-    selected: np.ndarray
-    weights: np.ndarray
-    count: int
-
-
-def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True,
-                     selected: np.ndarray | None = None) -> PositiveTeacher:
-    """Selection, weights and count of the positive term.
-
-    ``selected`` is the positive mask of ``build_masks``, which has checked
-    the affinity already; without it the affinity is checked to lie in
-    [0, 1] and the selection is built here.
-    """
-    a_s = np.asarray(subspace_aff, dtype=np.float64)
-    if selected is None:
-        _check_unit_range("subspace", a_s)
-        selected = (a_s > u) & ~np.eye(a_s.shape[0], dtype=bool)
-    weights = selected.astype(np.float64) * (a_s if soft_mask else 1.0)
-    return PositiveTeacher(selected=selected, weights=weights, count=int(selected.sum()))
-
-
-def positive_term(teacher: PositiveTeacher, class_aff) -> ad.Tensor:
+def positive_term(teacher: Teacher, class_aff) -> ad.Tensor:
     """Mean over the teacher's selected pairs of -w * log(class affinity)."""
     if teacher.count == 0:
         return ad.constant(np.asarray(0.0))
     return _cross_entropy(teacher.weights, teacher.count, _as_tensor(class_aff))
 
 
-def positive_loss(subspace_aff: np.ndarray, class_aff, u: float, soft_mask: bool = True,
-                  masks: ConfidenceMasks | None = None):
+def positive_loss(subspace_aff: np.ndarray, class_aff, u: float, soft_mask: bool = True):
     """Mean over selected pairs of -w * log(class affinity).
 
     The teacher is the subspace affinity (see ``positive_teacher``). Returns
     (loss tensor, selected count, clamped count).
     """
-    teacher = positive_teacher(subspace_aff, u, soft_mask,
-                               None if masks is None else masks.positive)
+    teacher = positive_teacher(subspace_aff, u, soft_mask)
     student = _as_tensor(class_aff)
     return (positive_term(teacher, student), teacher.count,
             _clamped_count(teacher.selected, student))
 
 
-def negative_loss(class_aff: np.ndarray, subspace_aff, l: float, soft_mask: bool = True,
-                  masks: ConfidenceMasks | None = None):
+def negative_loss(class_aff: np.ndarray, subspace_aff, l: float, soft_mask: bool = True):
     """Mean over selected pairs of -w * log(1 - subspace affinity).
 
-    The teacher is the classifier affinity: selection is A_c < l
-    off-diagonal, and in soft-mask mode w = 1 - A_c on selected pairs.
+    The teacher is the classifier affinity (see ``negative_teacher``).
+    Returns (loss tensor, selected count, clamped count).
     """
-    a_c = np.asarray(class_aff, dtype=np.float64)
-    if masks is None:
-        selected = (a_c < l) & ~np.eye(a_c.shape[0], dtype=bool)
-    else:
-        selected = masks.negative
-    count = int(selected.sum())
-    if count == 0:
+    teacher = negative_teacher(class_aff, l, soft_mask)
+    if teacher.count == 0:
         return ad.constant(np.asarray(0.0)), 0, 0
     subspace = _as_tensor(subspace_aff)
     student = ad.subtract(ad.constant(np.ones(subspace.shape)), subspace)
-    weights = selected.astype(np.float64) * ((1.0 - a_c) if soft_mask else 1.0)
-    return _cross_entropy(weights, count, student), count, _clamped_count(selected, student)
-
-
-def collaboration_rate(masks: ConfidenceMasks) -> float:
-    """Ratio of confident positive to confident negative pair counts."""
-    return max(masks.count_positive, 1) / max(masks.count_negative, 1)
-
-
-def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
-    """Differentiable subspace affinity (off-diagonal entries).
-
-    Symmetrized absolute coefficients scaled by the per-row normalizers. The
-    normalizers are recomputed each forward pass but treated as constants
-    during differentiation, so gradients keep the direction of the
-    unnormalized entries. The diagonal is 0 here, not 1; every consumer
-    masks the diagonal out.
-    """
-    sym = ad.scale(ad.add(ad.absolute(coeff_tensor), ad.transpose(ad.absolute(coeff_tensor))), 0.5)
-    scales = subspace_row_scales(coeff_tensor.values)
-    scale_matrix = np.repeat(scales[:, None], coeff_tensor.shape[0], axis=1)
-    return ad.multiply(sym, ad.constant(scale_matrix))
+    return (_cross_entropy(teacher.weights, teacher.count, student), teacher.count,
+            _clamped_count(teacher.selected, student))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import CheckpointError
 from .rng import Xorshift64Star, mix_seed
 
 LAYER_KINDS = ("conv", "conv-transpose", "dense")
@@ -387,7 +388,7 @@ class Network:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
             if name not in values:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(values[name], dtype=np.float64)
             if arr.shape != p.shape:
                 raise ad.ShapeError(

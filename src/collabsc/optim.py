@@ -63,7 +63,3 @@ class Adam:
         """
         s = self.state
         return replace(s, m=dict(s.m), v=dict(s.v))
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None

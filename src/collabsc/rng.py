@@ -79,13 +79,6 @@ class Xorshift64Star:
             out[i] = self.normal()
         return out.reshape(shape)
 
-    def uniforms(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = self.uniform()
-        return out.reshape(shape)
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias (rejection)."""
         if n <= 0:

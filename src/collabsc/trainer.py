@@ -18,17 +18,18 @@ epochs, the only state keyed by batch identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .affinity import class_affinity, subspace_affinity
+from .affinity import class_affinity, subspace_affinity, subspace_affinity_tensor
+from .checkpoint import CheckpointError
 from .config import ExperimentConfig
 from .data import Dataset
-from .losses import (LossBreakdown, build_masks, collaboration_rate, negative_loss,
-                     positive_loss, positive_teacher, positive_term, subspace_affinity_tensor,
-                     subspace_loss, total_loss)
+from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
+                     positive_teacher, positive_term, subspace_loss, total_loss)
 from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
 from .network import Network, SelfExpressiveLayer
 from .optim import Adam
@@ -56,10 +57,10 @@ class TrainingDivergedError(RuntimeError):
     or its per-point value exceeds ``PRETRAIN_DIVERGENCE_FACTOR`` times the
     first batch's; the network then holds its parameters from the end of
     the last completed epoch (or from before pretraining). ``train_batch``
-    raises it when a stage's loss is non-finite before its step, or a
-    parameter is non-finite after the joint step; the network, the batch's
-    coefficient matrix and the three optimizers it steps then hold their
-    values from the start of that call.
+    raises it when a stage's predictions or loss are non-finite before its
+    step, or a parameter is non-finite after the joint step; the network,
+    the batch's coefficient matrix and the three optimizers it steps then
+    hold their values from the start of that call.
     """
 
 
@@ -164,6 +165,31 @@ class CollaborativeTrainer:
                                                  lr=self.config.lr_other)
         return self.coeff_layers[batch_index]
 
+    def load_checkpoint_params(self, params: dict[str, np.ndarray]) -> None:
+        """Load the network parameters and every ``selfexpr.batch_<i>.C``.
+
+        A ``selfexpr.`` key must name a batch i of this partition and hold an
+        (n_i, n_i) matrix, or ``CheckpointError`` names it and nothing is loaded.
+        """
+        coeffs = {}
+        for name, values in params.items():
+            if not name.startswith("selfexpr."):
+                continue
+            match = re.fullmatch(r"selfexpr\.batch_([0-9]+)\.C", name)
+            i = int(match.group(1)) if match else -1
+            if not 0 <= i < len(self.batches):
+                raise CheckpointError(f"checkpoint key {name!r} names no batch of this "
+                                      f"partition of {len(self.batches)} batches")
+            side = int(self.batches[i].size)
+            if values.shape != (side, side):
+                raise CheckpointError(f"checkpoint key {name!r} has shape {values.shape}, "
+                                      f"expected {(side, side)}")
+            coeffs[i] = values
+        self.network.load_values(
+            {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
+        for i, values in coeffs.items():
+            self._coeff_layer(i).coeffs.values = values.copy()
+
     def _reinit_coeffs(self) -> None:
         for i, layer in self.coeff_layers.items():
             layer.coeffs.values[:] = 0.0
@@ -254,24 +280,18 @@ class CollaborativeTrainer:
         self.network.params["classifier.out.W"].values = gain * w
         self.network.params["classifier.out.b"].values = gain * b
 
-    def _alpha(self, masks) -> float:
-        if self.config.alpha_mode == "fixed":
-            return self.config.alpha_fixed
-        return collaboration_rate(masks)
-
-    def _check_finite(self, what: str, loss: ad.Tensor) -> None:
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"{what} went non-finite ({value}) at step {self.step}")
+    def _check_finite(self, what: str, t: ad.Tensor) -> None:
+        if not np.isfinite(t.values).all():
+            raise TrainingDivergedError(f"{what} went non-finite at step {self.step}")
 
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
         """One three-stage round on one batch (see the module docstring).
 
-        Each stage's loss is checked before its step, and every parameter
-        after the joint step. On a non-finite value the network, this
-        batch's coefficient matrix and the optimizers (step counts and
-        moments) are reset to their values at the start of the call and
-        ``TrainingDivergedError`` is raised.
+        Each stage's loss (and the predictions of stages 2 and 3) is checked
+        before its step, and every parameter after the joint step. On a
+        non-finite value the network, this batch's coefficient matrix and the
+        optimizers (step counts and moments) are reset to their values at the
+        start of the call and ``TrainingDivergedError`` is raised.
         """
         layer = self._coeff_layer(batch_index)
         params_before = self.network.snapshot()
@@ -313,7 +333,9 @@ class CollaborativeTrainer:
         teacher = positive_teacher(subspace_aff, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)
-            class_affinity(nu.values)  # rejects NaN or unnormalized prediction rows
+            # softmax rows of finite logits, l2-normalized, are unit and
+            # non-negative by construction; stage 3 checks them in full
+            self._check_finite("stage-2 predictions", nu)
             l_pos_t = positive_term(teacher, ad.matmul(nu, ad.transpose(nu)))
             self._check_finite("stage-2 collaborative loss", l_pos_t)
             self._zero_grads()
@@ -332,13 +354,14 @@ class CollaborativeTrainer:
         subspace_aff = subspace_aff_t.values.copy()
         np.fill_diagonal(subspace_aff, 1.0)
         class_aff_t = ad.matmul(nu, ad.transpose(nu))
+        self._check_finite("stage-3 predictions", nu)
         class_aff = class_affinity(nu.values)
-        masks = build_masks(subspace_aff, class_aff, u, cfg.l)
         l_pos_t, count_pos, clamped_pos = positive_loss(
-            subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask, masks=masks)
+            subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask)
         l_neg_t, count_neg, clamped_neg = negative_loss(
-            class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask, masks=masks)
-        alpha = self._alpha(masks)
+            class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask)
+        alpha = (cfg.alpha_fixed if cfg.alpha_mode == "fixed"
+                 else collaboration_rate(count_pos, count_neg))
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._check_finite("stage-3 joint loss", total_t)
@@ -406,20 +429,10 @@ def fit(config: ExperimentConfig, dataset: Dataset,
         init_params: dict[str, np.ndarray] | None = None) -> TrainResult:
     """Pretrain (unless initial parameters are given) and run the main loop."""
     trainer = CollaborativeTrainer(config, dataset)
-    if init_params is not None:
-        trainer.network.load_values(
-            {k: v for k, v in init_params.items() if not k.startswith("selfexpr.")})
-        for name, values in init_params.items():
-            if name.startswith("selfexpr.batch_") and name.endswith(".C"):
-                idx = int(name[len("selfexpr.batch_"):-len(".C")])
-                layer = trainer._coeff_layer(idx)
-                if values.shape != layer.coeffs.shape:
-                    raise ad.ShapeError(
-                        f"checkpoint coefficient {name} has shape {values.shape}, "
-                        f"expected {layer.coeffs.shape}")
-                layer.coeffs.values = values.copy()
-        return trainer.fit(skip_pretrain=True)
-    return trainer.fit()
+    if init_params is None:
+        return trainer.fit()
+    trainer.load_checkpoint_params(init_params)
+    return trainer.fit(skip_pretrain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +470,9 @@ def metrics_csv(result: TrainResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pretrain_log_csv(result: TrainResult) -> str:
+def pretrain_log_csv(history: list[float]) -> str:
+    """Per-epoch mean reconstruction loss, as returned by ``pretrain``."""
     lines = [PRETRAIN_LOG_HEADER]
-    for i, v in enumerate(result.pretrain_log, start=1):
+    for i, v in enumerate(history, start=1):
         lines.append(f"{i},{float(v)!r}")
     return "\n".join(lines) + "\n"

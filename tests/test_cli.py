@@ -1,12 +1,16 @@
 """Command-line entry point: exit codes and the files each command leaves."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from collabsc import cli
-from collabsc.checkpoint import load_checkpoint
+from collabsc.affinity import subspace_affinity
+from collabsc.checkpoint import load_checkpoint, save_checkpoint
 from collabsc.config import config_to_text
 from collabsc.data import load_dataset_csv
-from collabsc.trainer import CollaborativeTrainer
+from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
 
 from test_trainer import tiny_config
 
@@ -24,6 +28,15 @@ def write_inputs(tmp_path, **overrides):
                              "--config", str(config_path)]
 
 
+def train_checkpoint(tmp_path):
+    """Train the tiny config in 4 batches of 10 points; the CLI arguments
+    for its data and config, and the checkpoint ``train`` wrote."""
+    _, _, args = write_inputs(tmp_path, batch_size=10)
+    ckpt = tmp_path / "trained.ckpt"
+    assert cli.main(["train", *args, "--checkpoint", str(ckpt)]) == 0
+    return args, ckpt
+
+
 class TestPretrain:
     def test_writes_checkpoint_and_log(self, tmp_path):
         config, dataset, args = write_inputs(tmp_path, pretrain_epochs=4)
@@ -34,6 +47,14 @@ class TestPretrain:
         params = load_checkpoint(ckpt)
         assert params.keys() == initial.keys()
         assert not np.array_equal(params["encoder.0.W"], initial["encoder.0.W"])
+
+    def test_log_bytes_equal_pretrain_log_csv(self, tmp_path):
+        config, dataset, args = write_inputs(tmp_path, pretrain_epochs=4)
+        log = tmp_path / "pretrain.csv"
+        assert cli.main(["pretrain", *args, "--checkpoint", str(tmp_path / "model.ckpt"),
+                         "--log", str(log)]) == 0
+        history = CollaborativeTrainer(config, dataset).pretrain()
+        assert log.read_bytes() == pretrain_log_csv(history).encode()
 
     def test_runaway_loss_exits_2_with_restored_checkpoint(self, tmp_path, capsys):
         # the loss grows by ~1e77 within the first epoch but stays finite
@@ -47,3 +68,61 @@ class TestPretrain:
         assert params.keys() == initial.keys()
         for name, values in params.items():
             np.testing.assert_array_equal(values, initial[name], err_msg=name)
+
+
+class TestTrainedCheckpoint:
+    def test_eval_prints_the_metrics_row_of_train(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        train_lines = capsys.readouterr().out.splitlines()
+        assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == train_lines[-2]
+        # eval reports epoch 0; every other column matches train's last epoch
+        assert row.split(",")[1:] == train_lines[-1].split(",")[1:]
+
+    def test_export_affinity_writes_both_affinities(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        out = tmp_path / "batch2"
+        assert cli.main(["export-affinity", *args, "--checkpoint", str(ckpt), "--batch", "2",
+                         "--out", str(out)]) == 0
+        assert f"wrote {out}_subspace.csv/.pgm and {out}_class.csv/.pgm" in \
+            capsys.readouterr().out
+        coeffs = load_checkpoint(ckpt)["selfexpr.batch_2.C"]
+        np.testing.assert_array_equal(np.loadtxt(f"{out}_subspace.csv", delimiter=","),
+                                      subspace_affinity(coeffs))
+        for name in ("subspace", "class"):
+            a = np.loadtxt(f"{out}_{name}.csv", delimiter=",")
+            assert a.shape == (10, 10) and (np.diag(a) == 1.0).all()
+            pixels = np.clip(np.rint(255.0 * a), 0, 255).astype(np.uint8)
+            assert Path(f"{out}_{name}.pgm").read_bytes() == b"P5\n10 10\n255\n" + pixels.tobytes()
+
+    @pytest.mark.parametrize("key", ["selfexpr.batch_99.C", "selfexpr.batch_-1.C"])
+    def test_init_checkpoint_key_of_no_batch_exits_1(self, tmp_path, capsys, key):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params[key] = np.zeros((10, 10))
+        save_checkpoint(ckpt, params)
+        code = cli.main(["train", *args, "--init-checkpoint", str(ckpt),
+                         "--checkpoint", str(tmp_path / "resumed.ckpt")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    def test_eval_checkpoint_missing_a_parameter_exits_1(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        del params["encoder.0.W"]
+        save_checkpoint(ckpt, params)
+        assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 1
+        assert "encoder.0.W" in capsys.readouterr().err
+
+    def test_export_misshapen_coefficients_exits_1(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params["selfexpr.batch_0.C"] = np.zeros((5, 5))
+        save_checkpoint(ckpt, params)
+        out = tmp_path / "batch0"
+        code = cli.main(["export-affinity", *args, "--checkpoint", str(ckpt),
+                         "--out", str(out)])
+        assert code == 1
+        assert "selfexpr.batch_0.C" in capsys.readouterr().err
+        assert not Path(f"{out}_subspace.csv").exists()

@@ -1,13 +1,13 @@
-"""Confidence masks and collaborative losses: examples and properties."""
+"""Teachers (confidence masks) and collaborative losses: examples and properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import collabsc.autodiff as ad
-from collabsc.losses import (build_masks, collaboration_rate, negative_loss, positive_loss,
-                             positive_teacher, positive_term, subspace_affinity_tensor,
-                             subspace_loss, total_loss)
+from collabsc.affinity import subspace_affinity, subspace_affinity_tensor
+from collabsc.losses import (collaboration_rate, negative_loss, negative_teacher, positive_loss,
+                             positive_teacher, positive_term, subspace_loss, total_loss)
 from collabsc.rng import Xorshift64Star
 
 from oracles import central_difference_gradient
@@ -29,55 +29,55 @@ def affinity_pair(n=4, seed=0):
 
 
 class TestBuildMasks:
+    """The confidence masks: the selections of the positive and negative teachers."""
+
     def test_high_subspace_affinity_selected(self):
         a_s = np.array([[1.0, 0.9], [0.9, 1.0]])
-        a_c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        masks = build_masks(a_s, a_c, u=0.7, l=0.1)
-        assert masks.positive.tolist() == [[False, True], [True, False]]
-        assert masks.count_positive == 2
+        teacher = positive_teacher(a_s, u=0.7)
+        assert teacher.selected.tolist() == [[False, True], [True, False]]
+        assert teacher.count == 2
 
     def test_low_class_affinity_selected(self):
-        a_s = np.eye(2)
         a_c = np.array([[1.0, 0.05], [0.05, 1.0]])
-        masks = build_masks(a_s, a_c, u=0.7, l=0.1)
-        assert masks.negative.tolist() == [[False, True], [True, False]]
+        teacher = negative_teacher(a_c, l=0.1)
+        assert teacher.selected.tolist() == [[False, True], [True, False]]
+        assert teacher.count == 2
 
     def test_boundary_is_strict(self):
         a_s = np.full((2, 2), 0.7)
         np.fill_diagonal(a_s, 1.0)
-        masks = build_masks(a_s, np.eye(2) * 0.0 + np.eye(2), u=0.7, l=0.1)
-        assert masks.count_positive == 0
+        assert positive_teacher(a_s, u=0.7).count == 0
+        a_c = np.full((2, 2), 0.1)
+        np.fill_diagonal(a_c, 1.0)
+        assert negative_teacher(a_c, l=0.1).count == 0
 
     def test_diagonal_always_excluded(self):
-        masks = build_masks(np.ones((3, 3)), np.zeros((3, 3)) + np.eye(3), u=0.5, l=0.4)
-        assert not masks.positive.diagonal().any()
-        assert not masks.negative.diagonal().any()
-
-    def test_rejects_overlapping_bands(self):
-        with pytest.raises(ValueError, match="l < u"):
-            build_masks(np.eye(2), np.eye(2), u=0.3, l=0.5)
+        assert not positive_teacher(np.ones((3, 3)), u=0.5).selected.diagonal().any()
+        assert not negative_teacher(np.zeros((3, 3)), l=0.4).selected.diagonal().any()
 
     @pytest.mark.parametrize("which", ["subspace", "class"])
     def test_rejects_nan_affinity(self, which):
         bad = np.eye(3)
         bad[0, 1] = bad[1, 0] = np.nan
-        a_s, a_c = (bad, np.eye(3)) if which == "subspace" else (np.eye(3), bad)
+        teacher = positive_teacher if which == "subspace" else negative_teacher
         with pytest.raises(ValueError, match=f"{which} affinity entries"):
-            build_masks(a_s, a_c, u=0.7, l=0.1)
+            teacher(bad, 0.5)
 
     def test_mask_monotonicity_in_thresholds(self):
         a_s, a_c = affinity_pair(n=6, seed=2)
-        low = build_masks(a_s, a_c, u=0.5, l=0.2)
-        high = build_masks(a_s, a_c, u=0.8, l=0.2)
-        assert (high.positive <= low.positive).all()  # raising u never adds pairs
-        narrow = build_masks(a_s, a_c, u=0.8, l=0.05)
-        assert (narrow.negative <= high.negative).all()  # lowering l never adds pairs
+        low = positive_teacher(a_s, u=0.5).selected
+        high = positive_teacher(a_s, u=0.8).selected
+        assert (high <= low).all()  # raising u never adds pairs
+        wide = negative_teacher(a_c, l=0.2).selected
+        narrow = negative_teacher(a_c, l=0.05).selected
+        assert (narrow <= wide).all()  # lowering l never adds pairs
 
     def test_symmetric_sources_give_symmetric_masks(self):
         a_s, a_c = affinity_pair(n=5, seed=3)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.3)
-        assert (masks.positive == masks.positive.T).all()
-        assert (masks.negative == masks.negative.T).all()
+        positive = positive_teacher(a_s, u=0.6).selected
+        negative = negative_teacher(a_c, l=0.3).selected
+        assert (positive == positive.T).all()
+        assert (negative == negative.T).all()
 
 
 class TestPositiveLoss:
@@ -116,41 +116,39 @@ class TestPositiveLoss:
     def test_gradient_direction_on_selected_pairs(self):
         # hard mask: d l_pos / d A_c < 0 exactly on selected pairs
         a_s, a_c = affinity_pair(n=5, seed=4)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.2)
+        selected = positive_teacher(a_s, u=0.6).selected
         target = ad.parameter(a_c.copy())
-        loss, count, _ = positive_loss(a_s, target, u=0.6, soft_mask=False, masks=masks)
+        loss, count, _ = positive_loss(a_s, target, u=0.6, soft_mask=False)
         if count:
             ad.backward(loss)
             grad = target.grad
-            assert (grad[masks.positive] < 0).all()
-            assert (grad[~masks.positive] == 0).all()
+            assert (grad[selected] < 0).all()
+            assert (grad[~selected] == 0).all()
             numeric = central_difference_gradient(
                 lambda: positive_loss(a_s, ad.constant(target.values), u=0.6,
-                                      soft_mask=False, masks=masks)[0].item(),
+                                      soft_mask=False)[0].item(),
                 target.values)
             np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
     def test_monotone_in_class_affinity(self):
         a_s, a_c = affinity_pair(n=5, seed=5)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.2)
-        if masks.count_positive == 0:
+        teacher = positive_teacher(a_s, u=0.6)
+        if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base, _, _ = positive_loss(a_s, a_c, u=0.6, masks=masks)
-        i, j = np.argwhere(masks.positive)[0]
+        base, _, _ = positive_loss(a_s, a_c, u=0.6)
+        i, j = np.argwhere(teacher.selected)[0]
         bumped = a_c.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 1.0)
-        higher, _, _ = positive_loss(a_s, bumped, u=0.6, masks=masks)
+        higher, _, _ = positive_loss(a_s, bumped, u=0.6)
         assert higher.item() < base.item()
 
 
     @pytest.mark.parametrize("soft_mask", [True, False])
     def test_teacher_built_once_gives_the_same_loss(self, soft_mask):
         a_s, a_c = affinity_pair(n=6, seed=11)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.2)
         teacher = positive_teacher(a_s, u=0.6, soft_mask=soft_mask)
-        assert (teacher.selected == masks.positive).all()
-        assert teacher.count == masks.count_positive > 0
-        loss, _, _ = positive_loss(a_s, a_c, u=0.6, soft_mask=soft_mask, masks=masks)
+        loss, count, _ = positive_loss(a_s, a_c, u=0.6, soft_mask=soft_mask)
+        assert teacher.count == count > 0
         assert positive_term(teacher, a_c).item() == loss.item()
 
     def test_teacher_rejects_nan_affinity(self):
@@ -191,29 +189,29 @@ class TestNegativeLoss:
 
     def test_monotone_in_subspace_affinity(self):
         a_s, a_c = affinity_pair(n=5, seed=6)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.35)
-        if masks.count_negative == 0:
+        teacher = negative_teacher(a_c, l=0.35)
+        if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base, _, _ = negative_loss(a_c, a_s, l=0.35, masks=masks)
-        i, j = np.argwhere(masks.negative)[0]
+        base, _, _ = negative_loss(a_c, a_s, l=0.35)
+        i, j = np.argwhere(teacher.selected)[0]
         bumped = a_s.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 0.999)
-        higher, _, _ = negative_loss(a_c, bumped, l=0.35, masks=masks)
+        higher, _, _ = negative_loss(a_c, bumped, l=0.35)
         assert higher.item() > base.item()
 
 
 class TestCollaborationRate:
     def test_ratio(self):
-        masks = build_masks(np.ones((21, 21)), np.zeros((21, 21)) + np.eye(21), u=0.5, l=0.4)
-        # 21*20 = 420 positive and negative pairs each
-        assert collaboration_rate(masks) == 1.0
+        count_pos = positive_teacher(np.ones((21, 21)), u=0.5).count
+        count_neg = negative_teacher(np.eye(21), l=0.4).count
+        assert count_pos == count_neg == 21 * 20
+        assert collaboration_rate(count_pos, count_neg) == 1.0
 
     def test_zero_negative_clamps(self):
-        a_s = np.ones((11, 11))
-        a_c = np.ones((11, 11))
-        masks = build_masks(a_s, a_c, u=0.5, l=0.4)
-        assert masks.count_negative == 0
-        assert collaboration_rate(masks) == masks.count_positive
+        count_pos = positive_teacher(np.ones((11, 11)), u=0.5).count
+        count_neg = negative_teacher(np.ones((11, 11)), l=0.4).count
+        assert count_neg == 0
+        assert collaboration_rate(count_pos, count_neg) == count_pos
 
     def test_duplication_scales_counts_together(self):
         # dense selections so the duplicate-copy pairs (affinity 1, selected as
@@ -226,11 +224,12 @@ class TestCollaborationRate:
         a_c = np.clip(0.05 * np.abs(rng.normals((n, n))), 0, 1)
         a_c = (a_c + a_c.T) / 2
         np.fill_diagonal(a_c, 1.0)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.3)
-        doubled = build_masks(np.kron(np.ones((2, 2)), a_s), np.kron(np.ones((2, 2)), a_c),
-                              u=0.6, l=0.3)
-        assert collaboration_rate(doubled) == pytest.approx(
-            collaboration_rate(masks), rel=0.1)
+        def rate(a_s, a_c):
+            return collaboration_rate(positive_teacher(a_s, u=0.6).count,
+                                      negative_teacher(a_c, l=0.3).count)
+
+        doubled = rate(np.kron(np.ones((2, 2)), a_s), np.kron(np.ones((2, 2)), a_c))
+        assert doubled == pytest.approx(rate(a_s, a_c), rel=0.1)
 
 
 class TestSubspaceLoss:
@@ -287,20 +286,29 @@ class TestTotalLoss:
         assert total.item() == 3.0
 
 
+def numpy_subspace_affinity(c):
+    """The subspace affinity written out in numpy: row-normalized
+    (|C| + |C^T|)/2, dust rows zero, diagonal 1."""
+    s = (np.abs(c) + np.abs(c.T)) / 2.0
+    row_max = s.max(axis=1)
+    a = s * np.where(row_max > 1e-15, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)[:, None]
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
 class TestSubspaceAffinityTensor:
     def test_values_match_numpy_construction_off_diagonal(self):
-        from collabsc.affinity import subspace_affinity
         rng = Xorshift64Star(8)
         coeffs = rng.normals((6, 6))
         np.fill_diagonal(coeffs, 0.0)
         tensor = subspace_affinity_tensor(ad.parameter(coeffs))
-        expected = subspace_affinity(coeffs)
+        expected = numpy_subspace_affinity(coeffs)
         off = ~np.eye(6, dtype=bool)
         np.testing.assert_allclose(tensor.values[off], expected[off], atol=1e-15)
 
     def test_unit_diagonal_copy_equals_numpy_construction_bitwise(self):
-        # the trainer's stage 3 takes its numpy subspace affinity from the tensor
-        from collabsc.affinity import subspace_affinity
+        # the trainer's stage 3 takes its numpy subspace affinity from the
+        # tensor; both equal the numpy construction bit for bit
         rng = Xorshift64Star(12)
         for trial in range(5):
             coeffs = rng.normals((7, 7)) * 10.0 ** (trial - 2)
@@ -310,6 +318,7 @@ class TestSubspaceAffinityTensor:
             values = subspace_affinity_tensor(ad.parameter(coeffs)).values.copy()
             np.fill_diagonal(values, 1.0)
             np.testing.assert_array_equal(values, subspace_affinity(coeffs))
+            np.testing.assert_array_equal(values, numpy_subspace_affinity(coeffs))
 
     def test_gradient_flows_into_coefficients(self):
         rng = Xorshift64Star(9)
@@ -330,9 +339,8 @@ def test_losses_always_finite_property():
     for trial in range(30):
         n = 3 + rng.below(5)
         a_s, a_c = affinity_pair(n=n, seed=100 + trial)
-        masks = build_masks(a_s, a_c, u=0.6, l=0.3)
-        lp, _, _ = positive_loss(a_s, a_c, u=0.6, masks=masks)
-        ln, _, _ = negative_loss(a_c, a_s, l=0.3, masks=masks)
-        omega = ad.add(lp, ad.scale(ln, collaboration_rate(masks)))
+        lp, count_pos, _ = positive_loss(a_s, a_c, u=0.6)
+        ln, count_neg, _ = negative_loss(a_c, a_s, l=0.3)
+        omega = ad.add(lp, ad.scale(ln, collaboration_rate(count_pos, count_neg)))
         assert np.isfinite(omega.item())
         assert lp.item() >= 0.0 and ln.item() >= 0.0

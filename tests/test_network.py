@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import collabsc.autodiff as ad
+from collabsc.checkpoint import CheckpointError
 from collabsc.network import (ConfigError, LayerSpec, Network, NetworkConfig,
                               SelfExpressiveLayer)
 from collabsc.rng import Xorshift64Star
@@ -236,5 +237,5 @@ class TestParameterGroups:
         net = Network(dense_config(), (8,), seed=0)
         snap = net.snapshot()
         del snap["classifier.out.W"]
-        with pytest.raises(KeyError, match="classifier.out.W"):
+        with pytest.raises(CheckpointError, match="classifier.out.W"):
             net.load_values(snap)

@@ -58,7 +58,7 @@ def test_descends_a_quadratic():
     p = ad.parameter(np.array([3.0, -2.0]))
     adam = Adam({"p": p}, lr=0.05)
     for _ in range(500):
-        adam.zero_grads()
+        p.grad = None
         loss = ad.frobenius_sq(p)
         ad.backward(loss)
         adam.step()

@@ -104,8 +104,8 @@ class TestPretrain:
 
 class TestTrainBatchDivergence:
     @staticmethod
-    def trainer_after_one_good_round():
-        trainer = CollaborativeTrainer(tiny_config(batch_size=10), tiny_dataset())
+    def trainer_after_one_good_round(**overrides):
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10, **overrides), tiny_dataset())
         trainer.pretrain()
         for i in range(len(trainer.batches)):
             trainer.train_batch(i, u=0.7)
@@ -141,6 +141,16 @@ class TestTrainBatchDivergence:
         before = self.state(trainer)
         assert np.abs(before["C1"]).max() > 0
         with pytest.raises(TrainingDivergedError, match="stage-1 subspace loss went non-finite"):
+            trainer.train_batch(1, u=0.7)
+        self.assert_state_equals(trainer, before)
+
+    def test_non_finite_predictions_restore_batch_start(self):
+        # one stage-1 step at this rate leaves a finite loss behind but an
+        # encoder whose output is not finite, so the classifier predicts NaN
+        trainer = self.trainer_after_one_good_round(inner_se_steps=1)
+        trainer.ae_adam.state.lr = 1e300
+        before = self.state(trainer)
+        with pytest.raises(TrainingDivergedError, match="stage-2 predictions went non-finite"):
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 

@@ -7,11 +7,10 @@ spectral step.
 """
 
 from . import autodiff
-from .affinity import (class_affinity, kmeans, ridge_self_expression, spectral_cluster,
-                       subspace_affinity)
+from .affinity import class_affinity, kmeans, subspace_affinity
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config_file, parse_config_text, config_to_text
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx, subset
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx
 from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
                      subspace_loss, total_loss)
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
@@ -27,6 +26,6 @@ __all__ = [
     "class_affinity", "collaboration_rate", "config_to_text", "evaluate", "fit",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
     "load_idx", "negative_loss", "nmi", "parse_config_file", "parse_config_text",
-    "positive_loss", "predict", "ridge_self_expression", "save_checkpoint",
-    "spectral_cluster", "subset", "subspace_affinity", "subspace_loss", "total_loss",
+    "positive_loss", "predict", "save_checkpoint", "subspace_affinity", "subspace_loss",
+    "total_loss",
 ]

@@ -1,13 +1,12 @@
-"""Affinity construction plus the closed-form oracle and spectral baseline.
+"""The two affinities that drive training, the warm start's k-means, and exports.
 
-Two affinities drive training: the classifier affinity (Gram matrix of
-l2-normalized prediction rows) and the subspace affinity (symmetrized
-absolute coefficients, row-normalized by each row's largest off-diagonal
-entry). The subspace affinity has one formula, the autodiff
-``subspace_affinity_tensor``; ``subspace_affinity`` is its values on a
-constant with the diagonal set to 1. The ridge self-expression solver and
-spectral clustering here are validation tools only; the training loop never
-calls them.
+The classifier affinity is the Gram matrix of l2-normalized prediction rows.
+The subspace affinity is the symmetrized absolute coefficients,
+row-normalized by each row's largest off-diagonal entry. It has one formula,
+the autodiff ``subspace_affinity_tensor``; ``subspace_affinity`` is its
+values on a constant with the diagonal set to 1. ``kmeans`` finds the
+prototypes that warm-start the classifier. No spectral step runs anywhere:
+cluster labels come from the classifier.
 """
 
 from __future__ import annotations
@@ -85,32 +84,8 @@ def subspace_affinity(coeffs: np.ndarray) -> np.ndarray:
     return a
 
 
-def ridge_self_expression(latent: np.ndarray, lambda1: float,
-                          project_diagonal: bool = True) -> np.ndarray:
-    """Closed-form minimizer of ||C||_F^2 + (lambda1/2)||Z - CZ||_F^2.
-
-    With Gram matrix G = Z Z^T the solution is G (G + (2/lambda1) I)^{-1}.
-    Used as a test oracle and baseline only, never inside the training loop.
-    The diagonal is zeroed by projection afterwards (same projection the
-    trained layer uses) unless ``project_diagonal`` is False.
-    """
-    z = np.asarray(latent, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError(f"latent must be (n >= 2, d), got shape {z.shape}")
-    if lambda1 <= 0:
-        raise ValueError(f"lambda1 must be > 0, got {lambda1}")
-    n = z.shape[0]
-    if n > 5000:
-        raise ValueError(f"dense solve rejected for n={n} > 5000")
-    gram = z @ z.T
-    coeffs = np.linalg.solve(gram + (2.0 / lambda1) * np.eye(n), gram)
-    if project_diagonal:
-        np.fill_diagonal(coeffs, 0.0)
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
-# spectral clustering baseline (normalized Laplacian embedding + k-means)
+# k-means (the classifier warm start's prototypes)
 # ---------------------------------------------------------------------------
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
@@ -160,36 +135,6 @@ def _kmeans_pp_init(x, k, rng, sq_norms):
         d2 = np.minimum(
             d2, np.maximum(sq_norms - 2.0 * (x @ centers[c]) + (centers[c] * centers[c]).sum(), 0.0))
     return centers
-
-
-def spectral_cluster(affinity_matrix: np.ndarray, k: int, seed: int = 0,
-                     restarts: int = 10) -> np.ndarray:
-    """Normalized-Laplacian spectral clustering.
-
-    Embeds points by the k smallest eigenvectors of I - D^{-1/2} A D^{-1/2}
-    (equivalently the k largest of the normalized affinity), row-normalizes,
-    and runs seeded multi-restart k-means. Zero-degree nodes embed at the
-    origin and land with the nearest centroid.
-    """
-    a = np.asarray(affinity_matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"affinity must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if k > n:
-        raise ValueError(f"cannot cut {n} points into k={k} clusters")
-    if (a < 0).any():
-        raise ValueError("affinity must be non-negative")
-    if float(np.abs(a - a.T).max()) > 1e-10:
-        raise ValueError("affinity must be symmetric")
-    deg = a.sum(axis=1)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    normalized = a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    normalized = (normalized + normalized.T) / 2.0  # keep eigh input exactly symmetric
-    _, vecs = np.linalg.eigh(normalized)
-    embedding = vecs[:, -k:]
-    row_norms = np.sqrt((embedding * embedding).sum(axis=1, keepdims=True))
-    embedding = np.where(row_norms > 1e-30, embedding / np.where(row_norms > 0, row_norms, 1.0), 0.0)
-    return kmeans(embedding, k, seed=seed, restarts=restarts)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def _add_data_flags(p, required=True):
 
 _OVERRIDES = (
     ("--lambda1", "lambda1", float), ("--lambda-cl", "lambda_cl", float),
-    ("--u", "u", float), ("--l", "l", float),
-    ("--alpha-fixed", "alpha_fixed", float), ("--batch-size", "batch_size", int),
+    ("--l", "l", float), ("--batch-size", "batch_size", int),
     ("--epochs", "epochs", int), ("--pretrain-epochs", "pretrain_epochs", int),
     ("--lr-pretrain", "lr_pretrain", float), ("--lr-ae", "lr_ae", float),
     ("--lr-other", "lr_other", float), ("--inner-se-steps", "inner_se_steps", int),
@@ -113,7 +112,6 @@ def _add_override_flags(p):
         p.add_argument(flag, type=cast, default=None)
     p.add_argument("--u-initial", type=float, default=None)
     p.add_argument("--u-after", type=float, default=None)
-    p.add_argument("--alpha-mode", choices=("auto-ratio", "fixed"), default=None)
     p.add_argument("--soft-mask", choices=("true", "false"), default=None)
 
 
@@ -123,16 +121,12 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
         if value is not None:
             changes[key] = value
-    if args.alpha_mode is not None:
-        changes["alpha_mode"] = args.alpha_mode
     if args.soft_mask is not None:
         changes["soft_mask"] = args.soft_mask == "true"
-    initial = args.u_initial if args.u_initial is not None else \
-        (changes.get("u", config.u_schedule[0]))
-    after = args.u_after if args.u_after is not None else config.u_schedule[1]
-    if args.u_initial is not None or args.u_after is not None or "u" in changes:
-        changes["u_schedule"] = (initial, max(initial, after) if args.u_after is None else after)
-        changes["u"] = initial
+    if args.u_initial is not None or args.u_after is not None:
+        initial = config.u_schedule[0] if args.u_initial is None else args.u_initial
+        after = max(initial, config.u_schedule[1]) if args.u_after is None else args.u_after
+        changes["u_schedule"] = (initial, after)
     return dataclasses.replace(config, **changes)
 
 
@@ -143,6 +137,8 @@ def _load_data(args) -> Dataset:
         return load_idx(args.idx_images, args.idx_labels)
     if not args.data:
         raise CliValidationError("no input data: give --data or --idx-images/--idx-labels")
+    if not args.labels:
+        raise CliValidationError("--data and --labels must be given together")
     shape = None
     if args.feature_shape:
         try:

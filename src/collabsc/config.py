@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .network import ConfigError, LayerSpec, NetworkConfig
 
-ALPHA_MODES = ("auto-ratio", "fixed")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -21,11 +19,8 @@ class ExperimentConfig:
     network: NetworkConfig
     lambda1: float = 10.0
     lambda_cl: float = 1.0
-    u: float = 0.7
     l: float = 0.1
-    u_schedule: tuple[float, float] = (0.7, 0.9)
-    alpha_mode: str = "auto-ratio"
-    alpha_fixed: float = 1.0
+    u_schedule: tuple[float, float] = (0.7, 0.9)  # threshold u: epoch 1, later epochs
     batch_size: int = 150
     epochs: int = 30
     pretrain_epochs: int = 60
@@ -46,13 +41,12 @@ class ExperimentConfig:
         # joint objective (the no-collaboration ablation)
         if self.lambda_cl < 0:
             raise ConfigError(f"lambda_cl must be >= 0, got {self.lambda_cl}")
-        for name, value in (("u", self.u), ("l", self.l),
-                            ("u_schedule.initial", self.u_schedule[0]),
-                            ("u_schedule.after_first_epoch", self.u_schedule[1])):
+        thresholds = (("u_schedule.initial", self.u_schedule[0]),
+                      ("u_schedule.after_first_epoch", self.u_schedule[1]))
+        for name, value in (("l", self.l),) + thresholds:
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
-        for name, value in (("u", self.u), ("u_schedule.initial", self.u_schedule[0]),
-                            ("u_schedule.after_first_epoch", self.u_schedule[1])):
+        for name, value in thresholds:
             if value <= self.l:
                 raise ConfigError(f"need l < u: l={self.l} is not below {name}={value}")
         if self.batch_size < 2:
@@ -67,10 +61,6 @@ class ExperimentConfig:
             raise ConfigError(f"inner_se_steps must be >= 1, got {self.inner_se_steps}")
         if self.classifier_steps < 1:
             raise ConfigError(f"classifier_steps must be >= 1, got {self.classifier_steps}")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ConfigError(f"alpha_mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}")
-        if self.alpha_fixed <= 0:
-            raise ConfigError(f"alpha_fixed must be > 0, got {self.alpha_fixed}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -79,8 +69,7 @@ _LAYER_FIELDS = ("kind", "channels_or_units", "kernel_size", "stride", "activati
 _BOOL_KEYS = ("soft_mask", "reinit_coeffs_each_epoch", "warm_start_classifier")
 _INT_KEYS = ("batch_size", "epochs", "pretrain_epochs", "inner_se_steps",
              "classifier_steps", "seed")
-_FLOAT_KEYS = ("lambda1", "lambda_cl", "u", "l", "alpha_fixed",
-               "lr_pretrain", "lr_ae", "lr_other")
+_FLOAT_KEYS = ("lambda1", "lambda_cl", "l", "lr_pretrain", "lr_ae", "lr_other")
 
 
 def _parse_bool(key, raw):
@@ -159,8 +148,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 u_sched[key.split(".", 1)[1]] = float(raw)
             except ValueError:
                 raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        elif key == "alpha_mode":
-            kwargs[key] = raw
         else:
             raise ConfigError(f"unknown config key {key}")
 
@@ -194,12 +181,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     )
 
     if u_sched:
-        initial = u_sched.get("initial", kwargs.get("u", 0.7))
-        after = u_sched.get("after_first_epoch", initial)
-        kwargs["u_schedule"] = (initial, after)
-        kwargs["u"] = initial  # u mirrors the schedule's starting point
-    elif "u" in kwargs:
-        kwargs["u_schedule"] = (kwargs["u"], kwargs["u"])
+        initial = u_sched.get("initial", ExperimentConfig.u_schedule[0])
+        kwargs["u_schedule"] = (initial, u_sched.get("after_first_epoch", initial))
     return ExperimentConfig(network=network, **kwargs)
 
 
@@ -232,7 +215,6 @@ def config_to_text(config: ExperimentConfig) -> str:
         lines.append(f"{key} = {getattr(config, key)!r}")
     lines.append(f"u_schedule.initial = {config.u_schedule[0]!r}")
     lines.append(f"u_schedule.after_first_epoch = {config.u_schedule[1]!r}")
-    lines.append(f"alpha_mode = {config.alpha_mode}")
     for key in _INT_KEYS:
         lines.append(f"{key} = {getattr(config, key)}")
     for key in _BOOL_KEYS:

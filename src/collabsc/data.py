@@ -134,15 +134,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(x, labels, (spec.D,), provenance)
 
 
-def unscale(dataset: Dataset, features: np.ndarray | None = None) -> np.ndarray:
-    """Invert the [0, 1] scaling of a synthetic dataset (for model checks)."""
-    prov = dataset.provenance
-    if "scale_min" not in prov:
-        raise ValueError("dataset carries no scaling provenance")
-    x = dataset.features if features is None else features
-    return x * (prov["scale_max"] - prov["scale_min"]) + prov["scale_min"]
-
-
 # ---------------------------------------------------------------------------
 # IDX binary format
 # ---------------------------------------------------------------------------
@@ -213,40 +204,8 @@ def write_idx_labels(path, labels) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subsetting and CSV interchange
+# CSV interchange
 # ---------------------------------------------------------------------------
-
-def subset(dataset: Dataset, n: int, balanced: bool, seed: int) -> Dataset:
-    """Seeded subsample; balanced mode takes floor(n/k) per class.
-
-    Balanced selection reads the held-out labels for sampling only, and the
-    provenance records that.
-    """
-    if n > len(dataset):
-        raise ValueError(f"subset of {n} requested from dataset of {len(dataset)}")
-    rng = Xorshift64Star(seed)
-    labels = dataset._labels
-    if balanced:
-        classes = np.unique(labels)
-        per = n // classes.size
-        if per < 1:
-            raise ValueError(f"balanced subset of {n} infeasible with {classes.size} classes")
-        chosen = []
-        for c in classes:
-            pool = np.flatnonzero(labels == c)
-            if pool.size < per:
-                raise ValueError(
-                    f"balanced subset infeasible: class {int(c)} has {pool.size} < {per} samples")
-            pick = rng.sample_without_replacement(pool.size, per)
-            chosen.append(pool[pick])
-        idx = np.sort(np.concatenate(chosen))
-    else:
-        idx = np.sort(rng.sample_without_replacement(len(dataset), n))
-    provenance = dict(dataset.provenance)
-    provenance["subset"] = {"n": int(idx.size), "balanced": balanced, "seed": seed,
-                            "label_aware_sampling": bool(balanced)}
-    return Dataset(dataset.features[idx], labels[idx], dataset.feature_shape, provenance)
-
 
 def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
     """One row per point, features only; labels go to a separate CSV."""
@@ -259,15 +218,12 @@ def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
             f.write(f"{int(v)}\n")
 
 
-def load_dataset_csv(features_path, labels_path=None, feature_shape=None) -> Dataset:
+def load_dataset_csv(features_path, labels_path, feature_shape=None) -> Dataset:
+    """Features CSV (one point per row) plus its labels CSV (one integer per line)."""
     features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
-    if labels_path is not None:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    else:
-        labels = np.zeros(features.shape[0], dtype=np.int64)
+    labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
     if feature_shape is None:
         feature_shape = (features.shape[1],)
     provenance = {"source": "csv", "features_path": str(features_path),
-                  "labels_path": None if labels_path is None else str(labels_path),
-                  "labels_present": labels_path is not None}
+                  "labels_path": str(labels_path)}
     return Dataset(features, labels, feature_shape, provenance)

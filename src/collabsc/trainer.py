@@ -58,9 +58,10 @@ class TrainingDivergedError(RuntimeError):
     first batch's; the network then holds its parameters from the end of
     the last completed epoch (or from before pretraining). ``train_batch``
     raises it when a stage's predictions or loss are non-finite before its
-    step, or a parameter is non-finite after the joint step; the network,
-    the batch's coefficient matrix and the three optimizers it steps then
-    hold their values from the start of that call.
+    step, the coefficients are non-finite after stage 1, or a parameter is
+    non-finite after the joint step; the network, the batch's coefficient
+    matrix and the three optimizers it steps then hold their values from the
+    start of that call.
     """
 
 
@@ -288,10 +289,11 @@ class CollaborativeTrainer:
         """One three-stage round on one batch (see the module docstring).
 
         Each stage's loss (and the predictions of stages 2 and 3) is checked
-        before its step, and every parameter after the joint step. On a
-        non-finite value the network, this batch's coefficient matrix and the
-        optimizers (step counts and moments) are reset to their values at the
-        start of the call and ``TrainingDivergedError`` is raised.
+        before its step, the coefficients after stage 1, and every parameter
+        after the joint step. On a non-finite value the network, this batch's
+        coefficient matrix and the optimizers (step counts and moments) are
+        reset to their values at the start of the call and
+        ``TrainingDivergedError`` is raised.
         """
         layer = self._coeff_layer(batch_index)
         params_before = self.network.snapshot()
@@ -325,6 +327,7 @@ class CollaborativeTrainer:
             self.ae_adam.step()
             coeff_adam.step()
             layer.project_diagonal()
+        self._check_finite("stage-1 coefficients", layer.coeffs)
         subspace_aff = subspace_affinity(layer.coeffs.values)
 
         # stage 2: classifier-only steps on the positive term, whose teacher
@@ -360,8 +363,7 @@ class CollaborativeTrainer:
             subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask)
         l_neg_t, count_neg, clamped_neg = negative_loss(
             class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask)
-        alpha = (cfg.alpha_fixed if cfg.alpha_mode == "fixed"
-                 else collaboration_rate(count_pos, count_neg))
+        alpha = collaboration_rate(count_pos, count_neg)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._check_finite("stage-3 joint loss", total_t)

@@ -1,8 +1,12 @@
-"""Brute-force reference implementations used as independent test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive: exhaustive enumeration and direct
-formulas, sized for n <= 8. The production code must agree with these, never
-the other way around.
+Most of these are deliberately naive: exhaustive enumeration and direct
+formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops. The
+last section holds a reference pipeline instead: the closed-form ridge
+self-expression solver and normalized-Laplacian spectral clustering, the
+post-processing that collaborative training replaces, used to check the
+synthetic generator and the subspace affinity. The production code must agree
+with these, never the other way around.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+
+from collabsc.affinity import kmeans
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -216,3 +222,69 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
                 g.sum(axis=(0, 2, 3)))
 
     return out, bwd
+
+
+# ---------------------------------------------------------------------------
+# reference pipeline: ridge self-expression, then spectral clustering
+# ---------------------------------------------------------------------------
+
+def unscale(dataset, features: np.ndarray | None = None) -> np.ndarray:
+    """Invert the [0, 1] scaling of a synthetic dataset (for model checks)."""
+    prov = dataset.provenance
+    if "scale_min" not in prov:
+        raise ValueError("dataset carries no scaling provenance")
+    x = dataset.features if features is None else features
+    return x * (prov["scale_max"] - prov["scale_min"]) + prov["scale_min"]
+
+
+def ridge_self_expression(latent: np.ndarray, lambda1: float,
+                          project_diagonal: bool = True) -> np.ndarray:
+    """Closed-form minimizer of ||C||_F^2 + (lambda1/2)||Z - CZ||_F^2.
+
+    With Gram matrix G = Z Z^T the solution is G (G + (2/lambda1) I)^{-1}.
+    The diagonal is zeroed by projection afterwards (same projection the
+    trained layer uses) unless ``project_diagonal`` is False.
+    """
+    z = np.asarray(latent, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ValueError(f"latent must be (n >= 2, d), got shape {z.shape}")
+    if lambda1 <= 0:
+        raise ValueError(f"lambda1 must be > 0, got {lambda1}")
+    n = z.shape[0]
+    if n > 5000:
+        raise ValueError(f"dense solve rejected for n={n} > 5000")
+    gram = z @ z.T
+    coeffs = np.linalg.solve(gram + (2.0 / lambda1) * np.eye(n), gram)
+    if project_diagonal:
+        np.fill_diagonal(coeffs, 0.0)
+    return coeffs
+
+
+def spectral_cluster(affinity_matrix: np.ndarray, k: int, seed: int = 0,
+                     restarts: int = 10) -> np.ndarray:
+    """Normalized-Laplacian spectral clustering.
+
+    Embeds points by the k smallest eigenvectors of I - D^{-1/2} A D^{-1/2}
+    (equivalently the k largest of the normalized affinity), row-normalizes,
+    and runs seeded multi-restart k-means. Zero-degree nodes embed at the
+    origin and land with the nearest centroid.
+    """
+    a = np.asarray(affinity_matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"affinity must be square, got shape {a.shape}")
+    n = a.shape[0]
+    if k > n:
+        raise ValueError(f"cannot cut {n} points into k={k} clusters")
+    if (a < 0).any():
+        raise ValueError("affinity must be non-negative")
+    if float(np.abs(a - a.T).max()) > 1e-10:
+        raise ValueError("affinity must be symmetric")
+    deg = a.sum(axis=1)
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    normalized = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    normalized = (normalized + normalized.T) / 2.0  # keep eigh input exactly symmetric
+    _, vecs = np.linalg.eigh(normalized)
+    embedding = vecs[:, -k:]
+    row_norms = np.sqrt((embedding * embedding).sum(axis=1, keepdims=True))
+    embedding = np.where(row_norms > 1e-30, embedding / np.where(row_norms > 0, row_norms, 1.0), 0.0)
+    return kmeans(embedding, k, seed=seed, restarts=restarts)

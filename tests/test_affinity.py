@@ -1,14 +1,15 @@
-"""Affinity construction, the ridge oracle, and the spectral baseline."""
+"""Affinity construction, k-means, exports, and the reference ridge/spectral pipeline."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity, kmeans,
-                               ridge_self_expression, spectral_cluster, subspace_affinity)
-from collabsc.data import SyntheticSpec, generate_synthetic, unscale
+                               subspace_affinity)
+from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
+
+from oracles import ridge_self_expression, spectral_cluster, unscale
 
 
 def random_predictions(n, k, seed):

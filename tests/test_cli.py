@@ -126,3 +126,21 @@ class TestTrainedCheckpoint:
         assert code == 1
         assert "selfexpr.batch_0.C" in capsys.readouterr().err
         assert not Path(f"{out}_subspace.csv").exists()
+
+
+class TestInputValidation:
+    def test_train_without_labels_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path)
+        at = args.index("--labels")
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", *args[:at], *args[at + 2:], "--checkpoint", str(ckpt)]) == 1
+        assert "--labels" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_removed_override_flags_exit_1(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        for flag, value in (("--u", "0.8"), ("--alpha-mode", "fixed"), ("--alpha-fixed", "0.5")):
+            assert cli.main(["train", *args, "--checkpoint", str(ckpt), flag, value]) == 1, flag
+            assert flag in capsys.readouterr().err
+        assert not ckpt.exists()

@@ -29,8 +29,6 @@ lambda_cl = 2.5
 l = 0.1
 u_schedule.initial = 0.8
 u_schedule.after_first_epoch = 0.9
-alpha_mode = fixed
-alpha_fixed = 0.5
 batch_size = 50
 epochs = 3
 pretrain_epochs = 4
@@ -38,14 +36,15 @@ seed = 11
 soft_mask = false
 """
 
+# keys of deleted knobs, each with a value the knob used to take
+REMOVED_KEYS = {"teacher_grad": "true", "u": "0.8", "alpha_mode": "fixed", "alpha_fixed": "0.5"}
+
 
 class TestParse:
     def test_parses_sample(self):
         cfg = parse_config_text(SAMPLE)
         assert cfg.lambda_cl == 2.5
         assert cfg.u_schedule == (0.8, 0.9)
-        assert cfg.u == 0.8
-        assert cfg.alpha_mode == "fixed" and cfg.alpha_fixed == 0.5
         assert cfg.soft_mask is False
         assert cfg.network.num_clusters == 2
         assert len(cfg.network.encoder) == 2
@@ -56,9 +55,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config_text(SAMPLE + "\nfrobnicate = 1\n")
 
-    def test_removed_teacher_grad_key_is_unknown(self):
-        with pytest.raises(ConfigError, match="teacher_grad"):
-            parse_config_text(SAMPLE + "\nteacher_grad = true\n")
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            parse_config_text(SAMPLE + f"\n{key} = {REMOVED_KEYS[key]}\n")
 
     def test_bad_number_named_in_error(self):
         with pytest.raises(ConfigError, match="lambda1"):
@@ -68,12 +68,6 @@ class TestParse:
         broken = SAMPLE.replace("network.encoder.1.", "network.encoder.2.")
         with pytest.raises(ConfigError, match="contiguous"):
             parse_config_text(broken)
-
-    def test_plain_u_sets_flat_schedule(self):
-        text = SAMPLE.replace("u_schedule.initial = 0.8", "u = 0.8").replace(
-            "u_schedule.after_first_epoch = 0.9", "")
-        cfg = parse_config_text(text)
-        assert cfg.u_schedule == (0.8, 0.8)
 
     def test_round_trip(self):
         cfg = parse_config_text(SAMPLE)
@@ -93,20 +87,15 @@ class TestValidation:
 
     def test_rejects_thresholds_out_of_order(self):
         with pytest.raises(ConfigError, match="l < u"):
-            ExperimentConfig(network=small_network(), u=0.2, l=0.5,
-                             u_schedule=(0.2, 0.3))
+            ExperimentConfig(network=small_network(), l=0.5, u_schedule=(0.2, 0.3))
 
     def test_rejects_threshold_outside_unit_interval(self):
         with pytest.raises(ConfigError, match="inside"):
-            ExperimentConfig(network=small_network(), u=1.0, u_schedule=(1.0, 1.0))
+            ExperimentConfig(network=small_network(), u_schedule=(1.0, 1.0))
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ConfigError, match="batch_size"):
             ExperimentConfig(network=small_network(), batch_size=1)
-
-    def test_rejects_bad_alpha_mode(self):
-        with pytest.raises(ConfigError, match="alpha_mode"):
-            ExperimentConfig(network=small_network(), alpha_mode="sometimes")
 
 
 class TestNetworkConfigValidation:

@@ -1,12 +1,15 @@
-"""Synthetic generator invariants and IDX round-trips."""
+"""Synthetic generator invariants, IDX and CSV round-trips, and the label barrier."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from collabsc.data import (Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv,
-                           load_idx, save_dataset_csv, subset, unscale, write_idx_images,
-                           write_idx_labels)
+from collabsc.data import (SyntheticSpec, generate_synthetic, load_dataset_csv, load_idx,
+                           save_dataset_csv, write_idx_images, write_idx_labels)
+
+from oracles import unscale
 
 
 class TestSyntheticSpecValidation:
@@ -129,44 +132,6 @@ class TestIdx:
             load_idx(ipath, lpath)
 
 
-class TestSubset:
-    @staticmethod
-    def _dataset(n=40, k=4):
-        features = np.linspace(0, 1, n * 3).reshape(n, 3)
-        labels = np.arange(n) % k
-        return Dataset(features, labels, (3,), {"source": "test"})
-
-    def test_full_size_subset_is_identity(self):
-        ds = self._dataset()
-        sub = subset(ds, len(ds), balanced=False, seed=0)
-        np.testing.assert_array_equal(sub.features, ds.features)
-
-    def test_same_seed_same_subset(self):
-        ds = self._dataset()
-        a = subset(ds, 10, balanced=False, seed=9)
-        b = subset(ds, 10, balanced=False, seed=9)
-        assert (a.features == b.features).all()
-
-    def test_balanced_exact_per_class(self):
-        ds = self._dataset(n=100, k=10)
-        sub = subset(ds, 50, balanced=True, seed=1)
-        sizes = np.bincount(sub.labels_for_evaluation(), minlength=10)
-        assert (sizes == 5).all()
-        assert sub.provenance["subset"]["label_aware_sampling"] is True
-
-    def test_balanced_infeasible_rejected(self):
-        features = np.zeros((10, 3))
-        labels = np.array([0] * 8 + [1] * 2)  # class 1 has only 2 samples
-        ds = Dataset(features, labels, (3,), {"source": "test"})
-        with pytest.raises(ValueError, match="infeasible"):
-            subset(ds, 10, balanced=True, seed=0)
-
-    def test_oversized_subset_rejected(self):
-        ds = self._dataset()
-        with pytest.raises(ValueError, match="requested"):
-            subset(ds, len(ds) + 1, balanced=False, seed=0)
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(k=2, d=2, D=6, n_per=5, seed=2))
@@ -176,3 +141,37 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels_for_evaluation(),
                                       ds.labels_for_evaluation())
+
+
+class TestLabelBarrier:
+    SRC = Path(__file__).resolve().parents[1] / "src" / "collabsc"
+
+    @classmethod
+    def label_accesses(cls):
+        """(module, enclosing class/def names, attribute) of every access to
+        ``labels_for_evaluation`` or ``_labels`` in the package."""
+        found = []
+
+        def visit(node, module, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Attribute) and child.attr in (
+                        "labels_for_evaluation", "_labels"):
+                    found.append((module, scope, child.attr))
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, module, scope + (child.name,))
+                else:
+                    visit(child, module, scope)
+
+        for path in sorted(cls.SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(), filename=str(path)), path.stem, ())
+        return found
+
+    def test_only_evaluation_and_the_dataset_read_labels(self):
+        def allowed(module, scope, attr):
+            if attr == "labels_for_evaluation":
+                return (module, scope) == ("trainer", ("evaluate",))
+            return module == "data" and scope[:1] in (("Dataset",), ("save_dataset_csv",))
+
+        accesses = self.label_accesses()
+        assert ("trainer", ("evaluate",), "labels_for_evaluation") in accesses
+        assert [a for a in accesses if not allowed(*a)] == []

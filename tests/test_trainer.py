@@ -154,6 +154,18 @@ class TestTrainBatchDivergence:
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
+    def test_non_finite_coefficients_restore_batch_start(self):
+        # one stage-1 step at this rate leaves the loss it checked finite but
+        # the coefficients it stepped not, before the teacher reads them
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10, inner_se_steps=1),
+                                       tiny_dataset())
+        trainer.train_batch(0, u=0.7)
+        trainer.coeff_adams[0].state.lr = 1e308
+        before = self.state(trainer)
+        with pytest.raises(TrainingDivergedError, match="stage-1 coefficients went non-finite"):
+            trainer.train_batch(0, u=0.7)
+        self.assert_state_equals(trainer, before)
+
     def test_non_finite_joint_step_restores_batch_start(self):
         trainer = self.trainer_after_one_good_round()
         classifier_step = trainer.cls_adam.step
@@ -314,7 +326,7 @@ class TestPredict:
 class TestSchedulesAndSwitches:
     def test_u_schedule_switches_after_first_epoch(self):
         dataset = tiny_dataset()
-        config = tiny_config(epochs=2, u=0.5, u_schedule=(0.5, 0.9))
+        config = tiny_config(epochs=2, u_schedule=(0.5, 0.9))
         trainer = CollaborativeTrainer(config, dataset)
         seen = []
         original = trainer.train_batch

@@ -60,7 +60,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack_from("<Q", data, off)
         off += 8
         need(name_len, "name")
-        name = data[off:off + name_len].decode("utf-8")
+        try:
+            name = data[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: name is not utf-8 at offset {off}") from None
         off += name_len
         need(8, "rank")
         (rank,) = struct.unpack_from("<Q", data, off)

@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--true", help="ground-truth labels CSV")
     p.add_argument("--checkpoint")
     p.add_argument("--config")
-    _add_data_flags(p, required=False)
+    _add_data_flags(p)
     _add_override_flags(p)
 
     p = sub.add_parser("export-affinity",
@@ -88,12 +88,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_data_flags(p, required=True):
-    p.add_argument("--data", required=False, help="features CSV (one point per row)")
-    p.add_argument("--labels", required=False, help="labels CSV (one integer per line)")
-    p.add_argument("--idx-images", required=False, help="IDX images file")
-    p.add_argument("--idx-labels", required=False, help="IDX labels file")
-    p.add_argument("--feature-shape", required=False,
+def _add_data_flags(p):
+    p.add_argument("--data", help="features CSV (one point per row)")
+    p.add_argument("--labels", help="labels CSV (one integer per line)")
+    p.add_argument("--idx-images", help="IDX images file")
+    p.add_argument("--idx-labels", help="IDX labels file")
+    p.add_argument("--feature-shape",
                    help="comma-separated per-sample shape for CSV data, e.g. 1,28,28")
 
 

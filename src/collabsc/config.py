@@ -31,7 +31,6 @@ class ExperimentConfig:
     classifier_steps: int = 1
     seed: int = 0
     soft_mask: bool = True
-    reinit_coeffs_each_epoch: bool = False
     warm_start_classifier: bool = True
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ class ExperimentConfig:
 
 
 _LAYER_FIELDS = ("kind", "channels_or_units", "kernel_size", "stride", "activation", "padding")
-_BOOL_KEYS = ("soft_mask", "reinit_coeffs_each_epoch", "warm_start_classifier")
+_BOOL_KEYS = ("soft_mask", "warm_start_classifier")
 _INT_KEYS = ("batch_size", "epochs", "pretrain_epochs", "inner_se_steps",
              "classifier_steps", "seed")
 _FLOAT_KEYS = ("lambda1", "lambda_cl", "l", "lr_pretrain", "lr_ae", "lr_other")
@@ -153,13 +152,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     encoder_entries = {k[len("encoder."):]: v for k, v in network_entries.items()
                        if k.startswith("encoder.")}
-    decoder_entries = {k[len("decoder."):]: v for k, v in network_entries.items()
-                       if k.startswith("decoder.")}
     head_entries = {k[len("classifier_head."):]: v for k, v in network_entries.items()
                     if k.startswith("classifier_head.")}
     scalar_net = {k: v for k, v in network_entries.items()
-                  if not (k.startswith("encoder.") or k.startswith("decoder.")
-                          or k.startswith("classifier_head."))}
+                  if not (k.startswith("encoder.") or k.startswith("classifier_head."))}
     net_kwargs: dict = {}
     for key, raw in scalar_net.items():
         if key in ("num_clusters", "intrinsic_dim_guess"):
@@ -176,7 +172,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     network = NetworkConfig(
         encoder=_parse_layers("network.encoder", encoder_entries),
         classifier_head=_parse_layers("network.classifier_head", head_entries),
-        decoder=_parse_layers("network.decoder", decoder_entries) if decoder_entries else None,
         **net_kwargs,
     )
 
@@ -206,8 +201,6 @@ def _layer_lines(prefix: str, layers) -> list[str]:
 
 def config_to_text(config: ExperimentConfig) -> str:
     lines = _layer_lines("network.encoder", config.network.encoder)
-    if config.network.decoder is not None:
-        lines += _layer_lines("network.decoder", config.network.decoder)
     lines += _layer_lines("network.classifier_head", config.network.classifier_head)
     lines.append(f"network.num_clusters = {config.network.num_clusters}")
     lines.append(f"network.intrinsic_dim_guess = {config.network.intrinsic_dim_guess}")

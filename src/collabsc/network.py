@@ -1,14 +1,18 @@
 """Network assembly: encoder, self-expressive layer, decoder, classifier.
 
-Four parts, built from layer specs against a concrete input shape. Batches
-are rows everywhere. There is deliberately no batch normalization anywhere:
-normalizing activations across the batch would corrupt the subspace
-structure the latent space is supposed to carry.
+Layer specs become plans against a concrete input shape: each plan names a
+layer and records its per-sample input and output shapes. The decoder is
+always the encoder's mirror, plan for plan: decoder layer i runs encoder
+layer L-1-i's shapes backwards (a conv becomes a conv-transpose, a dense
+layer stays dense) and only its last layer is linear. One runner drives
+every stack. Batches are rows everywhere. There is deliberately no batch
+normalization anywhere: normalizing activations across the batch would
+corrupt the subspace structure the latent space is supposed to carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,40 +47,47 @@ class LayerSpec:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, choose from {ACTIVATIONS}")
-        if self.kind != "dense":
-            if self.kernel_size < 1:
-                raise ConfigError(f"{self.kind} layer needs kernel_size >= 1, got {self.kernel_size}")
-            if self.padding not in PADDINGS:
-                raise ConfigError(f"unknown padding {self.padding!r}, choose from {PADDINGS}")
+        if self.kind == "dense":
+            if (self.kernel_size, self.stride, self.padding) != (0, 1, "same"):
+                raise ConfigError(
+                    f"dense layer takes no kernel_size, stride or padding, got kernel_size="
+                    f"{self.kernel_size}, stride={self.stride}, padding={self.padding!r}")
+        elif self.kernel_size < 1:
+            raise ConfigError(f"{self.kind} layer needs kernel_size >= 1, got {self.kernel_size}")
+        elif self.padding not in PADDINGS:
+            raise ConfigError(f"unknown padding {self.padding!r}, choose from {PADDINGS}")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer lists plus the cluster count and the latent-dimension rule input.
+    """Encoder and classifier-head layers, the cluster count, and the
+    latent-dimension rule input.
 
-    ``decoder=None`` mirrors the encoder automatically (reversed layers,
-    transposed convolutions targeting the recorded encoder shapes, linear
-    final layer). The latent dimension is computed from the encoder and must
-    be at least intrinsic_dim_guess * num_clusters.
+    The decoder is not configured: it is always the encoder's mirror (see
+    ``Network``), and ``conv-transpose`` layers exist only there, so the
+    encoder and head refuse them. The latent dimension is computed from the
+    encoder and must be at least intrinsic_dim_guess * num_clusters.
     """
 
     encoder: tuple[LayerSpec, ...]
     classifier_head: tuple[LayerSpec, ...]
     num_clusters: int
-    decoder: tuple[LayerSpec, ...] | None = None
     intrinsic_dim_guess: int = 9
 
     def __post_init__(self):
         object.__setattr__(self, "encoder", tuple(self.encoder))
         object.__setattr__(self, "classifier_head", tuple(self.classifier_head))
-        if self.decoder is not None:
-            object.__setattr__(self, "decoder", tuple(self.decoder))
         if self.num_clusters < 2:
             raise ConfigError(f"num_clusters must be >= 2, got {self.num_clusters}")
         if self.intrinsic_dim_guess < 1:
             raise ConfigError(f"intrinsic_dim_guess must be >= 1, got {self.intrinsic_dim_guess}")
         if not self.encoder:
             raise ConfigError("encoder needs at least one layer")
+        for part, specs in (("encoder", self.encoder), ("classifier_head", self.classifier_head)):
+            for i, spec in enumerate(specs):
+                if spec.kind == "conv-transpose":
+                    raise ConfigError(f"{part}.{i} is conv-transpose; only the mirrored "
+                                      f"decoder has that kind")
 
 
 @dataclass
@@ -87,54 +98,23 @@ class _LayerPlan:
     out_shape: tuple
 
 
-def _shape_after(spec: LayerSpec, in_shape: tuple, target_hw=None) -> tuple:
-    if spec.kind == "dense":
-        return (spec.channels_or_units,)
-    if len(in_shape) != 3:
-        raise ConfigError(
-            f"{spec.kind} layer needs a (C, H, W) input, got per-sample shape {in_shape}")
-    _, h, w = in_shape
-    if spec.kind == "conv":
-        oh = ad.conv_output_size(h, spec.kernel_size, spec.stride, spec.padding)
-        ow = ad.conv_output_size(w, spec.kernel_size, spec.stride, spec.padding)
-    else:
-        oh, ow = target_hw if target_hw is not None else (h * spec.stride, w * spec.stride)
-        back = (ad.conv_output_size(oh, spec.kernel_size, spec.stride, spec.padding),
-                ad.conv_output_size(ow, spec.kernel_size, spec.stride, spec.padding))
-        if back != (h, w):
+def _plans(prefix: str, specs, in_shape: tuple) -> list[_LayerPlan]:
+    """Chain ``specs`` from ``in_shape``; a dense layer flattens its input."""
+    plans = []
+    cur = in_shape
+    for i, spec in enumerate(specs):
+        if spec.kind == "dense":
+            cur, out = (int(np.prod(cur)),), (spec.channels_or_units,)
+        elif len(cur) != 3:
             raise ConfigError(
-                f"conv-transpose target {(oh, ow)} is inconsistent with input {(h, w)} "
-                f"under kernel {spec.kernel_size}, stride {spec.stride}, {spec.padding} padding")
-    return (spec.channels_or_units, oh, ow)
-
-
-def mirror_decoder(encoder: tuple[LayerSpec, ...], shapes: list[tuple]
-                   ) -> tuple[list[LayerSpec], list[tuple], list[tuple]]:
-    """Reverse an encoder into a decoder hitting the recorded shapes.
-
-    Returns (specs, output targets, input shapes); the shapes are needed
-    because strided shape arithmetic is not invertible and because a dense
-    layer followed by a transposed convolution has to unflatten to the
-    recorded feature-map shape.
-    """
-    specs: list[LayerSpec] = []
-    targets: list[tuple] = []
-    in_shapes: list[tuple] = []
-    for i in range(len(encoder) - 1, -1, -1):
-        src = encoder[i]
-        target = shapes[i]
-        activation = "none" if i == 0 else "relu"
-        if src.kind == "dense":
-            specs.append(LayerSpec("dense", int(np.prod(target)), activation=activation))
-        elif src.kind == "conv":
-            specs.append(LayerSpec("conv-transpose", target[0], kernel_size=src.kernel_size,
-                                   stride=src.stride, activation=activation, padding=src.padding))
+                f"{spec.kind} layer needs a (C, H, W) input, got per-sample shape {cur}")
         else:
-            specs.append(LayerSpec("conv", target[0], kernel_size=src.kernel_size,
-                                   stride=src.stride, activation=activation, padding=src.padding))
-        targets.append(target)
-        in_shapes.append(shapes[i + 1])
-    return specs, targets, in_shapes
+            out = (spec.channels_or_units,) + tuple(
+                ad.conv_output_size(s, spec.kernel_size, spec.stride, spec.padding)
+                for s in cur[1:])
+        plans.append(_LayerPlan(spec, f"{prefix}.{i}", cur, out))
+        cur = out
+    return plans
 
 
 class SelfExpressiveLayer:
@@ -182,19 +162,9 @@ class Network:
         self.params: dict[str, ad.Tensor] = {}
         rng = Xorshift64Star(mix_seed(seed, 1))
 
-        # encoder plan
-        self.encoder_plans: list[_LayerPlan] = []
-        shapes = [self.input_shape]
-        cur = self.input_shape
-        for i, spec in enumerate(config.encoder):
-            if spec.kind == "dense" and len(cur) == 3:
-                cur = (int(np.prod(cur)),)
-            out = _shape_after(spec, cur)
-            self.encoder_plans.append(_LayerPlan(spec, f"encoder.{i}", cur, out))
-            cur = out
-            shapes.append(cur)
-        self.latent_feature_shape = cur
-        self.latent_dim = int(np.prod(cur))
+        self.encoder_plans = _plans("encoder", config.encoder, self.input_shape)
+        self.latent_feature_shape = self.encoder_plans[-1].out_shape
+        self.latent_dim = int(np.prod(self.latent_feature_shape))
         required = config.intrinsic_dim_guess * config.num_clusters
         if self.latent_dim < required:
             raise ConfigError(
@@ -202,48 +172,22 @@ class Network:
                 f"intrinsic_dim_guess * num_clusters = {config.intrinsic_dim_guess} * "
                 f"{config.num_clusters} = {required}")
 
-        # decoder plan (mirrored when unspecified)
-        self.decoder_plans: list[_LayerPlan] = []
-        if config.decoder is None:
-            specs, targets, known_ins = mirror_decoder(config.encoder, shapes)
-        else:
-            specs = list(config.decoder)
-            targets = [None] * len(specs)
-            known_ins = [None] * len(specs)
-        cur = self.latent_feature_shape
-        for i, (spec, target, known_in) in enumerate(zip(specs, targets, known_ins)):
-            if spec.kind == "dense" and len(cur) == 3:
-                cur = (int(np.prod(cur)),)
-            if spec.kind != "dense" and len(cur) == 1:
-                if known_in is not None and len(known_in) == 3 \
-                        and int(np.prod(known_in)) == cur[0]:
-                    cur = known_in
-                else:
-                    raise ConfigError(
-                        f"decoder layer {i} ({spec.kind}) cannot consume the flat shape {cur}; "
-                        f"use the mirrored decoder or precede it with a dense layer sized to a "
-                        f"known feature map")
-            hw = target[1:] if (target is not None and len(target) == 3) else None
-            out = _shape_after(spec, cur, target_hw=hw)
-            self.decoder_plans.append(_LayerPlan(spec, f"decoder.{i}", cur, out))
-            cur = out
-        if int(np.prod(cur)) != self.input_dim:
-            raise ConfigError(
-                f"decoder output shape {cur} does not reproduce the input shape "
-                f"{self.input_shape}")
-        self.decoder_output_shape = cur
+        # decoder layer i undoes encoder layer L-1-i, so it runs that layer's
+        # shapes backwards; only the last decoder layer is linear
+        last = len(self.encoder_plans) - 1
+        self.decoder_plans = [
+            _LayerPlan(replace(e.spec, kind="conv-transpose" if e.spec.kind == "conv" else "dense",
+                               channels_or_units=e.in_shape[0],
+                               activation="none" if i == last else "relu"),
+                       f"decoder.{i}", e.out_shape, e.in_shape)
+            for i, e in enumerate(reversed(self.encoder_plans))]
 
-        # classifier plan: head layers on encoder features, then a dense
-        # output layer projecting to num_clusters logits
-        self.classifier_plans: list[_LayerPlan] = []
-        cur = self.latent_feature_shape
-        for i, spec in enumerate(config.classifier_head):
-            if spec.kind == "dense" and len(cur) == 3:
-                cur = (int(np.prod(cur)),)
-            out = _shape_after(spec, cur)
-            self.classifier_plans.append(_LayerPlan(spec, f"classifier.{i}", cur, out))
-            cur = out
-        self.classifier_out_in_dim = int(np.prod(cur))
+        # classifier: head layers on encoder features, then a dense output
+        # layer projecting to num_clusters logits
+        self.classifier_plans = _plans("classifier", config.classifier_head,
+                                       self.latent_feature_shape)
+        self.classifier_out_in_dim = int(np.prod(
+            (self.classifier_plans or self.encoder_plans)[-1].out_shape))
 
         for plan in self.encoder_plans + self.decoder_plans + self.classifier_plans:
             self._init_layer(plan, rng)
@@ -316,42 +260,35 @@ class Network:
         """
         return {name: ad.constant(p.values) for name, p in self.params.items()}
 
+    def _run(self, plans: list[_LayerPlan], t: ad.Tensor, out_dim: int,
+             params=None) -> ad.Tensor:
+        """Rows through ``plans``, returned as (n, out_dim) rows."""
+        for plan in plans:
+            t = self._apply(plan, t, params=params)
+        return t if t.ndim == 2 else ad.reshape(t, (t.shape[0], out_dim))
+
+    def _check_latent(self, latent: ad.Tensor) -> ad.Tensor:
+        if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
+            raise ad.ShapeError(
+                f"expected (n, {self.latent_dim}) latent rows, got {latent.shape}")
+        return latent
+
     def encode(self, x, params=None) -> ad.Tensor:
         """Input rows to latent rows (n, latent_dim).
 
         ``params`` (default: the trainable parameters) may be
         ``frozen_params()`` for a forward-only pass.
         """
-        t = self._as_input(x)
-        for plan in self.encoder_plans:
-            t = self._apply(plan, t, params=params)
-        if t.ndim != 2:
-            t = ad.reshape(t, (t.shape[0], self.latent_dim))
-        return t
+        return self._run(self.encoder_plans, self._as_input(x), self.latent_dim, params)
 
     def decode(self, latent: ad.Tensor) -> ad.Tensor:
         """Latent rows back to input-shaped rows (n, input_dim)."""
-        if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
-            raise ad.ShapeError(
-                f"decoder expects (n, {self.latent_dim}) latent rows, got {latent.shape}")
-        t = latent
-        for plan in self.decoder_plans:
-            t = self._apply(plan, t)
-        if t.ndim != 2:
-            t = ad.reshape(t, (t.shape[0], self.input_dim))
-        return t
+        return self._run(self.decoder_plans, self._check_latent(latent), self.input_dim)
 
     def classifier_features(self, latent: ad.Tensor, params=None) -> ad.Tensor:
         """Latent rows through the classifier head: the output layer's input rows."""
-        if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
-            raise ad.ShapeError(
-                f"classifier expects (n, {self.latent_dim}) latent rows, got {latent.shape}")
-        t = latent
-        for plan in self.classifier_plans:
-            t = self._apply(plan, t, params=params)
-        if t.ndim != 2:
-            t = ad.reshape(t, (t.shape[0], self.classifier_out_in_dim))
-        return t
+        return self._run(self.classifier_plans, self._check_latent(latent),
+                         self.classifier_out_in_dim, params)
 
     def classify(self, latent: ad.Tensor, params=None) -> ad.Tensor:
         """Latent rows to prediction rows: softmax then row l2 normalization.

@@ -96,8 +96,3 @@ class Xorshift64Star:
             j = self.below(i + 1)
             idx[i], idx[j] = idx[j], idx[i]
         return idx
-
-    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        if k > n:
-            raise ValueError(f"cannot sample {k} from {n} without replacement")
-        return self.shuffled(n)[:k]

@@ -191,11 +191,6 @@ class CollaborativeTrainer:
         for i, values in coeffs.items():
             self._coeff_layer(i).coeffs.values = values.copy()
 
-    def _reinit_coeffs(self) -> None:
-        for i, layer in self.coeff_layers.items():
-            layer.coeffs.values[:] = 0.0
-            self.coeff_adams[i] = Adam({"coeffs": layer.coeffs}, lr=self.config.lr_other)
-
     def _zero_grads(self) -> None:
         for p in self.network.params.values():
             p.grad = None
@@ -416,8 +411,6 @@ class CollaborativeTrainer:
             return result
         for epoch in range(1, cfg.epochs + 1):
             u = cfg.u_schedule[0] if epoch == 1 else cfg.u_schedule[1]
-            if cfg.reinit_coeffs_each_epoch and epoch > 1:
-                self._reinit_coeffs()
             for batch_index in range(len(self.batches)):
                 self.step += 1
                 breakdown = self.train_batch(batch_index, u)

@@ -66,3 +66,13 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(b"NCSC" + struct.pack("<I", 9))
     with pytest.raises(CheckpointError, match="version 9"):
         load_checkpoint(path)
+
+
+def test_non_utf8_name_reports_offset(tmp_path):
+    path = tmp_path / "name.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    blob = bytearray(path.read_bytes())
+    blob[16] = 0xFF  # first byte of the name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="utf-8 at offset 16"):
+        load_checkpoint(path)

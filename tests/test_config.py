@@ -1,6 +1,7 @@
 """Experiment config validation and key-value file round-trips."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collabsc.config import ExperimentConfig, config_to_text, parse_config_text
 from collabsc.network import ConfigError, LayerSpec, NetworkConfig
@@ -37,7 +38,37 @@ soft_mask = false
 """
 
 # keys of deleted knobs, each with a value the knob used to take
-REMOVED_KEYS = {"teacher_grad": "true", "u": "0.8", "alpha_mode": "fixed", "alpha_fixed": "0.5"}
+REMOVED_KEYS = {"teacher_grad": "true", "u": "0.8", "alpha_mode": "fixed", "alpha_fixed": "0.5",
+                "reinit_coeffs_each_epoch": "true", "network.decoder.0.kind": "dense"}
+
+
+@st.composite
+def layer_specs(draw):
+    kind = draw(st.sampled_from(["conv", "dense"]))
+    conv = {} if kind == "dense" else dict(
+        kernel_size=draw(st.integers(1, 7)), stride=draw(st.integers(1, 3)),
+        padding=draw(st.sampled_from(["same", "valid"])))
+    return LayerSpec(kind, draw(st.integers(1, 64)),
+                     activation=draw(st.sampled_from(["relu", "none"])), **conv)
+
+
+@st.composite
+def experiment_configs(draw):
+    positive = st.floats(1e-8, 1e8)
+    network = NetworkConfig(
+        encoder=tuple(draw(st.lists(layer_specs(), min_size=1, max_size=3))),
+        classifier_head=tuple(draw(st.lists(layer_specs(), max_size=2))),
+        num_clusters=draw(st.integers(2, 50)), intrinsic_dim_guess=draw(st.integers(1, 20)))
+    upper = st.floats(0.5, 1.0, exclude_max=True)
+    return ExperimentConfig(
+        network=network, lambda1=draw(positive), lambda_cl=draw(st.floats(0.0, 1e8)),
+        l=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        u_schedule=(draw(upper), draw(upper)), batch_size=draw(st.integers(2, 10_000)),
+        epochs=draw(st.integers(0, 1000)), pretrain_epochs=draw(st.integers(0, 1000)),
+        lr_pretrain=draw(positive), lr_ae=draw(positive), lr_other=draw(positive),
+        inner_se_steps=draw(st.integers(1, 100)), classifier_steps=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**63)), soft_mask=draw(st.booleans()),
+        warm_start_classifier=draw(st.booleans()))
 
 
 class TestParse:
@@ -49,7 +80,6 @@ class TestParse:
         assert cfg.network.num_clusters == 2
         assert len(cfg.network.encoder) == 2
         assert cfg.network.encoder[1].activation == "none"
-        assert cfg.network.decoder is None  # mirrored
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -74,6 +104,16 @@ class TestParse:
         text = config_to_text(cfg)
         again = parse_config_text(text)
         assert again == cfg
+
+    @given(experiment_configs())
+    def test_any_valid_config_round_trips(self, cfg):
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    def test_dense_kernel_size_refused(self):
+        text = SAMPLE.replace("network.encoder.0.kind = dense\n",
+                              "network.encoder.0.kind = dense\nnetwork.encoder.0.kernel_size = 3\n")
+        with pytest.raises(ConfigError, match="dense layer takes no kernel_size"):
+            parse_config_text(text)
 
 
 class TestValidation:

@@ -41,14 +41,12 @@ class TestBuildValidation:
         with pytest.raises(ConfigError, match=r"\(C, H, W\)"):
             Network(conv_config(), (784,))
 
-    def test_explicit_decoder_shape_mismatch_rejected(self):
-        config = NetworkConfig(
-            encoder=(LayerSpec("dense", 20, activation="none"),),
-            decoder=(LayerSpec("dense", 9, activation="none"),),
-            classifier_head=(),
-            num_clusters=2, intrinsic_dim_guess=3)
-        with pytest.raises(ConfigError, match="reproduce"):
-            Network(config, (8,))
+    @pytest.mark.parametrize("part", ["encoder", "classifier_head"])
+    def test_conv_transpose_outside_the_decoder_rejected(self, part):
+        layers = {"encoder": (LayerSpec("conv", 4, kernel_size=3),), "classifier_head": ()}
+        layers[part] += (LayerSpec("conv-transpose", 2, kernel_size=3, stride=2),)
+        with pytest.raises(ConfigError, match=rf"{part}\.\d is conv-transpose"):
+            NetworkConfig(num_clusters=2, **layers)
 
 
 class TestForward:
@@ -191,6 +189,36 @@ class TestDecoderMirror:
     def test_mirrored_decoder_ends_linear(self):
         net = Network(dense_config(), (8,), seed=0)
         assert net.decoder_plans[-1].spec.activation == "none"
+
+    @pytest.mark.parametrize("case", ["conv-dense", "odd-7x7", "valid"])
+    def test_decoder_plans_pinned(self, case):
+        encoder, input_shape, expected = {
+            "conv-dense": (
+                (LayerSpec("conv", 4, kernel_size=3, stride=2),
+                 LayerSpec("dense", 24, activation="none")),
+                (1, 8, 8),
+                [("dense", 64, 0, 1, "same", "relu", (24,), (64,)),
+                 ("conv-transpose", 1, 3, 2, "same", "none", (4, 4, 4), (1, 8, 8))]),
+            "odd-7x7": (
+                (LayerSpec("conv", 4, kernel_size=3, stride=2),
+                 LayerSpec("conv", 8, kernel_size=3, stride=2, activation="none")),
+                (1, 7, 7),
+                [("conv-transpose", 4, 3, 2, "same", "relu", (8, 2, 2), (4, 4, 4)),
+                 ("conv-transpose", 1, 3, 2, "same", "none", (4, 4, 4), (1, 7, 7))]),
+            "valid": (
+                (LayerSpec("conv", 3, kernel_size=3, stride=2, padding="valid"),
+                 LayerSpec("conv", 5, kernel_size=2, padding="valid", activation="none")),
+                (2, 9, 9),
+                [("conv-transpose", 3, 2, 1, "valid", "relu", (5, 3, 3), (3, 4, 4)),
+                 ("conv-transpose", 2, 3, 2, "valid", "none", (3, 4, 4), (2, 9, 9))]),
+        }[case]
+        config = NetworkConfig(encoder=encoder, classifier_head=(),
+                               num_clusters=2, intrinsic_dim_guess=3)
+        plans = Network(config, input_shape, seed=0).decoder_plans
+        assert [(p.spec.kind, p.spec.channels_or_units, p.spec.kernel_size, p.spec.stride,
+                 p.spec.padding, p.spec.activation, p.in_shape, p.out_shape)
+                for p in plans] == expected
+        assert [p.name for p in plans] == ["decoder.0", "decoder.1"]
 
     def test_mirrored_conv_decoder_restores_odd_sizes(self):
         config = NetworkConfig(

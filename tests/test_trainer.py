@@ -341,15 +341,6 @@ class TestSchedulesAndSwitches:
         assert set(seen[:per_epoch]) == {0.5}
         assert set(seen[per_epoch:]) == {0.9}
 
-    def test_reinit_coeffs_each_epoch(self):
-        dataset = tiny_dataset()
-        result_keep = fit(tiny_config(epochs=2), dataset)
-        result_reinit = fit(tiny_config(epochs=2, reinit_coeffs_each_epoch=True), dataset)
-        keep_norm = float(np.abs(result_keep.coeff_layers[0].coeffs.values).sum())
-        reinit_norm = float(np.abs(result_reinit.coeff_layers[0].coeffs.values).sum())
-        assert keep_norm > 0 and reinit_norm > 0
-        assert keep_norm != pytest.approx(reinit_norm)
-
     def test_warm_start_can_be_disabled(self):
         dataset = tiny_dataset()
         a = fit(tiny_config(epochs=1, warm_start_classifier=False), dataset)

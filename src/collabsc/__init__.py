@@ -16,12 +16,12 @@ from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
 from .network import ConfigError, LayerSpec, Network, NetworkConfig, SelfExpressiveLayer
 from .optim import Adam, AdamState
-from .trainer import CollaborativeTrainer, TrainResult, TrainingDivergedError, evaluate, fit, predict
+from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate, fit, predict
 
 __all__ = [
     "Adam", "AdamState", "CollaborativeTrainer", "ConfigError",
     "Dataset", "ExperimentConfig", "LayerSpec", "LossBreakdown", "Network",
-    "NetworkConfig", "SelfExpressiveLayer", "SyntheticSpec", "TrainResult",
+    "NetworkConfig", "SelfExpressiveLayer", "SyntheticSpec",
     "TrainingDivergedError", "accuracy", "ari", "autodiff",
     "class_affinity", "collaboration_rate", "config_to_text", "evaluate", "fit",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",

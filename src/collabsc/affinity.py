@@ -88,8 +88,10 @@ def subspace_affinity(coeffs: np.ndarray) -> np.ndarray:
 # k-means (the classifier warm start's prototypes)
 # ---------------------------------------------------------------------------
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
-           max_iter: int = 300) -> np.ndarray:
+KMEANS_MAX_ITER = 300
+
+
+def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
     """Seeded multi-restart k-means with k-means++ initialization."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
@@ -101,7 +103,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
     for _ in range(restarts):
         centers = _kmeans_pp_init(x, k, rng, sq_norms)
         labels = None
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = sq_norms[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
             new_labels = d2.argmin(axis=1)
             if labels is not None and np.array_equal(new_labels, labels):

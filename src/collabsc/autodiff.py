@@ -17,8 +17,6 @@ gradient instead of rebuilding it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -444,7 +442,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-                     padding: str = "same", output_hw: tuple[int, int] | None = None) -> Tensor:
+                     padding: str = "same", *, output_hw: tuple[int, int]) -> Tensor:
     """Adjoint of `conv2d`: x is (N, Cin, H, W), w is (Cin, Cout, f, f).
 
     The output spatial size must be given explicitly (strided shape
@@ -457,8 +455,6 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
         raise ShapeError(f"conv2d-transpose: input channels {x.shape[1]} != kernel channels {w.shape[0]}")
     if w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d-transpose: only square kernels supported, got {w.shape}")
-    if output_hw is None:
-        output_hw = (x.shape[2] * stride, x.shape[3] * stride)
     kernel, stride = int(w.shape[2]), int(stride)
     out_hw = (int(output_hw[0]), int(output_hw[1]))
     check = (conv_output_size(out_hw[0], kernel, stride, padding),

@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .affinity import affinity_to_csv, affinity_to_pgm, class_affinity, subspace_affinity
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config_file
 from .data import (Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv, load_idx,
                    save_dataset_csv)
 from .gradcheck import run_gradient_checks
-from .metrics import accuracy, ari, cluster_sizes, nmi
-from .network import ConfigError
-from .trainer import (CollaborativeTrainer, TrainingDivergedError, evaluate, fit,
-                      format_metrics_row, metrics_header, metrics_csv, pretrain_log_csv,
-                      train_log_csv)
+from .trainer import (CollaborativeTrainer, TrainingDivergedError, evaluate, format_metrics_row,
+                      metrics_csv, metrics_header, metrics_row, pretrain_log_csv, train_log_csv)
 
 
 class CliValidationError(ValueError):
@@ -149,16 +147,26 @@ def _load_data(args) -> Dataset:
     return load_dataset_csv(args.data, args.labels, feature_shape=shape)
 
 
-def _write(path, text):
-    with open(path, "w") as f:
-        f.write(text)
+def _loaded_trainer(args, checkpoint=None) -> CollaborativeTrainer:
+    """A trainer on the command's config and data, holding the parameters
+    of ``checkpoint`` if one is given."""
+    config = _apply_overrides(parse_config_file(args.config), args)
+    trainer = CollaborativeTrainer(config, _load_data(args))
+    if checkpoint:
+        trainer.load_checkpoint_params(load_checkpoint(checkpoint))
+    return trainer
 
 
-def _metrics_line(y_true, y_pred, k) -> str:
-    sizes = cluster_sizes(y_pred, k)
-    values = [str(len(y_true)), str(k), repr(float(accuracy(y_true, y_pred))),
-              repr(float(nmi(y_true, y_pred))), repr(float(ari(y_true, y_pred)))]
-    return ",".join(values + [str(int(s)) for s in sizes])
+def _run_saving(trainer: CollaborativeTrainer, run, path):
+    """``run()``, then save the trainer's checkpoint to ``path``. A diverged
+    run leaves the trainer in its last finite state; that is saved too."""
+    try:
+        result = run()
+    except TrainingDivergedError:
+        save_checkpoint(path, trainer.checkpoint_params())
+        raise
+    save_checkpoint(path, trainer.checkpoint_params())
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -176,37 +184,27 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config = _apply_overrides(parse_config_file(args.config), args)
-    dataset = _load_data(args)
-    trainer = CollaborativeTrainer(config, dataset)
-    try:
-        history = trainer.pretrain()
-    except TrainingDivergedError as exc:
-        save_checkpoint(args.checkpoint, trainer.network.snapshot())
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    save_checkpoint(args.checkpoint, trainer.network.snapshot())
+    trainer = _loaded_trainer(args)
+    history = _run_saving(trainer, trainer.pretrain, args.checkpoint)
     if args.log:
-        _write(args.log, pretrain_log_csv(history))
+        Path(args.log).write_text(pretrain_log_csv(history))
     final = history[-1] if history else float("nan")
-    print(f"pretrained {config.pretrain_epochs} epochs, final reconstruction loss {final}")
+    print(f"pretrained {trainer.config.pretrain_epochs} epochs, final reconstruction loss {final}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _apply_overrides(parse_config_file(args.config), args)
-    dataset = _load_data(args)
-    init = load_checkpoint(args.init_checkpoint) if args.init_checkpoint else None
-    result = fit(config, dataset, init_params=init)
-    save_checkpoint(args.checkpoint, result.checkpoint_params())
+    trainer = _loaded_trainer(args, args.init_checkpoint)
+    _run_saving(trainer, lambda: trainer.fit(skip_pretrain=bool(args.init_checkpoint)),
+                args.checkpoint)
     if args.train_log:
-        _write(args.train_log, train_log_csv(result))
+        Path(args.train_log).write_text(train_log_csv(trainer))
     if args.metrics_log:
-        _write(args.metrics_log, metrics_csv(result))
-    if result.pretrain_log and args.train_log:
-        _write(args.train_log + ".pretrain", pretrain_log_csv(result.pretrain_log))
-    print(metrics_header(config.network.num_clusters))
-    print(format_metrics_row(result.metrics_history[-1]))
+        Path(args.metrics_log).write_text(metrics_csv(trainer))
+    if trainer.pretrain_log and args.train_log:
+        Path(args.train_log + ".pretrain").write_text(pretrain_log_csv(trainer.pretrain_log))
+    print(metrics_header(trainer.config.network.num_clusters))
+    print(format_metrics_row(trainer.metrics_history[-1]))
     return 0
 
 
@@ -217,26 +215,21 @@ def _cmd_eval(args) -> int:
         y_pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
         y_true = np.loadtxt(args.true, dtype=np.int64, ndmin=1)
         k = int(max(y_pred.max(), y_true.max())) + 1
-        print("n,k,acc,nmi,ari" + "".join(f",size_{i}" for i in range(k)))
-        print(_metrics_line(y_true, y_pred, k))
+        # the metrics table without its epoch column
+        print(metrics_header(k).partition(",")[2])
+        print(format_metrics_row(metrics_row(0, y_true, y_pred, k)).partition(",")[2])
         return 0
     if not (args.checkpoint and args.config):
         raise CliValidationError("eval needs either --pred/--true or --checkpoint/--config")
-    config = _apply_overrides(parse_config_file(args.config), args)
-    dataset = _load_data(args)
-    trainer = CollaborativeTrainer(config, dataset)
-    trainer.load_checkpoint_params(load_checkpoint(args.checkpoint))
-    row = evaluate(trainer.network, dataset, 0, config.batch_size)
-    print(metrics_header(config.network.num_clusters))
+    trainer = _loaded_trainer(args, args.checkpoint)
+    row = evaluate(trainer.network, trainer.dataset, 0, trainer.config.batch_size)
+    print(metrics_header(row.k))
     print(format_metrics_row(row))
     return 0
 
 
 def _cmd_export_affinity(args) -> int:
-    config = _apply_overrides(parse_config_file(args.config), args)
-    dataset = _load_data(args)
-    trainer = CollaborativeTrainer(config, dataset)
-    trainer.load_checkpoint_params(load_checkpoint(args.checkpoint))
+    trainer = _loaded_trainer(args, args.checkpoint)
     if not 0 <= args.batch < len(trainer.batches):
         raise CliValidationError(
             f"--batch {args.batch} out of range; the partition has {len(trainer.batches)} batches")
@@ -245,7 +238,7 @@ def _cmd_export_affinity(args) -> int:
             f"checkpoint has no coefficients for batch {args.batch} "
             f"(selfexpr.batch_{args.batch}.C); export needs a checkpoint written by `train`")
     subspace = subspace_affinity(trainer.coeff_layers[args.batch].coeffs.values)
-    x = dataset.features[trainer.batches[args.batch]]
+    x = trainer.dataset.features[trainer.batches[args.batch]]
     predictions = trainer.network.predictions(x).values
     class_aff = class_affinity(predictions)
     for name, matrix in (("subspace", subspace), ("class", class_aff)):
@@ -269,27 +262,16 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+_COMMANDS = {"synth": _cmd_synth, "pretrain": _cmd_pretrain, "train": _cmd_train,
+             "eval": _cmd_eval, "export-affinity": _cmd_export_affinity,
+             "gradcheck": _cmd_gradcheck}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "pretrain":
-            return _cmd_pretrain(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "export-affinity":
-            return _cmd_export_affinity(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        raise CliValidationError(f"unknown command {args.command!r}")
-    except (CliValidationError, ConfigError, CheckpointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:  # CLI, config and checkpoint errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:

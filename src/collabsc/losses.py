@@ -32,8 +32,8 @@ class Teacher:
 
     ``selected`` marks the confident pairs and ``weights`` their mask
     weights (0 elsewhere). Both depend only on the teacher affinity and its
-    threshold, so stage 2 builds its positive teacher once for all its
-    classifier steps.
+    threshold, so the trainer builds its positive teacher once per batch
+    for stage 2's classifier steps and stage 3's joint step.
     """
 
     selected: np.ndarray
@@ -93,13 +93,14 @@ def positive_term(teacher: Teacher, class_aff) -> ad.Tensor:
     return _cross_entropy(teacher.weights, teacher.count, _as_tensor(class_aff))
 
 
-def positive_loss(subspace_aff: np.ndarray, class_aff, u: float, soft_mask: bool = True):
-    """Mean over selected pairs of -w * log(class affinity).
+def positive_loss(teacher: Teacher, class_aff):
+    """``positive_term`` with the counts: (loss tensor, selected count,
+    clamped count).
 
-    The teacher is the subspace affinity (see ``positive_teacher``). Returns
-    (loss tensor, selected count, clamped count).
+    ``teacher`` is ``positive_teacher`` of the subspace affinity. The
+    trainer builds it once per batch: stage 2 steps only the classifier, so
+    the coefficients, and with them the teacher, do not move before stage 3.
     """
-    teacher = positive_teacher(subspace_aff, u, soft_mask)
     student = _as_tensor(class_aff)
     return (positive_term(teacher, student), teacher.count,
             _clamped_count(teacher.selected, student))

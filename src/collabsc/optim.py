@@ -8,15 +8,14 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Moment estimates and step counter for one parameter group."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -29,10 +28,9 @@ class Adam:
     its moments decay but a fresh (all-zero) state leaves it untouched.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.state = AdamState(lr=lr)
         for name, p in self.params.items():
             self.state.m[name] = np.zeros(p.shape)
             self.state.v[name] = np.zeros(p.shape)
@@ -40,8 +38,8 @@ class Adam:
     def step(self) -> None:
         s = self.state
         s.step += 1
-        bc1 = 1.0 - s.beta1 ** s.step
-        bc2 = 1.0 - s.beta2 ** s.step
+        bc1 = 1.0 - BETA1 ** s.step
+        bc2 = 1.0 - BETA2 ** s.step
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -49,11 +47,11 @@ class Adam:
             elif np.shape(g) != p.shape:
                 raise ShapeError(
                     f"adam: gradient shape {np.shape(g)} != parameter {name!r} shape {p.shape}")
-            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
-            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * np.square(g)
+            s.m[name] = BETA1 * s.m[name] + (1.0 - BETA1) * g
+            s.v[name] = BETA2 * s.v[name] + (1.0 - BETA2) * np.square(g)
             m_hat = s.m[name] / bc1
             v_hat = s.v[name] / bc2
-            p.values -= s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
+            p.values -= s.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def state_copy(self) -> AdamState:
         """A copy of the state for restoring into ``self.state`` later.

@@ -19,12 +19,12 @@ epochs, the only state keyed by batch identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .affinity import class_affinity, subspace_affinity, subspace_affinity_tensor
+from .affinity import class_affinity, kmeans, subspace_affinity, subspace_affinity_tensor
 from .checkpoint import CheckpointError
 from .config import ExperimentConfig
 from .data import Dataset
@@ -97,23 +97,6 @@ class MetricsRow:
     sizes: tuple[int, ...]
 
 
-@dataclass
-class TrainResult:
-    network: Network
-    config: ExperimentConfig
-    coeff_layers: dict[int, SelfExpressiveLayer]
-    batches: list[np.ndarray]
-    train_log: list[LossBreakdown] = field(default_factory=list)
-    metrics_history: list[MetricsRow] = field(default_factory=list)
-    pretrain_log: list[float] = field(default_factory=list)
-
-    def checkpoint_params(self) -> dict[str, np.ndarray]:
-        params = self.network.snapshot()
-        for i, layer in self.coeff_layers.items():
-            params[f"selfexpr.batch_{i}.C"] = layer.coeffs.values.copy()
-        return params
-
-
 def predict(network: Network, features, params=None) -> np.ndarray:
     """Inference path: encode, classify, row argmax. Never touches the
     decoder or any coefficient matrix. ``params`` as for
@@ -128,21 +111,33 @@ def predict_dataset(network: Network, features: np.ndarray, batch_size: int) -> 
     return np.concatenate(parts)
 
 
-def evaluate(network: Network, dataset: Dataset, epoch: int, batch_size: int) -> MetricsRow:
-    labels_pred = predict_dataset(network, dataset.features, batch_size)
-    labels_true = dataset.labels_for_evaluation()
-    k = network.config.num_clusters
+def metrics_row(epoch: int, labels_true: np.ndarray, labels_pred: np.ndarray,
+                k: int) -> MetricsRow:
+    sizes = tuple(int(s) for s in cluster_sizes(labels_pred, k))
     return MetricsRow(
-        epoch=epoch, n=len(dataset), k=k,
+        epoch=epoch, n=len(labels_true), k=k,
         acc=accuracy(labels_true, labels_pred),
         nmi=nmi(labels_true, labels_pred),
         ari=ari(labels_true, labels_pred),
-        sizes=tuple(int(s) for s in cluster_sizes(labels_pred, k)),
+        sizes=sizes,
     )
 
 
+def evaluate(network: Network, dataset: Dataset, epoch: int, batch_size: int) -> MetricsRow:
+    labels_pred = predict_dataset(network, dataset.features, batch_size)
+    return metrics_row(epoch, dataset.labels_for_evaluation(), labels_pred,
+                       network.config.num_clusters)
+
+
 class CollaborativeTrainer:
-    """Owns one network, its optimizers, and the per-batch coefficient state."""
+    """Holds one training run: the network, its optimizers, the per-batch
+    coefficient state and the run's logs.
+
+    ``fit`` appends one ``LossBreakdown`` per batch step to ``train_log``,
+    one ``MetricsRow`` per evaluation to ``metrics_history`` and, unless it
+    skips pretraining, each pretraining epoch's mean loss to
+    ``pretrain_log``; it returns the trainer.
+    """
 
     def __init__(self, config: ExperimentConfig, dataset: Dataset):
         self.config = config
@@ -155,6 +150,9 @@ class CollaborativeTrainer:
         self.ae_adam = Adam(self.network.autoencoder_params(), lr=config.lr_ae)
         self.cls_adam = Adam(self.network.classifier_params(), lr=config.lr_other)
         self.step = 0
+        self.train_log: list[LossBreakdown] = []
+        self.metrics_history: list[MetricsRow] = []
+        self.pretrain_log: list[float] = []
 
     # ------------------------------------------------------------------
 
@@ -165,6 +163,13 @@ class CollaborativeTrainer:
             self.coeff_adams[batch_index] = Adam({"coeffs": layer.coeffs},
                                                  lr=self.config.lr_other)
         return self.coeff_layers[batch_index]
+
+    def checkpoint_params(self) -> dict[str, np.ndarray]:
+        """The network parameters plus a copy of every ``selfexpr.batch_<i>.C``."""
+        params = self.network.snapshot()
+        for i, layer in self.coeff_layers.items():
+            params[f"selfexpr.batch_{i}.C"] = layer.coeffs.values.copy()
+        return params
 
     def load_checkpoint_params(self, params: dict[str, np.ndarray]) -> None:
         """Load the network parameters and every ``selfexpr.batch_<i>.C``.
@@ -196,6 +201,26 @@ class CollaborativeTrainer:
             p.grad = None
         for layer in self.coeff_layers.values():
             layer.coeffs.grad = None
+
+    def _check_finite(self, what: str, t: ad.Tensor) -> None:
+        if not np.isfinite(t.values).all():
+            raise TrainingDivergedError(f"{what} went non-finite at step {self.step}")
+
+    def _descend(self, what: str, loss: ad.Tensor, *adams: Adam) -> None:
+        """One descent step: check ``loss`` is finite, backpropagate it into
+        zeroed gradients, then step ``adams`` in the order given."""
+        self._check_finite(what, loss)
+        self._zero_grads()
+        ad.backward(loss)
+        for adam in adams:
+            adam.step()
+
+    def _subspace_pass(self, x: ad.Tensor, layer: SelfExpressiveLayer):
+        """Encode, self-express, decode: the latent, then ``subspace_loss``'s
+        total and its three terms."""
+        latent = self.network.encode(x)
+        recon = self.network.decode(layer.apply(latent))
+        return (latent, *subspace_loss(latent, layer.coeffs, x, recon, self.config.lambda1))
 
     # ------------------------------------------------------------------
 
@@ -233,9 +258,7 @@ class CollaborativeTrainer:
                         f"loss {initial:.3g}): {per_point:.3g} per point at epoch {epoch}, "
                         f"batch {batch}; the model holds its parameters from before "
                         f"epoch {epoch}")
-                self._zero_grads()
-                ad.backward(loss)
-                adam.step()
+                self._descend("pretraining reconstruction loss", loss, adam)
                 epoch_loss += value
             history.append(epoch_loss / len(self.batches))
             snapshot = self.network.snapshot()
@@ -254,8 +277,6 @@ class CollaborativeTrainer:
         from unsupervised latent structure for the same reason. Uses no
         labels and no spectral step; fully determined by the seed.
         """
-        from .affinity import kmeans as _kmeans
-
         features = self.dataset.features
         frozen = self.network.frozen_params()
         feats = np.concatenate([
@@ -264,7 +285,7 @@ class CollaborativeTrainer:
                 params=frozen).values
             for chunk in eval_chunks(features.shape[0], self.config.batch_size)])
         k = self.config.network.num_clusters
-        labels = _kmeans(feats, k, seed=mix_seed(self.config.seed, 3), restarts=10)
+        labels = kmeans(feats, k, seed=mix_seed(self.config.seed, 3))
         centroids = np.stack([
             feats[labels == c].mean(axis=0) if (labels == c).any() else feats.mean(axis=0)
             for c in range(k)])
@@ -275,10 +296,6 @@ class CollaborativeTrainer:
         gain = 4.0 / max(spread, 1e-12)  # sharp enough for confident affinities
         self.network.params["classifier.out.W"].values = gain * w
         self.network.params["classifier.out.b"].values = gain * b
-
-    def _check_finite(self, what: str, t: ad.Tensor) -> None:
-        if not np.isfinite(t.values).all():
-            raise TrainingDivergedError(f"{what} went non-finite at step {self.step}")
 
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
         """One three-stage round on one batch (see the module docstring).
@@ -312,21 +329,14 @@ class CollaborativeTrainer:
 
         # stage 1: subspace objective over autoencoder + coefficients
         for _ in range(cfg.inner_se_steps):
-            latent = self.network.encode(x)
-            mixed = layer.apply(latent)
-            recon = self.network.decode(mixed)
-            l_sub_t, _, _, _ = subspace_loss(latent, layer.coeffs, x, recon, cfg.lambda1)
-            self._check_finite("stage-1 subspace loss", l_sub_t)
-            self._zero_grads()
-            ad.backward(l_sub_t)
-            self.ae_adam.step()
-            coeff_adam.step()
+            l_sub_t = self._subspace_pass(x, layer)[1]
+            self._descend("stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
             layer.project_diagonal()
         self._check_finite("stage-1 coefficients", layer.coeffs)
         subspace_aff = subspace_affinity(layer.coeffs.values)
 
-        # stage 2: classifier-only steps on the positive term, whose teacher
-        # is fixed for the stage; the negative term would only add a constant
+        # stage 2: classifier-only steps on the positive term (the negative term
+        # would add a constant); C stays put, so stage 3 reuses the teacher
         latent_frozen = self.network.encode(x, params=self.network.frozen_params())
         teacher = positive_teacher(subspace_aff, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
@@ -335,49 +345,26 @@ class CollaborativeTrainer:
             # non-negative by construction; stage 3 checks them in full
             self._check_finite("stage-2 predictions", nu)
             l_pos_t = positive_term(teacher, ad.matmul(nu, ad.transpose(nu)))
-            self._check_finite("stage-2 collaborative loss", l_pos_t)
-            self._zero_grads()
-            ad.backward(l_pos_t)
-            self.cls_adam.step()
+            self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
-        latent = self.network.encode(x)
-        mixed = layer.apply(latent)
-        recon = self.network.decode(mixed)
+        latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, layer)
         nu = self.network.classify(latent)
-        l_sub_t, coeff_norm_t, self_expr_t, recon_t = subspace_loss(
-            latent, layer.coeffs, x, recon, cfg.lambda1)
-        subspace_aff_t = subspace_affinity_tensor(layer.coeffs)
-        # the same numbers as subspace_affinity(C), which would redo the work
-        subspace_aff = subspace_aff_t.values.copy()
-        np.fill_diagonal(subspace_aff, 1.0)
-        class_aff_t = ad.matmul(nu, ad.transpose(nu))
         self._check_finite("stage-3 predictions", nu)
-        class_aff = class_affinity(nu.values)
-        l_pos_t, count_pos, clamped_pos = positive_loss(
-            subspace_aff, class_aff_t, u, soft_mask=cfg.soft_mask)
+        l_pos_t, count_pos, clamped_pos = positive_loss(teacher, ad.matmul(nu, ad.transpose(nu)))
         l_neg_t, count_neg, clamped_neg = negative_loss(
-            class_aff, subspace_aff_t, cfg.l, soft_mask=cfg.soft_mask)
+            class_affinity(nu.values), subspace_affinity_tensor(layer.coeffs), cfg.l,
+            soft_mask=cfg.soft_mask)
         alpha = collaboration_rate(count_pos, count_neg)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
-        self._check_finite("stage-3 joint loss", total_t)
-        self._zero_grads()
-        ad.backward(total_t)
-        self.ae_adam.step()
-        self.cls_adam.step()
-        coeff_adam.step()
+        self._descend("stage-3 joint loss", total_t, self.ae_adam, self.cls_adam, coeff_adam)
         layer.project_diagonal()
-        bad = [name for name, p in self.network.params.items()
-               if not np.isfinite(p.values).all()]
-        if not np.isfinite(layer.coeffs.values).all():
-            bad.append(f"selfexpr.batch_{batch_index}.C")
-        if bad:
-            raise TrainingDivergedError(
-                f"stage-3 joint step left non-finite parameters at step {self.step}: "
-                f"{', '.join(bad)}")
+        for name, p in self.network.params.items():
+            self._check_finite(f"stage-3 parameter {name}", p)
+        self._check_finite(f"stage-3 parameter selfexpr.batch_{batch_index}.C", layer.coeffs)
 
-        breakdown = LossBreakdown(
+        return LossBreakdown(
             coeff_norm_sq=coeff_norm_t.item(),
             self_expression=self_expr_t.item(),
             reconstruction=recon_t.item(),
@@ -393,35 +380,29 @@ class CollaborativeTrainer:
             clamped_pos=clamped_pos,
             clamped_neg=clamped_neg,
         )
-        return breakdown
 
     # ------------------------------------------------------------------
 
-    def fit(self, skip_pretrain: bool = False) -> TrainResult:
+    def fit(self, skip_pretrain: bool = False) -> CollaborativeTrainer:
         cfg = self.config
-        result = TrainResult(network=self.network, config=cfg,
-                             coeff_layers=self.coeff_layers, batches=self.batches)
         if not skip_pretrain:
-            result.pretrain_log = self.pretrain()
+            self.pretrain_log += self.pretrain()
         if cfg.warm_start_classifier and cfg.epochs > 0:
             self.warm_start_classifier()
-        if cfg.epochs == 0:
-            result.metrics_history.append(
-                evaluate(self.network, self.dataset, 0, cfg.batch_size))
-            return result
         for epoch in range(1, cfg.epochs + 1):
             u = cfg.u_schedule[0] if epoch == 1 else cfg.u_schedule[1]
             for batch_index in range(len(self.batches)):
                 self.step += 1
-                breakdown = self.train_batch(batch_index, u)
-                result.train_log.append(breakdown)
-            result.metrics_history.append(
+                self.train_log.append(self.train_batch(batch_index, u))
+            self.metrics_history.append(
                 evaluate(self.network, self.dataset, epoch, cfg.batch_size))
-        return result
+        if cfg.epochs == 0:
+            self.metrics_history.append(evaluate(self.network, self.dataset, 0, cfg.batch_size))
+        return self
 
 
 def fit(config: ExperimentConfig, dataset: Dataset,
-        init_params: dict[str, np.ndarray] | None = None) -> TrainResult:
+        init_params: dict[str, np.ndarray] | None = None) -> CollaborativeTrainer:
     """Pretrain (unless initial parameters are given) and run the main loop."""
     trainer = CollaborativeTrainer(config, dataset)
     if init_params is None:
@@ -433,6 +414,10 @@ def fit(config: ExperimentConfig, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # CSV serialization (byte-stable for reproducibility checks)
 # ---------------------------------------------------------------------------
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
 
 def format_train_log_row(step: int, b: LossBreakdown) -> str:
     floats = (b.coeff_norm_sq, b.self_expression, b.reconstruction, b.l_sub,
@@ -451,23 +436,16 @@ def format_metrics_row(row: MetricsRow) -> str:
                     + [str(s) for s in row.sizes])
 
 
-def train_log_csv(result: TrainResult) -> str:
-    lines = [TRAIN_LOG_HEADER]
-    for i, b in enumerate(result.train_log, start=1):
-        lines.append(format_train_log_row(i, b))
-    return "\n".join(lines) + "\n"
+def train_log_csv(trainer: CollaborativeTrainer) -> str:
+    return _csv(TRAIN_LOG_HEADER, (format_train_log_row(i, b)
+                                   for i, b in enumerate(trainer.train_log, start=1)))
 
 
-def metrics_csv(result: TrainResult) -> str:
-    lines = [metrics_header(result.config.network.num_clusters)]
-    for row in result.metrics_history:
-        lines.append(format_metrics_row(row))
-    return "\n".join(lines) + "\n"
+def metrics_csv(trainer: CollaborativeTrainer) -> str:
+    return _csv(metrics_header(trainer.config.network.num_clusters),
+                map(format_metrics_row, trainer.metrics_history))
 
 
 def pretrain_log_csv(history: list[float]) -> str:
     """Per-epoch mean reconstruction loss, as returned by ``pretrain``."""
-    lines = [PRETRAIN_LOG_HEADER]
-    for i, v in enumerate(history, start=1):
-        lines.append(f"{i},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(PRETRAIN_LOG_HEADER, (f"{i},{float(v)!r}" for i, v in enumerate(history, start=1)))

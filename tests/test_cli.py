@@ -70,6 +70,27 @@ class TestPretrain:
             np.testing.assert_array_equal(values, initial[name], err_msg=name)
 
 
+class TestTrainDivergence:
+    def test_diverged_train_exits_2_with_restored_checkpoint(self, tmp_path, capsys):
+        # one stage-1 step at this rate leaves the first batch's coefficients
+        # non-finite; train_batch restores them to their zero start
+        config, dataset, args = write_inputs(tmp_path, batch_size=10)
+        ckpt = tmp_path / "model.ckpt"
+        code = cli.main(["train", *args, "--checkpoint", str(ckpt),
+                         "--inner-se-steps", "1", "--lr-other", "1e308"])
+        assert code == 2
+        assert "stage-1 coefficients went non-finite at step 1" in capsys.readouterr().err
+        trainer = CollaborativeTrainer(config, dataset)
+        trainer.pretrain()
+        trainer.warm_start_classifier()
+        expected = trainer.network.snapshot()
+        expected["selfexpr.batch_0.C"] = np.zeros((10, 10))
+        params = load_checkpoint(ckpt)
+        assert params.keys() == expected.keys()
+        for name, values in params.items():
+            np.testing.assert_array_equal(values, expected[name], err_msg=name)
+
+
 class TestTrainedCheckpoint:
     def test_eval_prints_the_metrics_row_of_train(self, tmp_path, capsys):
         args, ckpt = train_checkpoint(tmp_path)
@@ -144,3 +165,45 @@ class TestInputValidation:
             assert cli.main(["train", *args, "--checkpoint", str(ckpt), flag, value]) == 1, flag
             assert flag in capsys.readouterr().err
         assert not ckpt.exists()
+
+
+class TestCommandPaths:
+    def test_eval_pred_true_prints_the_metrics_line(self, tmp_path, capsys):
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        pred.write_text("0\n0\n1\n1\n2\n2\n")
+        true.write_text("1\n1\n0\n0\n2\n0\n")
+        assert cli.main(["eval", "--pred", str(pred), "--true", str(true)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n,k,acc,nmi,ari,size_0,size_1,size_2",
+            "6,3,0.8333333333333334,0.7402999407999733,0.4444444444444444,2,2,2"]
+
+    def test_eval_pred_without_true_exits_1(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0\n1\n")
+        assert cli.main(["eval", "--pred", str(pred)]) == 1
+        assert "--true" in capsys.readouterr().err
+
+    def test_export_affinity_of_a_pretrain_checkpoint_exits_1(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path, batch_size=10)
+        ckpt = tmp_path / "pretrained.ckpt"
+        assert cli.main(["pretrain", *args, "--checkpoint", str(ckpt)]) == 0
+        out = tmp_path / "batch0"
+        assert cli.main(["export-affinity", *args, "--checkpoint", str(ckpt),
+                         "--out", str(out)]) == 1
+        assert "selfexpr.batch_0.C" in capsys.readouterr().err
+        assert not Path(f"{out}_subspace.csv").exists()
+
+    def test_export_affinity_batch_out_of_range_exits_1(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["export-affinity", *args, "--checkpoint", str(ckpt), "--batch", "99",
+                         "--out", str(tmp_path / "batch99")]) == 1
+        assert "--batch 99" in capsys.readouterr().err
+
+    def test_gradcheck_passes(self, capsys):
+        assert cli.main(["gradcheck", "--trials", "1"]) == 0
+        assert "overall max relative error" in capsys.readouterr().out
+
+    def test_no_command_exits_1(self, capsys):
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

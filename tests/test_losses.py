@@ -84,31 +84,31 @@ class TestPositiveLoss:
     def test_single_pair_hard_mask(self):
         a_s = np.array([[1.0, 0.9], [0.0, 1.0]])
         a_c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, count, clamped = positive_loss(a_s, a_c, u=0.7, soft_mask=False)
+        loss, count, clamped = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=False), a_c)
         assert count == 1 and clamped == 0
         assert loss.item() == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_single_pair_soft_mask(self):
         a_s = np.array([[1.0, 0.9], [0.0, 1.0]])
         a_c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, _, _ = positive_loss(a_s, a_c, u=0.7, soft_mask=True)
+        loss, _, _ = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=True), a_c)
         assert loss.item() == pytest.approx(0.9 * -np.log(0.5), abs=1e-12)
 
     def test_perfect_agreement_is_zero(self):
         a_s = np.ones((3, 3))
         a_c = np.ones((3, 3))
-        loss, count, _ = positive_loss(a_s, a_c, u=0.7)
+        loss, count, _ = positive_loss(positive_teacher(a_s, u=0.7), a_c)
         assert count == 6
         assert loss.item() == 0.0
 
     def test_no_selection_returns_zero(self):
-        loss, count, _ = positive_loss(np.eye(3), np.eye(3), u=0.7)
+        loss, count, _ = positive_loss(positive_teacher(np.eye(3), u=0.7), np.eye(3))
         assert count == 0 and loss.item() == 0.0
 
     def test_zero_entry_clamped_and_counted(self):
         a_s = np.array([[1.0, 0.9], [0.9, 1.0]])
         a_c = np.zeros((2, 2)) + np.eye(2)
-        loss, count, clamped = positive_loss(a_s, a_c, u=0.7, soft_mask=False)
+        loss, count, clamped = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=False), a_c)
         assert clamped == 2
         assert loss.item() == pytest.approx(-np.log(1e-12), abs=1e-9)
         assert np.isfinite(loss.item())
@@ -116,17 +116,17 @@ class TestPositiveLoss:
     def test_gradient_direction_on_selected_pairs(self):
         # hard mask: d l_pos / d A_c < 0 exactly on selected pairs
         a_s, a_c = affinity_pair(n=5, seed=4)
-        selected = positive_teacher(a_s, u=0.6).selected
+        teacher = positive_teacher(a_s, u=0.6, soft_mask=False)
+        selected = teacher.selected
         target = ad.parameter(a_c.copy())
-        loss, count, _ = positive_loss(a_s, target, u=0.6, soft_mask=False)
+        loss, count, _ = positive_loss(teacher, target)
         if count:
             ad.backward(loss)
             grad = target.grad
             assert (grad[selected] < 0).all()
             assert (grad[~selected] == 0).all()
             numeric = central_difference_gradient(
-                lambda: positive_loss(a_s, ad.constant(target.values), u=0.6,
-                                      soft_mask=False)[0].item(),
+                lambda: positive_loss(teacher, ad.constant(target.values))[0].item(),
                 target.values)
             np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
@@ -135,11 +135,11 @@ class TestPositiveLoss:
         teacher = positive_teacher(a_s, u=0.6)
         if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base, _, _ = positive_loss(a_s, a_c, u=0.6)
+        base, _, _ = positive_loss(teacher, a_c)
         i, j = np.argwhere(teacher.selected)[0]
         bumped = a_c.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 1.0)
-        higher, _, _ = positive_loss(a_s, bumped, u=0.6)
+        higher, _, _ = positive_loss(teacher, bumped)
         assert higher.item() < base.item()
 
 
@@ -147,7 +147,7 @@ class TestPositiveLoss:
     def test_teacher_built_once_gives_the_same_loss(self, soft_mask):
         a_s, a_c = affinity_pair(n=6, seed=11)
         teacher = positive_teacher(a_s, u=0.6, soft_mask=soft_mask)
-        loss, count, _ = positive_loss(a_s, a_c, u=0.6, soft_mask=soft_mask)
+        loss, count, _ = positive_loss(teacher, a_c)
         assert teacher.count == count > 0
         assert positive_term(teacher, a_c).item() == loss.item()
 
@@ -339,7 +339,7 @@ def test_losses_always_finite_property():
     for trial in range(30):
         n = 3 + rng.below(5)
         a_s, a_c = affinity_pair(n=n, seed=100 + trial)
-        lp, count_pos, _ = positive_loss(a_s, a_c, u=0.6)
+        lp, count_pos, _ = positive_loss(positive_teacher(a_s, u=0.6), a_c)
         ln, count_neg, _ = negative_loss(a_c, a_s, l=0.3)
         omega = ad.add(lp, ad.scale(ln, collaboration_rate(count_pos, count_neg)))
         assert np.isfinite(omega.item())

@@ -13,9 +13,18 @@ gradient of a constant parent, and ``backward`` releases each op output's
 gradient once its parents have it, so only leaf gradients outlive the call.
 Convolutions keep the patch matrix of their forward pass for the kernel
 gradient instead of rebuilding it.
+
+The strided conv ops move data by index: im2col gathers each image's
+patches through flat offsets built once per layer geometry, and col2im sums
+the patch entries into their pixels with one `np.bincount`, which gives
+every pixel its taps in (ki, kj) order starting from +0.0. GEMM operands,
+and the layouts of their results, are part of the bit contract: a different
+layout sums the same floats in another order and moves the train logs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -346,8 +355,28 @@ def _pads(in_hw, kernel, stride, padding):
     return (0, 0), (0, 0)
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, hp, wp, kernel, stride, out_hw):
+    """Read-only flat offsets into one padded (c, hp, wp) image, in (oh, ow, c, ki, kj) order.
+
+    Memoised per layer geometry, never per batch size: both `_im2col` and
+    `_col2im` of one geometry share the entry.
+    """
+    oh, ow = out_hw
+    rows = np.arange(oh)[:, None, None, None, None] * stride + np.arange(kernel)[:, None]
+    cols = np.arange(ow)[:, None, None, None] * stride + np.arange(kernel)
+    idx = np.arange(c)[:, None, None] * (hp * wp) + rows * wp + cols
+    idx.flags.writeable = False
+    return idx
+
+
 def _im2col(x, kernel, stride, pads, out_hw):
-    """(n*oh*ow, c*k*k) patch matrix of the zero-padded input, one row per output pixel."""
+    """(n*oh*ow, c*k*k) patch matrix of the zero-padded input, one row per output pixel.
+
+    One gather per image through the geometry's `_patch_index`. The result
+    is always a fresh row-major matrix: its layout sets the GEMM's
+    summation order.
+    """
     (plo_h, phi_h), (plo_w, phi_w) = pads
     n, c, h, w = x.shape
     oh, ow = out_hw
@@ -356,31 +385,32 @@ def _im2col(x, kernel, stride, pads, out_hw):
         xp[:, :, plo_h:plo_h + h, plo_w:plo_w + w] = x
     else:
         xp = x
-    sn, sc, sh, sw = xp.strides
     # every window lies inside xp: (oh - 1) * stride + kernel <= padded height
-    patches = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, oh, ow, c, kernel, kernel),
-        strides=(sn, stride * sh, stride * sw, sc, sh, sw), writeable=False)
-    # always a fresh row-major matrix: its layout sets the GEMM's summation order
-    return np.ascontiguousarray(patches).reshape(n * oh * ow, c * kernel * kernel)
+    idx = _patch_index(c, xp.shape[2], xp.shape[3], kernel, stride, out_hw)
+    return np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * oh * ow, c * kernel * kernel)
 
 
 def _col2im(mat, c, in_hw, kernel, stride, pads, out_hw):
     """Adjoint of `_im2col`: scatter-add the patch matrix rows into an image.
 
-    The patches are copied once into (k, k, n, c, oh, ow) order so that each
-    of the k*k strided adds reads a contiguous block; the adds run in (ki, kj)
-    order into an NCHW buffer, which fixes the summation order of overlaps.
+    One `np.bincount` sums the patch entries into a padded NCHW buffer,
+    reading them in reverse. `bincount` adds its weights one by one in input
+    order, starting from +0.0. A pixel's taps come from distinct output
+    positions (i, j), and ki = y - stride * i falls as i rises, so in reverse
+    every pixel gets its taps in (ki, kj) order from +0.0, exactly as one
+    strided add per kernel offset would give them. The returned crop view's
+    NCHW layout is part of the bit contract: later sums (the bias gradient,
+    Frobenius norms) reduce in memory order.
     """
     (plo_h, phi_h), (plo_w, phi_w) = pads
     oh, ow = out_hw
     n = mat.shape[0] // (oh * ow)
-    cols = np.ascontiguousarray(
-        mat.reshape(n, oh, ow, c, kernel, kernel).transpose(4, 5, 0, 3, 1, 2))
-    xp = np.zeros((n, c, in_hw[0] + plo_h + phi_h, in_hw[1] + plo_w + phi_w), dtype=np.float64)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += cols[ki, kj]
+    hp, wp = in_hw[0] + plo_h + phi_h, in_hw[1] + plo_w + phi_w
+    idx = _patch_index(c, hp, wp, kernel, stride, out_hw).reshape(-1)
+    # the image offsets are added per call, so no batch-sized array outlives it
+    bins = np.arange(n - 1, -1, -1)[:, None] * (c * hp * wp) + idx[::-1]
+    xp = np.bincount(bins.reshape(-1), weights=mat.reshape(-1)[::-1],
+                     minlength=n * c * hp * wp).reshape(n, c, hp, wp)
     return xp[:, :, plo_h:plo_h + in_hw[0], plo_w:plo_w + in_hw[1]]
 
 

@@ -215,9 +215,10 @@ def _cmd_eval(args) -> int:
         y_pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
         y_true = np.loadtxt(args.true, dtype=np.int64, ndmin=1)
         k = int(max(y_pred.max(), y_true.max())) + 1
+        row = metrics_row(0, y_true, y_pred, k)  # checks the labels before anything is printed
         # the metrics table without its epoch column
         print(metrics_header(k).partition(",")[2])
-        print(format_metrics_row(metrics_row(0, y_true, y_pred, k)).partition(",")[2])
+        print(format_metrics_row(row).partition(",")[2])
         return 0
     if not (args.checkpoint and args.config):
         raise CliValidationError("eval needs either --pred/--true or --checkpoint/--config")

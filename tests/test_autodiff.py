@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import collabsc.autodiff as ad
 from collabsc.gradcheck import run_gradient_checks
 from collabsc.rng import Xorshift64Star
 
-from oracles import central_difference_gradient, reference_conv2d, reference_conv2d_transpose
+from oracles import (central_difference_gradient, reference_col2im, reference_conv2d,
+                     reference_conv2d_transpose)
 
 
 class TestForwardSemantics:
@@ -255,9 +257,13 @@ class TestConvSemantics:
 
 
 def assert_same_array(actual, expected):
-    """Bit-identical values in the same memory layout (layout fixes later sum orders)."""
+    """Bit-identical values in the same memory layout (layout fixes later sum orders).
+
+    The bytes are compared too: `np.array_equal` takes -0.0 for +0.0.
+    """
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
     assert actual.strides == expected.strides
 
 
@@ -329,6 +335,74 @@ class TestConvBitIdentity:
         xt = rng.normals((2, out_hw[1], out_hw[0], 2)).transpose(0, 3, 2, 1)
         gt = rng.normals((2, 3, 9, 8)).transpose(0, 1, 3, 2)
         check_conv_against_reference(True, xt, w, rng.normals((3,)), 2, padding, (8, 9), gt)
+
+    @staticmethod
+    def signed_zeros(rng, shape):
+        """Normals with every third entry -0.0 and the first image all -0.0."""
+        a = rng.normals(shape)
+        a.reshape(-1)[::3] = -0.0
+        a[0] = -0.0
+        return a
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_signed_zero_operands(self, padding):
+        # a -0.0 bias keeps the sign of a zero output visible through the bias add
+        rng = Xorshift64Star(70)
+        in_hw = (7, 6)
+        out_hw = tuple(ad.conv_output_size(s, 3, 2, padding) for s in in_hw)
+        w = rng.normals((2, 3, 3, 3))
+        check_conv_against_reference(False, self.signed_zeros(rng, (3, 3) + in_hw), w,
+                                     np.full(2, -0.0), 2, padding, out_hw,
+                                     self.signed_zeros(rng, (3, 2) + out_hw))
+        check_conv_against_reference(True, self.signed_zeros(rng, (3, 2) + out_hw), w,
+                                     np.full(3, -0.0), 2, padding, in_hw,
+                                     self.signed_zeros(rng, (3, 3) + in_hw))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_col2im_sums_signed_zeros_from_positive_zero(self, stride):
+        # every pixel starts at +0.0, so taps that are all -0.0 sum to +0.0
+        rng = Xorshift64Star(80 + stride)
+        n, c, kernel, in_hw = 2, 2, 3, (7, 8)
+        pads = ad._pads(in_hw, kernel, stride, "same")
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, "same") for s in in_hw)
+        mat = self.signed_zeros(rng, (n * out_hw[0] * out_hw[1], c * kernel * kernel))
+        mat[: out_hw[0] * out_hw[1]] = -0.0  # the first image's taps are all -0.0
+        cols = mat.reshape(n, *out_hw, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
+        actual = ad._col2im(mat, c, in_hw, kernel, stride, pads, out_hw)
+        assert_same_array(actual, reference_col2im(cols, in_hw, kernel, stride, pads, out_hw))
+        assert not np.signbit(actual[0]).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.integers(1, 5), stride=st.integers(1, 4),
+           padding=st.sampled_from(["same", "valid"]), h=st.integers(1, 12), w=st.integers(1, 12),
+           n=st.integers(1, 3), ci=st.integers(1, 3), co=st.integers(1, 3),
+           seed=st.integers(1, 2**32))
+    def test_any_geometry_matches_the_loop_oracles(self, kernel, stride, padding, h, w, n, ci,
+                                                    co, seed):
+        if padding == "valid":
+            h, w = max(h, kernel), max(w, kernel)
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in (h, w))
+        rng = Xorshift64Star(seed)
+        wk = rng.normals((co, ci, kernel, kernel))
+        check_conv_against_reference(False, rng.normals((n, ci, h, w)), wk, rng.normals((co,)),
+                                     stride, padding, out_hw)
+        check_conv_against_reference(True, rng.normals((n, co) + out_hw), wk, rng.normals((ci,)),
+                                     stride, padding, (h, w))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_index_memo_holds_one_entry_per_geometry(self, transpose):
+        # a memo keyed by the batch size would grow with every chunk size
+        rng = Xorshift64Star(90)
+        w = rng.normals((3, 2, 3, 3))
+        ad._patch_index.cache_clear()
+        for n in (1, 2, 7):
+            if transpose:
+                check_conv_against_reference(True, rng.normals((n, 3, 5, 4)), w,
+                                             rng.normals((2,)), 2, "same", (9, 8))
+            else:
+                check_conv_against_reference(False, rng.normals((n, 2, 9, 8)), w,
+                                             rng.normals((3,)), 2, "same", (5, 4))
+            assert ad._patch_index.cache_info().currsize == 1
 
     def test_grad_check_stride_3_valid(self):
         # 8x7 input at stride 3, valid: the last two rows and the last column are never read

@@ -183,6 +183,20 @@ class TestCommandPaths:
         assert cli.main(["eval", "--pred", str(pred)]) == 1
         assert "--true" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pred_text, true_text", [
+        ("0\n1\n2\n", "0\n1\n2\n0\n"),  # 3 predictions for 4 labels
+        ("0\n1\n2\n", "0\n-1\n2\n"),  # a negative label
+    ])
+    def test_eval_pred_bad_labels_exit_1_and_print_nothing(self, tmp_path, capsys,
+                                                             pred_text, true_text):
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        pred.write_text(pred_text)
+        true.write_text(true_text)
+        assert cli.main(["eval", "--pred", str(pred), "--true", str(true)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_export_affinity_of_a_pretrain_checkpoint_exits_1(self, tmp_path, capsys):
         _, _, args = write_inputs(tmp_path, batch_size=10)
         ckpt = tmp_path / "pretrained.ckpt"

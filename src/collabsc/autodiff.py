@@ -15,11 +15,14 @@ Convolutions keep the patch matrix of their forward pass for the kernel
 gradient instead of rebuilding it.
 
 The strided conv ops move data by index: im2col gathers each image's
-patches through flat offsets built once per layer geometry, and col2im sums
-the patch entries into their pixels with one `np.bincount`, which gives
-every pixel its taps in (ki, kj) order starting from +0.0. GEMM operands,
-and the layouts of their results, are part of the bit contract: a different
-layout sums the same floats in another order and moves the train logs.
+patches through flat offsets built once per layer geometry. On the col2im
+side one GEMM per image writes its taps in (c, ki, kj, i, j) order, and a
+forward `np.bincount` per cache-sized block of images sums them into their
+pixels through the same offsets, giving every pixel its taps in (ki, kj)
+order starting from +0.0. GEMM operands, and the layouts of their results,
+are part of the bit contract: a different layout sums the same floats in
+another order and moves the train logs. Relu masks the bit patterns as
+integers, so it has no branch per element and keeps its input's layout.
 """
 
 from __future__ import annotations
@@ -202,12 +205,19 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """x where x > 0, else +0.0 (also for -0.0, NaN and -inf), in x's memory layout.
+
+    The forward multiplies the bit pattern by the 0/1 mask as integers,
+    which gives the same bits as ``np.where(x > 0, x, 0.0)`` without a
+    data-dependent branch per element.
+    """
     mask = x.values > 0.0  # subgradient 0 at exactly 0
 
     def bwd(g):
         return (g * mask,)
 
-    return _make(np.where(mask, x.values, 0.0), (x,), "relu", bwd)
+    out = (x.values.view(np.int64) * mask.astype(np.int64)).view(np.float64)
+    return _make(out, (x,), "relu", bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -390,27 +400,40 @@ def _im2col(x, kernel, stride, pads, out_hw):
     return np.take(xp.reshape(n, -1), idx, axis=1).reshape(n * oh * ow, c * kernel * kernel)
 
 
-def _col2im(mat, c, in_hw, kernel, stride, pads, out_hw):
-    """Adjoint of `_im2col`: scatter-add the patch matrix rows into an image.
+# A scatter block holds as many images as fit in about this many taps, so its
+# bins and weights stay in cache while `np.bincount` reads them.
+_SCATTER_BLOCK_TAPS = 1 << 14
 
-    One `np.bincount` sums the patch entries into a padded NCHW buffer,
-    reading them in reverse. `bincount` adds its weights one by one in input
-    order, starting from +0.0. A pixel's taps come from distinct output
-    positions (i, j), and ki = y - stride * i falls as i rises, so in reverse
-    every pixel gets its taps in (ki, kj) order from +0.0, exactly as one
-    strided add per kernel offset would give them. The returned crop view's
-    NCHW layout is part of the bit contract: later sums (the bias gradient,
-    Frobenius norms) reduce in memory order.
+
+def _col2im(taps, in_hw, kernel, stride, pads, out_hw):
+    """Adjoint of `_im2col`: scatter-add each image's taps into its pixels.
+
+    ``taps`` is (n, c*k*k, oh*ow), each image's taps in (c, ki, kj, i, j)
+    order. A forward `np.bincount` per block of images sums them into a
+    padded NCHW buffer: it adds its weights one by one in input order,
+    starting from +0.0. Each kernel offset (ki, kj) gives a pixel at most one
+    tap, so in this order every pixel gets its taps in (ki, kj) order,
+    exactly as one strided add per kernel offset would give them. The
+    per-image offsets are the geometry's `_patch_index` in the same order.
+    The returned crop view's NCHW layout is part of the bit contract: later
+    sums (the bias gradient, Frobenius norms) reduce in memory order.
     """
     (plo_h, phi_h), (plo_w, phi_w) = pads
-    oh, ow = out_hw
-    n = mat.shape[0] // (oh * ow)
+    n, c = taps.shape[0], taps.shape[1] // (kernel * kernel)
     hp, wp = in_hw[0] + plo_h + phi_h, in_hw[1] + plo_w + phi_w
-    idx = _patch_index(c, hp, wp, kernel, stride, out_hw).reshape(-1)
-    # the image offsets are added per call, so no batch-sized array outlives it
-    bins = np.arange(n - 1, -1, -1)[:, None] * (c * hp * wp) + idx[::-1]
-    xp = np.bincount(bins.reshape(-1), weights=mat.reshape(-1)[::-1],
-                     minlength=n * c * hp * wp).reshape(n, c, hp, wp)
+    size = c * hp * wp
+    idx = _patch_index(c, hp, wp, kernel, stride, out_hw).transpose(2, 3, 4, 0, 1).reshape(-1)
+    per = idx.size
+    block = max(1, min(n, _SCATTER_BLOCK_TAPS // per))
+    # one block's bins, built per call: no batch-sized array outlives it
+    bins = (np.arange(block)[:, None] * size + idx).reshape(-1)
+    weights = taps.reshape(n, per)
+    xp = np.empty((n, size), dtype=np.float64)
+    for i in range(0, n, block):
+        m = min(block, n - i)
+        xp[i:i + m] = np.bincount(bins[:m * per], weights=weights[i:i + m].reshape(-1),
+                                  minlength=m * size).reshape(m, size)
+    xp = xp.reshape(n, c, hp, wp)
     return xp[:, :, plo_h:plo_h + in_hw[0], plo_w:plo_w + in_hw[1]]
 
 
@@ -427,10 +450,22 @@ def _patch_gemm(mat, w, n, out_hw):
     return out.reshape(n, out_hw[0], out_hw[1], co).transpose(0, 3, 1, 2)
 
 
-def _rows_col2im(rows, w, stride, pads, in_hw, rows_hw):
-    """Image (n, ci, *in_hw) that pixel rows (n*h*w, co) map to through a (co, ci, k, k) kernel."""
-    co, ci, kernel = w.shape[0], w.shape[1], w.shape[2]
-    return _col2im(rows @ w.reshape(co, -1), ci, in_hw, kernel, stride, pads, rows_hw)
+def _rows_col2im(x, w, stride, pads, in_hw):
+    """Image (n, ci, *in_hw) that images x (n, co, h, w) map to through a (co, ci, k, k) kernel.
+
+    One GEMM per image writes its taps in the order `_col2im` sums them,
+    with the same bits as the row GEMM ``_pixel_rows(x) @ w.reshape(co, -1)``.
+    When h*w or ci*k*k is 1, numpy hands the per-image product to gemv,
+    whose bits differ, so those shapes take the row GEMM and transpose it.
+    """
+    n, co, h, wd = x.shape
+    kernel = w.shape[2]
+    wmat = w.reshape(co, -1)
+    if h * wd == 1 or wmat.shape[1] == 1:
+        taps = (_pixel_rows(x) @ wmat).reshape(n, h * wd, -1).transpose(0, 2, 1)
+    else:
+        taps = np.matmul(wmat.T, x.reshape(n, co, h * wd))
+    return _col2im(taps, in_hw, kernel, stride, pads, (h, wd))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -461,9 +496,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         mat = None  # only the kernel gradient reads the patch matrix
 
     def bwd(g):
-        grows = _pixel_rows(g)
-        dx = _rows_col2im(grows, wv, stride, pads, in_hw, out_hw) if x_grad else None
-        dw = (grows.T @ mat).reshape(wv.shape) if w_grad else None
+        dx = _rows_col2im(g, wv, stride, pads, in_hw) if x_grad else None
+        dw = (_pixel_rows(g).T @ mat).reshape(wv.shape) if w_grad else None
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
@@ -495,8 +529,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
             f"conv2d-transpose: output size {out_hw} maps to {check} under the forward "
             f"shape rule, but the input is {x_hw}")
     pads = _pads(out_hw, kernel, stride, padding)
-    xrows = _pixel_rows(x.values)
-    out = _rows_col2im(xrows, w.values, stride, pads, out_hw, x_hw)
+    out = _rows_col2im(x.values, w.values, stride, pads, out_hw)
     parents = [x, w]
     if b is not None:
         if b.shape != (w.shape[1],):
@@ -505,8 +538,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
         parents.append(b)
     wv = w.values
     x_grad, w_grad = x.requires_grad, w.requires_grad
-    if not w_grad:
-        xrows = None  # only the kernel gradient reads the input rows
+    # only the kernel gradient reads the input's pixel rows
+    xrows = _pixel_rows(x.values) if w_grad else None
 
     def bwd(g):
         gmat = _im2col(g, kernel, stride, pads, x_hw)

@@ -7,6 +7,7 @@ config field names, so files round-trip through ``config_to_text``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import ConfigError, LayerSpec, NetworkConfig
@@ -34,12 +35,13 @@ class ExperimentConfig:
     warm_start_classifier: bool = True
 
     def __post_init__(self):
-        if self.lambda1 <= 0:
-            raise ConfigError(f"lambda1 must be > 0, got {self.lambda1}")
+        # isfinite rejects the NaN and +-inf that a bare range check lets through
+        if not (math.isfinite(self.lambda1) and self.lambda1 > 0):
+            raise ConfigError(f"lambda1 must be finite and > 0, got {self.lambda1}")
         # lambda_cl = 0 is allowed: it disables the collaborative term in the
         # joint objective (the no-collaboration ablation)
-        if self.lambda_cl < 0:
-            raise ConfigError(f"lambda_cl must be >= 0, got {self.lambda_cl}")
+        if not (math.isfinite(self.lambda_cl) and self.lambda_cl >= 0):
+            raise ConfigError(f"lambda_cl must be finite and >= 0, got {self.lambda_cl}")
         thresholds = (("u_schedule.initial", self.u_schedule[0]),
                       ("u_schedule.after_first_epoch", self.u_schedule[1]))
         for name, value in (("l", self.l),) + thresholds:
@@ -54,8 +56,8 @@ class ExperimentConfig:
             raise ConfigError("epochs and pretrain_epochs must be >= 0")
         for name, value in (("lr_pretrain", self.lr_pretrain), ("lr_ae", self.lr_ae),
                             ("lr_other", self.lr_other)):
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.inner_se_steps < 1:
             raise ConfigError(f"inner_se_steps must be >= 1, got {self.inner_se_steps}")
         if self.classifier_steps < 1:

@@ -7,6 +7,7 @@ conspicuous in review.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,10 +55,11 @@ class SyntheticSpec:
         if self.n_per < self.d + 1:
             raise ValueError(
                 f"infeasible spec: n_per >= d+1 required, got n_per={self.n_per} < {self.d + 1}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.concentration < 0:
-            raise ValueError(f"concentration must be >= 0, got {self.concentration}")
+        # isfinite rejects the NaN and +-inf that a bare range check lets through
+        for name, value in (("noise_sigma", self.noise_sigma),
+                            ("concentration", self.concentration)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(
                 f"unknown nonlinearity {self.nonlinearity!r}, choose from {NONLINEARITIES}")

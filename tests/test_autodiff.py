@@ -26,6 +26,22 @@ class TestForwardSemantics:
         out = ad.relu(ad.constant(np.array([-1.0, 0.0, 2.0])))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc", "sliced"])
+    def test_relu_bits_match_where(self, layout):
+        # the integer-mask forward gives np.where's bits: +0.0 for -0.0, NaN and -inf
+        a = Xorshift64Star(5).normals((3, 8, 5, 4))
+        a.reshape(-1)[:8] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+        x = {"nchw": a, "nhwc": a.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2),
+             "sliced": a[:, ::2, :, ::-1]}[layout]
+        out = ad.relu(ad.parameter(x))
+        assert_same_array(out.values, np.where(x > 0.0, x, 0.0))
+        assert out.values.strides == np.empty_like(x).strides  # the input's layout
+        assert not np.signbit(out.values[x <= 0.0]).any() and not np.isnan(out.values).any()
+        g = Xorshift64Star(6).normals(x.shape)
+        g.reshape(-1)[:2] = -0.0
+        (dx,) = out._backward_fn(g)
+        assert_same_array(dx, g * (x > 0.0))
+
     def test_softmax_rows_sum_to_one_and_positive(self):
         rng = Xorshift64Star(3)
         x = ad.constant(rng.normals((5, 7)) * 10)
@@ -368,11 +384,40 @@ class TestConvBitIdentity:
         mat = self.signed_zeros(rng, (n * out_hw[0] * out_hw[1], c * kernel * kernel))
         mat[: out_hw[0] * out_hw[1]] = -0.0  # the first image's taps are all -0.0
         cols = mat.reshape(n, *out_hw, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-        actual = ad._col2im(mat, c, in_hw, kernel, stride, pads, out_hw)
+        taps = mat.reshape(n, out_hw[0] * out_hw[1], c * kernel * kernel).transpose(0, 2, 1)
+        actual = ad._col2im(taps, in_hw, kernel, stride, pads, out_hw)
         assert_same_array(actual, reference_col2im(cols, in_hw, kernel, stride, pads, out_hw))
         assert not np.signbit(actual[0]).any()
 
-    @settings(max_examples=40, deadline=None)
+    # (kernel, stride, padding, in_hw, n, ci, co) with one output pixel or ci*k*k == 1:
+    # numpy sends those per-image tap products to gemv, so they take the row-GEMM fallback
+    DEGENERATE = (
+        (1, 1, "same", (1, 1), 2, 1, 2),  # both at once; the case the fuzz found
+        (1, 1, "valid", (1, 1), 1, 1, 1),
+        (3, 2, "valid", (3, 3), 3, 2, 3),  # one output pixel, ci*k*k = 18
+        (3, 2, "same", (2, 2), 2, 1, 2),
+        (2, 1, "valid", (2, 2), 1, 3, 2),
+        (1, 1, "same", (5, 6), 2, 1, 3),  # ci*k*k = 1, many pixels
+        (1, 2, "valid", (5, 6), 3, 1, 2),
+        (1, 3, "same", (4, 4), 1, 1, 4),
+    )
+
+    @pytest.mark.parametrize("case", range(len(DEGENERATE)))
+    def test_degenerate_gemm_shapes(self, case):
+        kernel, stride, padding, in_hw, n, ci, co = self.DEGENERATE[case]
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in in_hw)
+        assert out_hw == (1, 1) or ci * kernel * kernel == 1
+        rng = Xorshift64Star(200 + case)
+        wk = rng.normals((co, ci, kernel, kernel))
+        check_conv_against_reference(False, rng.normals((n, ci) + in_hw), wk, rng.normals((co,)),
+                                     stride, padding, out_hw)
+        check_conv_against_reference(True, rng.normals((n, co) + out_hw), wk, rng.normals((ci,)),
+                                     stride, padding, in_hw)
+
+    # the ci profile widens this fuzz: tap-order bit identity rests on numpy's
+    # BLAS dispatch for each shape
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 40,
+              deadline=None)
     @given(kernel=st.integers(1, 5), stride=st.integers(1, 4),
            padding=st.sampled_from(["same", "valid"]), h=st.integers(1, 12), w=st.integers(1, 12),
            n=st.integers(1, 3), ci=st.integers(1, 3), co=st.integers(1, 3),
@@ -403,6 +448,29 @@ class TestConvBitIdentity:
                 check_conv_against_reference(False, rng.normals((n, 2, 9, 8)), w,
                                              rng.normals((3,)), 2, "same", (5, 4))
             assert ad._patch_index.cache_info().currsize == 1
+
+    def test_im2col_and_tap_scatter_share_one_memo_entry(self):
+        # conv forward gathers, its input gradient and the transpose's forward
+        # scatter, all through the one entry of this geometry, at every batch size
+        rng = Xorshift64Star(91)
+        w = rng.normals((3, 2, 3, 3))
+        ad._patch_index.cache_clear()
+        for n in (1, 2, 7):
+            x = rng.normals((n, 2, 9, 8))
+            out = ad.conv2d(ad.parameter(x), ad.constant(w), stride=2, padding="same")
+            g = rng.normals(out.shape)
+            ref_out, ref_bwd = reference_conv2d(x, w, None, 2, ad._pads((9, 8), 3, 2, "same"),
+                                                (5, 4))
+            assert_same_array(out.values, ref_out)
+            assert_same_array(out._backward_fn(g)[0], ref_bwd(g)[0])
+            xt = rng.normals((n, 3, 5, 4))
+            back = ad.conv2d_transpose(ad.constant(xt), ad.constant(w), stride=2, padding="same",
+                                       output_hw=(9, 8))
+            ref_back, _ = reference_conv2d_transpose(xt, w, None, 2,
+                                                     ad._pads((9, 8), 3, 2, "same"), (9, 8))
+            assert_same_array(back.values, ref_back)
+            info = ad._patch_index.cache_info()
+            assert (info.currsize, info.misses) == (1, 1)
 
     def test_grad_check_stride_3_valid(self):
         # 8x7 input at stride 3, valid: the last two rows and the last column are never read

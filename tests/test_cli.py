@@ -166,6 +166,25 @@ class TestInputValidation:
             assert flag in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda-cl", "--lr-pretrain", "--lr-ae",
+                                      "--lr-other"])
+    def test_non_finite_override_exits_1_and_writes_nothing(self, tmp_path, capsys, flag):
+        _, _, args = write_inputs(tmp_path)
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "train.csv"
+        for value in ("nan", "inf"):
+            assert cli.main(["train", *args, "--checkpoint", str(ckpt), "--train-log", str(log),
+                             flag, value]) == 1, value
+            assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_non_finite_noise_exits_1_and_writes_nothing(self, tmp_path, capsys, value):
+        prefix = tmp_path / "toy"
+        assert cli.main(["synth", "--k", "2", "--d", "2", "--D", "12", "--n-per", "20",
+                         "--noise-sigma", value, "--out", str(prefix)]) == 1
+        assert "noise_sigma" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCommandPaths:
     def test_eval_pred_true_prints_the_metrics_line(self, tmp_path, capsys):

@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lambda1"):
             ExperimentConfig(network=small_network(), lambda1=0.0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["lambda1", "lambda_cl", "lr_pretrain", "lr_ae", "lr_other"])
+    def test_rejects_non_finite_number_in_config_text(self, key, value):
+        text = config_to_text(ExperimentConfig(network=small_network()))
+        text = text.replace(f"\n{key} = ", f"\n{key} = {value}  # was ")
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(text)
+
     def test_allows_zero_lambda_cl(self):
         cfg = ExperimentConfig(network=small_network(), lambda_cl=0.0)
         assert cfg.lambda_cl == 0.0

@@ -30,6 +30,13 @@ class TestSyntheticSpecValidation:
             SyntheticSpec(k=2, d=2, D=10, n_per=5, noise_sigma=-1.0)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["noise_sigma", "concentration"])
+    def test_rejects_non_finite_scale(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(k=2, d=2, D=10, n_per=5, **{field: value})
+
+
 class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):
         spec = SyntheticSpec(k=3, d=2, D=12, n_per=10, noise_sigma=0.1,

@@ -14,16 +14,15 @@ from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx
 from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
                      subspace_loss, total_loss)
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
-from .network import ConfigError, LayerSpec, Network, NetworkConfig, SelfExpressiveLayer
+from .network import ConfigError, LayerSpec, Network, NetworkConfig
 from .optim import Adam, AdamState
-from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate, fit, predict
+from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate, predict
 
 __all__ = [
-    "Adam", "AdamState", "CollaborativeTrainer", "ConfigError",
-    "Dataset", "ExperimentConfig", "LayerSpec", "LossBreakdown", "Network",
-    "NetworkConfig", "SelfExpressiveLayer", "SyntheticSpec",
+    "Adam", "AdamState", "CollaborativeTrainer", "ConfigError", "Dataset", "ExperimentConfig",
+    "LayerSpec", "LossBreakdown", "Network", "NetworkConfig", "SyntheticSpec",
     "TrainingDivergedError", "accuracy", "ari", "autodiff",
-    "class_affinity", "collaboration_rate", "config_to_text", "evaluate", "fit",
+    "class_affinity", "collaboration_rate", "config_to_text", "evaluate",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
     "load_idx", "negative_loss", "nmi", "parse_config_file", "parse_config_text",
     "positive_loss", "predict", "save_checkpoint", "subspace_affinity", "subspace_loss",

@@ -1,9 +1,12 @@
 """Flat binary parameter checkpoints.
 
-Layout: 4-byte magic ``NCSC``, version u32 little-endian, then one record
-per parameter: name length (u64 LE), name utf-8 bytes, rank (u64 LE), dims
-(rank x u64 LE), raw float64 values little-endian. Records run to EOF;
-parameters are written sorted by name so files are canonical.
+Layout: 4-byte magic ``NCSC``, version u32 little-endian, record count u64
+LE, then one record per parameter: name length (u64 LE), name utf-8 bytes,
+rank (u64 LE), dims (rank x u64 LE), raw float64 values little-endian.
+Parameters are written sorted by name so files are canonical. The count
+lets the reader refuse a file cut short at a record boundary, or one with
+bytes after its last record. Version 1 files, which had no count, are
+refused.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import struct
 import numpy as np
 
 MAGIC = b"NCSC"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -25,7 +28,7 @@ def save_checkpoint(path, params: dict) -> None:
     """``params`` maps name -> Tensor or ndarray."""
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<IQ", VERSION, len(params)))
         for name in sorted(params):
             arr = params[name]
             values = np.asarray(getattr(arr, "values", arr), dtype=np.float64)
@@ -47,7 +50,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: truncated header at offset {len(data)}")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version} at offset 4")
+        raise CheckpointError(f"{path}: unsupported version {version} at offset 4, "
+                              f"expected {VERSION}")
     params: dict[str, np.ndarray] = {}
     off = 8
 
@@ -55,22 +59,26 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if off + nbytes > len(data):
             raise CheckpointError(f"{path}: truncated {what} at offset {off}")
 
-    while off < len(data):
-        need(8, "name length")
-        (name_len,) = struct.unpack_from("<Q", data, off)
-        off += 8
+    def read_u64s(count, what):
+        nonlocal off
+        need(8 * count, what)
+        values = struct.unpack_from(f"<{count}Q", data, off)
+        off += 8 * count
+        return values
+
+    (records,) = read_u64s(1, "record count")
+    for _ in range(records):
+        (name_len,) = read_u64s(1, "name length")
         need(name_len, "name")
         try:
             name = data[off:off + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: name is not utf-8 at offset {off}") from None
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate name {name!r} at offset {off}")
         off += name_len
-        need(8, "rank")
-        (rank,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        need(8 * rank, "dims")
-        dims = struct.unpack_from(f"<{rank}Q", data, off) if rank else ()
-        off += 8 * rank
+        (rank,) = read_u64s(1, "rank")
+        dims = read_u64s(rank, "dims")
         count = 1
         for d in dims:
             count *= d
@@ -78,4 +86,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         values = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(dims)
         off += 8 * count
         params[name] = np.array(values, dtype=np.float64)
+    if off != len(data):
+        raise CheckpointError(f"{path}: {len(data) - off} bytes after the last of "
+                              f"{records} records at offset {off}")
     return params

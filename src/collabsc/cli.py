@@ -17,7 +17,7 @@ import numpy as np
 
 from .affinity import affinity_to_csv, affinity_to_pgm, class_affinity, subspace_affinity
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, parse_config_file
+from .config import ExperimentConfig, complete_u_schedule, parse_config_file
 from .data import (Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv, load_idx,
                    save_dataset_csv)
 from .gradcheck import run_gradient_checks
@@ -122,9 +122,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.soft_mask is not None:
         changes["soft_mask"] = args.soft_mask == "true"
     if args.u_initial is not None or args.u_after is not None:
-        initial = config.u_schedule[0] if args.u_initial is None else args.u_initial
-        after = max(initial, config.u_schedule[1]) if args.u_after is None else args.u_after
-        changes["u_schedule"] = (initial, after)
+        changes["u_schedule"] = complete_u_schedule(config.u_schedule, args.u_initial,
+                                                    args.u_after)
     return dataclasses.replace(config, **changes)
 
 
@@ -234,11 +233,11 @@ def _cmd_export_affinity(args) -> int:
     if not 0 <= args.batch < len(trainer.batches):
         raise CliValidationError(
             f"--batch {args.batch} out of range; the partition has {len(trainer.batches)} batches")
-    if args.batch not in trainer.coeff_layers:
+    if args.batch not in trainer.coeffs:
         raise CliValidationError(
             f"checkpoint has no coefficients for batch {args.batch} "
             f"(selfexpr.batch_{args.batch}.C); export needs a checkpoint written by `train`")
-    subspace = subspace_affinity(trainer.coeff_layers[args.batch].coeffs.values)
+    subspace = subspace_affinity(trainer.coeffs[args.batch].values)
     x = trainer.dataset.features[trainer.batches[args.batch]]
     predictions = trainer.network.predictions(x).values
     class_aff = class_affinity(predictions)

@@ -66,6 +66,15 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+def complete_u_schedule(base: tuple[float, float], initial: float | None = None,
+                        after: float | None = None) -> tuple[float, float]:
+    """``base`` with the given sides of the u schedule replaced. An unset
+    side keeps its base value, except that an unset ``after`` never falls
+    below ``initial``."""
+    initial = base[0] if initial is None else initial
+    return initial, max(initial, base[1]) if after is None else after
+
+
 _LAYER_FIELDS = ("kind", "channels_or_units", "kernel_size", "stride", "activation", "padding")
 _BOOL_KEYS = ("soft_mask", "warm_start_classifier")
 _INT_KEYS = ("batch_size", "epochs", "pretrain_epochs", "inner_se_steps",
@@ -177,9 +186,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         **net_kwargs,
     )
 
-    if u_sched:
-        initial = u_sched.get("initial", ExperimentConfig.u_schedule[0])
-        kwargs["u_schedule"] = (initial, u_sched.get("after_first_epoch", initial))
+    kwargs["u_schedule"] = complete_u_schedule(
+        ExperimentConfig.u_schedule, u_sched.get("initial"), u_sched.get("after_first_epoch"))
     return ExperimentConfig(network=network, **kwargs)
 
 

@@ -1,4 +1,4 @@
-"""Network assembly: encoder, self-expressive layer, decoder, classifier.
+"""Network assembly: encoder, decoder, classifier.
 
 Layer specs become plans against a concrete input shape: each plan names a
 layer and records its per-sample input and output shapes. The decoder is
@@ -8,6 +8,9 @@ layer stays dense) and only its last layer is linear. One runner drives
 every stack. Batches are rows everywhere. There is deliberately no batch
 normalization anywhere: normalizing activations across the batch would
 corrupt the subspace structure the latent space is supposed to carry.
+
+The self-expressive step between encoder and decoder has no layer here: its
+only weights, each batch's coefficient matrix, belong to the trainer.
 """
 
 from __future__ import annotations
@@ -115,35 +118,6 @@ def _plans(prefix: str, specs, in_shape: tuple) -> list[_LayerPlan]:
         plans.append(_LayerPlan(spec, f"{prefix}.{i}", cur, out))
         cur = out
     return plans
-
-
-class SelfExpressiveLayer:
-    """Linear, bias-free, activation-free mixing of batch rows.
-
-    The weights are a square coefficient matrix with a zero diagonal,
-    re-projected after every optimizer step. Output row i is the
-    coeffs[j, i]-weighted combination of latent rows j.
-    """
-
-    def __init__(self, batch_n: int):
-        if batch_n < 2:
-            raise ConfigError(f"self-expressive layer needs a batch of >= 2, got {batch_n}")
-        self.coeffs = ad.parameter(np.zeros((batch_n, batch_n)))
-
-    @property
-    def batch_n(self) -> int:
-        return self.coeffs.shape[0]
-
-    def project_diagonal(self) -> None:
-        np.fill_diagonal(self.coeffs.values, 0.0)
-
-    def apply(self, latent: ad.Tensor) -> ad.Tensor:
-        if latent.shape[0] != self.batch_n:
-            raise ad.ShapeError(
-                f"latent batch {latent.shape[0]} != coefficient side {self.batch_n}")
-        if np.count_nonzero(np.diag(self.coeffs.values)):
-            raise ValueError("coefficient diagonal is not zero; run the projection first")
-        return ad.matmul(ad.transpose(self.coeffs), latent)
 
 
 class Network:

@@ -11,14 +11,16 @@ Per batch, one training round is:
   stage 3 - one joint step on the full objective over all parameters, the
             autoencoder group at its own smaller learning rate.
 
-The batch partition is shuffled once from the seed and then fixed; each
-batch keeps its own coefficient matrix (and optimizer moments) across
-epochs, the only state keyed by batch identity.
+The batch partition is shuffled once from the seed and then fixed. Each
+batch keeps its own coefficient matrix C, a plain n x n parameter of the
+trainer that mixes the batch's latent rows Z as C^T Z, with its optimizer
+moments across epochs: the only state keyed by batch identity.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .data import Dataset
 from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
                      positive_teacher, positive_term, subspace_loss, total_loss)
 from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
-from .network import Network, SelfExpressiveLayer
+from .network import Network
 from .optim import Adam
 from .rng import Xorshift64Star, mix_seed
 
@@ -53,15 +55,14 @@ PRETRAIN_DIVERGENCE_FACTOR = 1e8
 class TrainingDivergedError(RuntimeError):
     """Training diverged; the model holds the last good snapshot.
 
-    ``pretrain`` raises it when a batch's reconstruction loss is non-finite,
+    ``pretrain`` raises it when a batch's reconstruction loss is non-finite
     or its per-point value exceeds ``PRETRAIN_DIVERGENCE_FACTOR`` times the
-    first batch's; the network then holds its parameters from the end of
-    the last completed epoch (or from before pretraining). ``train_batch``
-    raises it when a stage's predictions or loss are non-finite before its
-    step, the coefficients are non-finite after stage 1, or a parameter is
-    non-finite after the joint step; the network, the batch's coefficient
-    matrix and the three optimizers it steps then hold their values from the
-    start of that call.
+    first batch's; ``train_batch`` when a stage's loss or predictions are
+    non-finite before its step, or C or a parameter after it. Both raise it,
+    chained, for a ``ValueError`` from a check on a value computed in
+    training. The network (for ``train_batch`` also the batch's C and the
+    three optimizers it steps) then holds its values from the start of the
+    failed pretraining epoch or ``train_batch`` call.
     """
 
 
@@ -130,8 +131,9 @@ def evaluate(network: Network, dataset: Dataset, epoch: int, batch_size: int) ->
 
 
 class CollaborativeTrainer:
-    """Holds one training run: the network, its optimizers, the per-batch
-    coefficient state and the run's logs.
+    """Holds one training run: the network, its optimizers, each batch's
+    coefficient matrix ``coeffs[i]`` with its optimizer ``coeff_adams[i]``
+    (both created on the batch's first visit), and the run's logs.
 
     ``fit`` appends one ``LossBreakdown`` per batch step to ``train_log``,
     one ``MetricsRow`` per evaluation to ``metrics_history`` and, unless it
@@ -145,7 +147,7 @@ class CollaborativeTrainer:
         self.network = Network(config.network, dataset.feature_shape, seed=config.seed)
         self.batches = make_batches(len(dataset), config.batch_size,
                                     Xorshift64Star(mix_seed(config.seed, 2)))
-        self.coeff_layers: dict[int, SelfExpressiveLayer] = {}
+        self.coeffs: dict[int, ad.Tensor] = {}
         self.coeff_adams: dict[int, Adam] = {}
         self.ae_adam = Adam(self.network.autoencoder_params(), lr=config.lr_ae)
         self.cls_adam = Adam(self.network.classifier_params(), lr=config.lr_other)
@@ -156,19 +158,21 @@ class CollaborativeTrainer:
 
     # ------------------------------------------------------------------
 
-    def _coeff_layer(self, batch_index: int) -> SelfExpressiveLayer:
-        if batch_index not in self.coeff_layers:
-            layer = SelfExpressiveLayer(int(self.batches[batch_index].size))
-            self.coeff_layers[batch_index] = layer
-            self.coeff_adams[batch_index] = Adam({"coeffs": layer.coeffs},
+    def _batch_coeffs(self, batch_index: int) -> ad.Tensor:
+        """Batch ``batch_index``'s coefficient matrix; a zero one, with its
+        optimizer, on the batch's first visit."""
+        if batch_index not in self.coeffs:
+            side = int(self.batches[batch_index].size)
+            self.coeffs[batch_index] = ad.parameter(np.zeros((side, side)))
+            self.coeff_adams[batch_index] = Adam({"coeffs": self.coeffs[batch_index]},
                                                  lr=self.config.lr_other)
-        return self.coeff_layers[batch_index]
+        return self.coeffs[batch_index]
 
     def checkpoint_params(self) -> dict[str, np.ndarray]:
         """The network parameters plus a copy of every ``selfexpr.batch_<i>.C``."""
         params = self.network.snapshot()
-        for i, layer in self.coeff_layers.items():
-            params[f"selfexpr.batch_{i}.C"] = layer.coeffs.values.copy()
+        for i, coeffs in self.coeffs.items():
+            params[f"selfexpr.batch_{i}.C"] = coeffs.values.copy()
         return params
 
     def load_checkpoint_params(self, params: dict[str, np.ndarray]) -> None:
@@ -194,13 +198,40 @@ class CollaborativeTrainer:
         self.network.load_values(
             {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
         for i, values in coeffs.items():
-            self._coeff_layer(i).coeffs.values = values.copy()
+            self._batch_coeffs(i).values = values.copy()
+
+    @contextmanager
+    def _restoring(self, what: str, batch_index: int | None = None):
+        """Restore what the block can change if it raises
+        ``TrainingDivergedError`` or a ``ValueError`` (re-raised as the former,
+        naming ``what``): the network, plus batch ``batch_index``'s C and the
+        three optimizers its round steps; never every batch's C."""
+        network = self.network.snapshot()
+        coeffs, adams = [], []
+        if batch_index is not None:
+            coeffs = [self._batch_coeffs(batch_index)]
+            adams = [self.ae_adam, self.cls_adam, self.coeff_adams[batch_index]]
+        coeff_values = [c.values.copy() for c in coeffs]
+        adam_states = [adam.state_copy() for adam in adams]
+        try:
+            yield
+        except (TrainingDivergedError, ValueError) as exc:
+            self.network.load_values(network)
+            for c, values in zip(coeffs, coeff_values):
+                c.values = values
+            for adam, state in zip(adams, adam_states):
+                adam.state = state
+            if isinstance(exc, TrainingDivergedError):
+                raise
+            raise TrainingDivergedError(
+                f"{what} failed a value check: {exc}; the model holds its state "
+                f"from before {what}") from exc
 
     def _zero_grads(self) -> None:
         for p in self.network.params.values():
             p.grad = None
-        for layer in self.coeff_layers.values():
-            layer.coeffs.grad = None
+        for coeffs in self.coeffs.values():
+            coeffs.grad = None
 
     def _check_finite(self, what: str, t: ad.Tensor) -> None:
         if not np.isfinite(t.values).all():
@@ -215,53 +246,47 @@ class CollaborativeTrainer:
         for adam in adams:
             adam.step()
 
-    def _subspace_pass(self, x: ad.Tensor, layer: SelfExpressiveLayer):
-        """Encode, self-express, decode: the latent, then ``subspace_loss``'s
-        total and its three terms."""
+    def _subspace_pass(self, x: ad.Tensor, coeffs: ad.Tensor):
+        """Encode, self-express (latent rows mixed as C^T Z), decode: the
+        latent, then ``subspace_loss``'s total and its three terms."""
         latent = self.network.encode(x)
-        recon = self.network.decode(layer.apply(latent))
-        return (latent, *subspace_loss(latent, layer.coeffs, x, recon, self.config.lambda1))
+        recon = self.network.decode(ad.matmul(ad.transpose(coeffs), latent))
+        return (latent, *subspace_loss(latent, coeffs, x, recon, self.config.lambda1))
 
     # ------------------------------------------------------------------
 
     def pretrain(self) -> list[float]:
         """Reconstruction-only pretraining with the coefficients bypassed.
 
-        Returns the mean batch loss of each epoch. A batch diverges when its
-        loss is non-finite, or its per-point loss (loss over the batch's row
-        count) exceeds ``PRETRAIN_DIVERGENCE_FACTOR`` times the first
-        batch's; the network is then reset to its parameters at the end of
-        the last completed epoch (or at the start) and
-        ``TrainingDivergedError`` is raised.
+        Returns the mean batch loss of each epoch; a diverged epoch is undone
+        (see ``TrainingDivergedError``).
         """
         cfg = self.config
         adam = Adam(self.network.autoencoder_params(), lr=cfg.lr_pretrain)
         history: list[float] = []
-        snapshot = self.network.snapshot()
         initial = None  # the first batch's per-point loss, before any step
         for epoch in range(1, cfg.pretrain_epochs + 1):
             epoch_loss = 0.0
-            for batch, chunk in enumerate(self.batches, start=1):
-                x = ad.constant(self.dataset.features[chunk])
-                recon = self.network.decode(self.network.encode(x))
-                loss = ad.scale(ad.frobenius_sq(ad.subtract(x, recon)), 0.5)
-                value = loss.item()
-                per_point = value / chunk.size
-                if initial is None:
-                    initial = per_point
-                if not (np.isfinite(per_point)
-                        and per_point <= PRETRAIN_DIVERGENCE_FACTOR * initial):
-                    self.network.load_values(snapshot)
-                    raise TrainingDivergedError(
-                        f"pretraining reconstruction loss diverged (non-finite, or over "
-                        f"{PRETRAIN_DIVERGENCE_FACTOR:.0e} times the initial per-point "
-                        f"loss {initial:.3g}): {per_point:.3g} per point at epoch {epoch}, "
-                        f"batch {batch}; the model holds its parameters from before "
-                        f"epoch {epoch}")
-                self._descend("pretraining reconstruction loss", loss, adam)
-                epoch_loss += value
+            with self._restoring(f"pretraining epoch {epoch}"):
+                for batch, chunk in enumerate(self.batches, start=1):
+                    x = ad.constant(self.dataset.features[chunk])
+                    recon = self.network.decode(self.network.encode(x))
+                    loss = ad.scale(ad.frobenius_sq(ad.subtract(x, recon)), 0.5)
+                    value = loss.item()
+                    per_point = value / chunk.size
+                    if initial is None:
+                        initial = per_point
+                    if not (np.isfinite(per_point)
+                            and per_point <= PRETRAIN_DIVERGENCE_FACTOR * initial):
+                        raise TrainingDivergedError(
+                            f"pretraining reconstruction loss diverged (non-finite, or over "
+                            f"{PRETRAIN_DIVERGENCE_FACTOR:.0e} times the initial per-point "
+                            f"loss {initial:.3g}): {per_point:.3g} per point at epoch "
+                            f"{epoch}, batch {batch}; the model holds its parameters from "
+                            f"before epoch {epoch}")
+                    self._descend("pretraining reconstruction loss", loss, adam)
+                    epoch_loss += value
             history.append(epoch_loss / len(self.batches))
-            snapshot = self.network.snapshot()
         return history
 
     # ------------------------------------------------------------------
@@ -298,42 +323,24 @@ class CollaborativeTrainer:
         self.network.params["classifier.out.b"].values = gain * b
 
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
-        """One three-stage round on one batch (see the module docstring).
+        """One three-stage round on one batch (see the module docstring); a
+        diverged round is undone (see ``TrainingDivergedError``)."""
+        with self._restoring(f"batch {batch_index} at step {self.step}", batch_index):
+            return self._train_batch_stages(batch_index, u)
 
-        Each stage's loss (and the predictions of stages 2 and 3) is checked
-        before its step, the coefficients after stage 1, and every parameter
-        after the joint step. On a non-finite value the network, this batch's
-        coefficient matrix and the optimizers (step counts and moments) are
-        reset to their values at the start of the call and
-        ``TrainingDivergedError`` is raised.
-        """
-        layer = self._coeff_layer(batch_index)
-        params_before = self.network.snapshot()
-        coeffs_before = layer.coeffs.values.copy()
-        adams = (self.ae_adam, self.cls_adam, self.coeff_adams[batch_index])
-        adam_states = [adam.state_copy() for adam in adams]
-        try:
-            return self._train_batch_stages(batch_index, layer, u)
-        except TrainingDivergedError:
-            self.network.load_values(params_before)
-            layer.coeffs.values = coeffs_before
-            for adam, state in zip(adams, adam_states):
-                adam.state = state
-            raise
-
-    def _train_batch_stages(self, batch_index: int, layer: SelfExpressiveLayer,
-                            u: float) -> LossBreakdown:
+    def _train_batch_stages(self, batch_index: int, u: float) -> LossBreakdown:
         cfg = self.config
         x = ad.constant(self.dataset.features[self.batches[batch_index]])
+        coeffs = self.coeffs[batch_index]
         coeff_adam = self.coeff_adams[batch_index]
 
         # stage 1: subspace objective over autoencoder + coefficients
         for _ in range(cfg.inner_se_steps):
-            l_sub_t = self._subspace_pass(x, layer)[1]
+            l_sub_t = self._subspace_pass(x, coeffs)[1]
             self._descend("stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
-            layer.project_diagonal()
-        self._check_finite("stage-1 coefficients", layer.coeffs)
-        subspace_aff = subspace_affinity(layer.coeffs.values)
+            np.fill_diagonal(coeffs.values, 0.0)
+        self._check_finite("stage-1 coefficients", coeffs)
+        subspace_aff = subspace_affinity(coeffs.values)
 
         # stage 2: classifier-only steps on the positive term (the negative term
         # would add a constant); C stays put, so stage 3 reuses the teacher
@@ -348,21 +355,21 @@ class CollaborativeTrainer:
             self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
-        latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, layer)
+        latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
         nu = self.network.classify(latent)
         self._check_finite("stage-3 predictions", nu)
         l_pos_t, count_pos, clamped_pos = positive_loss(teacher, ad.matmul(nu, ad.transpose(nu)))
         l_neg_t, count_neg, clamped_neg = negative_loss(
-            class_affinity(nu.values), subspace_affinity_tensor(layer.coeffs), cfg.l,
+            class_affinity(nu.values), subspace_affinity_tensor(coeffs), cfg.l,
             soft_mask=cfg.soft_mask)
         alpha = collaboration_rate(count_pos, count_neg)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._descend("stage-3 joint loss", total_t, self.ae_adam, self.cls_adam, coeff_adam)
-        layer.project_diagonal()
+        np.fill_diagonal(coeffs.values, 0.0)
         for name, p in self.network.params.items():
             self._check_finite(f"stage-3 parameter {name}", p)
-        self._check_finite(f"stage-3 parameter selfexpr.batch_{batch_index}.C", layer.coeffs)
+        self._check_finite(f"stage-3 parameter selfexpr.batch_{batch_index}.C", coeffs)
 
         return LossBreakdown(
             coeff_norm_sq=coeff_norm_t.item(),
@@ -384,10 +391,14 @@ class CollaborativeTrainer:
     # ------------------------------------------------------------------
 
     def fit(self, skip_pretrain: bool = False) -> CollaborativeTrainer:
+        """Pretrain unless ``skip_pretrain``, then train ``config.epochs``
+        epochs, evaluating after each (once, as epoch 0, if there are none).
+        The head is warm-started only while no batch has a C: a ``train``
+        checkpoint's head was warm-started and trained already."""
         cfg = self.config
         if not skip_pretrain:
             self.pretrain_log += self.pretrain()
-        if cfg.warm_start_classifier and cfg.epochs > 0:
+        if cfg.warm_start_classifier and cfg.epochs > 0 and not self.coeffs:
             self.warm_start_classifier()
         for epoch in range(1, cfg.epochs + 1):
             u = cfg.u_schedule[0] if epoch == 1 else cfg.u_schedule[1]
@@ -399,16 +410,6 @@ class CollaborativeTrainer:
         if cfg.epochs == 0:
             self.metrics_history.append(evaluate(self.network, self.dataset, 0, cfg.batch_size))
         return self
-
-
-def fit(config: ExperimentConfig, dataset: Dataset,
-        init_params: dict[str, np.ndarray] | None = None) -> CollaborativeTrainer:
-    """Pretrain (unless initial parameters are given) and run the main loop."""
-    trainer = CollaborativeTrainer(config, dataset)
-    if init_params is None:
-        return trainer.fit()
-    trainer.load_checkpoint_params(init_params)
-    return trainer.fit(skip_pretrain=True)
 
 
 # ---------------------------------------------------------------------------

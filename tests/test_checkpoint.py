@@ -30,12 +30,14 @@ def test_header_layout(tmp_path):
     save_checkpoint(path, {"w": np.array([1.0, 2.0])})
     blob = path.read_bytes()
     assert blob[:4] == b"NCSC"
-    assert struct.unpack_from("<I", blob, 4)[0] == 1
-    assert struct.unpack_from("<Q", blob, 8)[0] == 1  # name length
-    assert blob[16:17] == b"w"
-    assert struct.unpack_from("<Q", blob, 17)[0] == 1  # rank
-    assert struct.unpack_from("<Q", blob, 25)[0] == 2  # dim
-    assert struct.unpack_from("<2d", blob, 33) == (1.0, 2.0)
+    assert struct.unpack_from("<I", blob, 4)[0] == 2  # version
+    assert struct.unpack_from("<Q", blob, 8)[0] == 1  # record count
+    assert struct.unpack_from("<Q", blob, 16)[0] == 1  # name length
+    assert blob[24:25] == b"w"
+    assert struct.unpack_from("<Q", blob, 25)[0] == 1  # rank
+    assert struct.unpack_from("<Q", blob, 33)[0] == 2  # dim
+    assert struct.unpack_from("<2d", blob, 41) == (1.0, 2.0)
+    assert len(blob) == 57
 
 
 def test_canonical_ordering_is_byte_stable(tmp_path):
@@ -68,11 +70,49 @@ def test_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_1_is_refused(tmp_path):
+    # version 1 had no record count: its records ran to the end of the file
+    path = tmp_path / "v1.ckpt"
+    record = struct.pack("<Q", 1) + b"w" + struct.pack("<QQ", 1, 1) + struct.pack("<d", 1.0)
+    path.write_bytes(b"NCSC" + struct.pack("<I", 1) + record)
+    with pytest.raises(CheckpointError, match="unsupported version 1 at offset 4, expected 2"):
+        load_checkpoint(path)
+
+
+def test_every_cut_of_a_file_is_refused(tmp_path):
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(full, {"w": np.ones((2, 2)), "x": np.asarray(3.0)})
+    blob = full.read_bytes()
+    assert set(load_checkpoint(full)) == {"w", "x"}
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+
+
+def test_bytes_after_the_last_record_are_refused(tmp_path):
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(path, {"w": np.ones(2)})
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="8 bytes after the last of 1 records"):
+        load_checkpoint(path)
+
+
+def test_duplicate_name_is_refused(tmp_path):
+    # two records that would load as one parameter
+    path = tmp_path / "dup.ckpt"
+    record = struct.pack("<Q", 1) + b"w" + struct.pack("<QQ", 1, 1) + struct.pack("<d", 1.0)
+    path.write_bytes(b"NCSC" + struct.pack("<IQ", 2, 2) + record + record)
+    with pytest.raises(CheckpointError, match="duplicate name 'w' at offset 57"):
+        load_checkpoint(path)
+
+
 def test_non_utf8_name_reports_offset(tmp_path):
     path = tmp_path / "name.ckpt"
     save_checkpoint(path, {"w": np.ones(2)})
     blob = bytearray(path.read_bytes())
-    blob[16] = 0xFF  # first byte of the name
+    blob[24] = 0xFF  # first byte of the name
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="utf-8 at offset 16"):
+    with pytest.raises(CheckpointError, match="utf-8 at offset 24"):
         load_checkpoint(path)

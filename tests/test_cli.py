@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collabsc.trainer as trainer_module
 from collabsc import cli
 from collabsc.affinity import subspace_affinity
 from collabsc.checkpoint import load_checkpoint, save_checkpoint
@@ -35,6 +36,20 @@ def train_checkpoint(tmp_path):
     ckpt = tmp_path / "trained.ckpt"
     assert cli.main(["train", *args, "--checkpoint", str(ckpt)]) == 0
     return args, ckpt
+
+
+def assert_holds_state_before_first_round(ckpt, config, dataset):
+    """``ckpt`` holds the pretrained, warm-started network and batch 0's C
+    at its zero start (batches of 10 points)."""
+    trainer = CollaborativeTrainer(config, dataset)
+    trainer.pretrain()
+    trainer.warm_start_classifier()
+    expected = trainer.network.snapshot()
+    expected["selfexpr.batch_0.C"] = np.zeros((10, 10))
+    params = load_checkpoint(ckpt)
+    assert params.keys() == expected.keys()
+    for name, values in params.items():
+        np.testing.assert_array_equal(values, expected[name], err_msg=name)
 
 
 class TestPretrain:
@@ -80,15 +95,23 @@ class TestTrainDivergence:
                          "--inner-se-steps", "1", "--lr-other", "1e308"])
         assert code == 2
         assert "stage-1 coefficients went non-finite at step 1" in capsys.readouterr().err
-        trainer = CollaborativeTrainer(config, dataset)
-        trainer.pretrain()
-        trainer.warm_start_classifier()
-        expected = trainer.network.snapshot()
-        expected["selfexpr.batch_0.C"] = np.zeros((10, 10))
-        params = load_checkpoint(ckpt)
-        assert params.keys() == expected.keys()
-        for name, values in params.items():
-            np.testing.assert_array_equal(values, expected[name], err_msg=name)
+        assert_holds_state_before_first_round(ckpt, config, dataset)
+
+
+    def test_failed_value_check_exits_2_with_restored_checkpoint(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # a range check that fails inside the first batch round is divergence,
+        # not bad input: the round is undone and its checkpoint saved
+        config, dataset, args = write_inputs(tmp_path, batch_size=10)
+
+        def failing_negative_loss(*args, **kwargs):
+            raise ValueError("class affinity entries must lie in [0, 1]")
+
+        monkeypatch.setattr(trainer_module, "negative_loss", failing_negative_loss)
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", *args, "--checkpoint", str(ckpt)]) == 2
+        assert "batch 0 at step 1 failed a value check" in capsys.readouterr().err
+        assert_holds_state_before_first_round(ckpt, config, dataset)
 
 
 class TestTrainedCheckpoint:

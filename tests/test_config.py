@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from collabsc import cli
 from collabsc.config import ExperimentConfig, config_to_text, parse_config_text
 from collabsc.network import ConfigError, LayerSpec, NetworkConfig
 
@@ -108,6 +109,24 @@ class TestParse:
     @given(experiment_configs())
     def test_any_valid_config_round_trips(self, cfg):
         assert parse_config_text(config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("initial, after, expected", [
+        (0.5, None, (0.5, 0.9)), (0.95, None, (0.95, 0.95)), (None, 0.8, (0.7, 0.8)),
+        (0.5, 0.6, (0.5, 0.6))])
+    def test_partial_u_schedule_completes_as_the_cli_flags_do(self, initial, after, expected):
+        # an unset side keeps the default; an unset after never falls below initial
+        base = "".join(line + "\n" for line in SAMPLE.splitlines()
+                       if not line.startswith("u_schedule."))
+        text, flags = base, []
+        for key, flag, value in (("initial", "--u-initial", initial),
+                                 ("after_first_epoch", "--u-after", after)):
+            if value is not None:
+                text += f"u_schedule.{key} = {value}\n"
+                flags += [flag, str(value)]
+        args = cli._build_parser().parse_args(
+            ["train", "--config", "c.txt", "--checkpoint", "c.ckpt", *flags])
+        assert parse_config_text(text).u_schedule == expected
+        assert cli._apply_overrides(parse_config_text(base), args).u_schedule == expected
 
     def test_dense_kernel_size_refused(self):
         text = SAMPLE.replace("network.encoder.0.kind = dense\n",

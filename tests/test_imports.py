@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every exported name exists."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,9 @@ def test_future_imports_and_all_count_as_used():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_imports_are_all_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    import collabsc
+
+    assert [name for name in collabsc.__all__ if not hasattr(collabsc, name)] == []

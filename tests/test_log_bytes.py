@@ -25,7 +25,7 @@ import pytest
 from collabsc.config import ExperimentConfig
 from collabsc.data import Dataset, SyntheticSpec, generate_synthetic
 from collabsc.network import LayerSpec, NetworkConfig
-from collabsc.trainer import fit, train_log_csv
+from collabsc.trainer import CollaborativeTrainer, train_log_csv
 
 
 def conv_case():
@@ -83,7 +83,7 @@ TRAIN_LOG_SHA256 = {
 @pytest.mark.parametrize("case", sorted(TRAIN_LOG_SHA256))
 def test_train_log_bytes_are_unchanged(case):
     config, dataset = CASES[case]()
-    result = fit(config, dataset)
+    result = CollaborativeTrainer(config, dataset).fit()
     assert len(result.train_log) == 2 * config.epochs  # two batches per epoch
     assert all(np.isfinite(b.total) for b in result.train_log)
     if case.startswith("collab"):

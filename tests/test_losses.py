@@ -253,6 +253,20 @@ class TestSubspaceLoss:
         assert self_expr.item() == 0.0
         assert recon.item() == 0.0
 
+    def test_row_convention_hand_case(self):
+        # batches are rows, so row i is expressed as sum_j C[j, i] z_j (C^T Z);
+        # C Z would give rows (4, 0) and (0.5, 0)
+        z = np.array([[1.0, 0.0], [2.0, 0.0]])
+        c = np.array([[0.0, 2.0], [0.5, 0.0]])
+        _, _, self_expr, _ = subspace_loss(*self._tensors(z, c, z, z), 10.0)
+        assert self_expr.item() == 0.0
+
+    def test_mutual_expression_of_duplicates(self):
+        z = np.array([[2.0, 5.0], [2.0, 5.0]])
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        _, _, self_expr, _ = subspace_loss(*self._tensors(z, c, z, z), 10.0)
+        assert self_expr.item() == 0.0
+
     def test_zero_coeffs_leave_latent_energy(self):
         z = np.array([[1.0, 2.0], [3.0, 4.0]])
         x = np.zeros((2, 2))

@@ -1,12 +1,11 @@
-"""Network assembly: shape closure, classifier output law, coefficient layer."""
+"""Network assembly: shape closure, classifier output law, decoder mirror."""
 
 import numpy as np
 import pytest
 
 import collabsc.autodiff as ad
 from collabsc.checkpoint import CheckpointError
-from collabsc.network import (ConfigError, LayerSpec, Network, NetworkConfig,
-                              SelfExpressiveLayer)
+from collabsc.network import ConfigError, LayerSpec, Network, NetworkConfig
 from collabsc.rng import Xorshift64Star
 
 
@@ -55,8 +54,7 @@ class TestForward:
         x = Xorshift64Star(1).normals((5, 8))
         z = net.encode(x)
         assert z.shape == (5, 20)
-        layer = SelfExpressiveLayer(5)
-        recon = net.decode(layer.apply(z))
+        recon = net.decode(z)
         assert recon.shape == (5, 8)
 
     def test_end_to_end_shape_closure_conv(self):
@@ -147,42 +145,6 @@ class TestForwardOnly:
         for name, p in net.params.items():
             assert not frozen[name].requires_grad
             assert frozen[name].values is p.values
-
-
-class TestSelfExpressiveLayer:
-    def test_zero_coefficients_zero_output(self):
-        layer = SelfExpressiveLayer(4)
-        z = ad.constant(np.ones((4, 3)))
-        np.testing.assert_array_equal(layer.apply(z).values, np.zeros((4, 3)))
-
-    def test_mutual_expression_of_duplicates(self):
-        layer = SelfExpressiveLayer(2)
-        layer.coeffs.values[:] = [[0.0, 1.0], [1.0, 0.0]]
-        z = ad.constant(np.array([[2.0, 5.0], [2.0, 5.0]]))
-        np.testing.assert_allclose(layer.apply(z).values, z.values)
-
-    def test_row_convention_hand_case(self):
-        layer = SelfExpressiveLayer(2)
-        layer.coeffs.values[:] = [[0.0, 2.0], [0.5, 0.0]]
-        z = ad.constant(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        np.testing.assert_allclose(layer.apply(z).values, [[1.0, 0.0], [2.0, 0.0]])
-
-    def test_rejects_unprojected_diagonal(self):
-        layer = SelfExpressiveLayer(3)
-        layer.coeffs.values[:] = np.eye(3)
-        with pytest.raises(ValueError, match="diagonal"):
-            layer.apply(ad.constant(np.ones((3, 2))))
-
-    def test_projection_zeroes_diagonal(self):
-        layer = SelfExpressiveLayer(3)
-        layer.coeffs.values[:] = np.ones((3, 3))
-        layer.project_diagonal()
-        assert (np.diag(layer.coeffs.values) == 0.0).all()
-        assert layer.coeffs.values[0, 1] == 1.0
-
-    def test_batch_below_two_rejected(self):
-        with pytest.raises(ConfigError, match=">= 2"):
-            SelfExpressiveLayer(1)
 
 
 class TestDecoderMirror:

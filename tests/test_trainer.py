@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import collabsc.autodiff as ad
+import collabsc.trainer as trainer_module
 from collabsc.config import ExperimentConfig
 from collabsc.data import SyntheticSpec, generate_synthetic
-from collabsc.losses import subspace_loss
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.rng import Xorshift64Star
-from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_chunks, fit,
+from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_chunks,
                               make_batches, metrics_csv, predict, train_log_csv)
 
 
@@ -43,6 +43,10 @@ class TestBatching:
         a = make_batches(30, 7, Xorshift64Star(5))
         b = make_batches(30, 7, Xorshift64Star(5))
         assert all((x == y).all() for x, y in zip(a, b))
+
+    def test_batch_below_two_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            make_batches(1, 10, Xorshift64Star(1))
 
     def test_eval_chunks_sequential(self):
         chunks = eval_chunks(25, 10)
@@ -91,6 +95,29 @@ class TestPretrain:
         for name, p in trainer.network.params.items():
             np.testing.assert_array_equal(p.values, before[name])
 
+    def test_failed_value_check_restores_epoch_start(self):
+        # the first decode of epoch 2's second batch fails a value check
+        config = tiny_config(pretrain_epochs=2, batch_size=10)
+        trainer = CollaborativeTrainer(config, tiny_dataset())
+        decode, calls = trainer.network.decode, []
+
+        def failing_decode(latent):
+            calls.append(None)
+            if len(calls) == len(trainer.batches) + 2:
+                raise ad.AutodiffError("log: NaN input")
+            return decode(latent)
+
+        trainer.network.decode = failing_decode
+        with pytest.raises(TrainingDivergedError,
+                           match="pretraining epoch 2 failed a value check: log") as info:
+            trainer.pretrain()
+        assert isinstance(info.value.__cause__, ad.AutodiffError)
+        reference = CollaborativeTrainer(tiny_config(pretrain_epochs=1, batch_size=10),
+                                         tiny_dataset())
+        reference.pretrain()
+        for name, p in trainer.network.params.items():
+            np.testing.assert_array_equal(p.values, reference.network.params[name].values)
+
     def test_recovering_high_learning_rate_is_not_divergence(self):
         # lr 1.0 overshoots to about 8e5 times the initial per-point loss,
         # then recovers; that stays below the divergence factor
@@ -116,8 +143,8 @@ class TestTrainBatchDivergence:
         """Parameters, coefficients, and every optimizer's step count and
         moments, all copied (so in-place moment updates would show)."""
         values = trainer.network.snapshot()
-        for i, layer in trainer.coeff_layers.items():
-            values[f"C{i}"] = layer.coeffs.values.copy()
+        for i, coeffs in trainer.coeffs.items():
+            values[f"C{i}"] = coeffs.values.copy()
         adams = {"ae": trainer.ae_adam, "cls": trainer.cls_adam}
         adams.update({f"C{i}": adam for i, adam in trainer.coeff_adams.items()})
         for group, adam in adams.items():
@@ -166,6 +193,21 @@ class TestTrainBatchDivergence:
             trainer.train_batch(0, u=0.7)
         self.assert_state_equals(trainer, before)
 
+    def test_failed_value_check_restores_batch_start(self, monkeypatch):
+        # stages 1 and 2 have stepped every optimizer when stage 3's check fails
+        trainer = self.trainer_after_one_good_round()
+
+        def failing_negative_loss(*args, **kwargs):
+            raise ValueError("class affinity entries must lie in [0, 1]")
+
+        monkeypatch.setattr(trainer_module, "negative_loss", failing_negative_loss)
+        before = self.state(trainer)
+        with pytest.raises(TrainingDivergedError,
+                           match="batch 1 at step 0 failed a value check: class") as info:
+            trainer.train_batch(1, u=0.7)
+        assert isinstance(info.value.__cause__, ValueError)
+        self.assert_state_equals(trainer, before)
+
     def test_non_finite_joint_step_restores_batch_start(self):
         trainer = self.trainer_after_one_good_round()
         classifier_step = trainer.cls_adam.step
@@ -204,7 +246,7 @@ class TestTrainBatch:
         trainer = CollaborativeTrainer(tiny_config(), dataset)
         trainer.pretrain()
         trainer.train_batch(0, u=0.7)
-        coeffs = trainer.coeff_layers[0].coeffs.values
+        coeffs = trainer.coeffs[0].values
         assert (np.diag(coeffs) == 0.0).all()
         assert float(np.abs(coeffs).max()) > 0  # something was learned
 
@@ -214,14 +256,10 @@ class TestTrainBatch:
         trainer = CollaborativeTrainer(tiny_config(lambda_cl=0.0), dataset)
         trainer.pretrain()
         trainer.train_batch(0, u=0.7)
-        layer = trainer.coeff_layers[0]
         x = ad.constant(dataset.features[trainer.batches[0]])
 
         def joint_grads():
-            latent = trainer.network.encode(x)
-            mixed = layer.apply(latent)
-            recon = trainer.network.decode(mixed)
-            l_sub, *_ = subspace_loss(latent, layer.coeffs, x, recon, trainer.config.lambda1)
+            l_sub = trainer._subspace_pass(x, trainer.coeffs[0])[1]
             total = ad.scale(l_sub, 1.0)  # lambda_cl = 0 adds nothing
             trainer._zero_grads()
             ad.backward(total)
@@ -239,51 +277,52 @@ class TestTrainBatch:
 
 class TestFit:
     def test_epochs_zero_returns_pretrained_model_with_one_evaluation(self):
-        result = fit(tiny_config(epochs=0), tiny_dataset())
+        result = CollaborativeTrainer(tiny_config(epochs=0), tiny_dataset()).fit()
         assert len(result.metrics_history) == 1
         assert result.train_log == []
 
     def test_fixed_seed_reproduces_metrics_history(self):
-        a = fit(tiny_config(), tiny_dataset())
-        b = fit(tiny_config(), tiny_dataset())
+        a = CollaborativeTrainer(tiny_config(), tiny_dataset()).fit()
+        b = CollaborativeTrainer(tiny_config(), tiny_dataset()).fit()
         assert metrics_csv(a) == metrics_csv(b)
         assert train_log_csv(a) == train_log_csv(b)
 
     def test_different_seed_changes_run(self):
-        a = fit(tiny_config(), tiny_dataset())
-        b = fit(tiny_config(seed=1), tiny_dataset())
+        a = CollaborativeTrainer(tiny_config(), tiny_dataset()).fit()
+        b = CollaborativeTrainer(tiny_config(seed=1), tiny_dataset()).fit()
         assert train_log_csv(a) != train_log_csv(b)
 
     def test_all_losses_finite_and_logged_per_step(self):
-        result = fit(tiny_config(epochs=3), tiny_dataset())
+        result = CollaborativeTrainer(tiny_config(epochs=3), tiny_dataset()).fit()
         assert len(result.train_log) == 3 * len(result.batches)
         for row in result.train_log:
             assert np.isfinite(row.total)
             assert row.l_pos >= 0 and row.l_neg >= 0
 
     def test_coeff_matrices_persist_per_batch(self):
-        result = fit(tiny_config(epochs=2, batch_size=10), tiny_dataset())
-        assert set(result.coeff_layers) == set(range(len(result.batches)))
-        for i, layer in result.coeff_layers.items():
-            assert layer.coeffs.shape == (len(result.batches[i]),) * 2
+        result = CollaborativeTrainer(tiny_config(epochs=2, batch_size=10), tiny_dataset()).fit()
+        assert set(result.coeffs) == set(range(len(result.batches)))
+        for i, coeffs in result.coeffs.items():
+            assert coeffs.shape == (len(result.batches[i]),) * 2
 
     def test_checkpoint_params_include_coefficients(self):
-        result = fit(tiny_config(epochs=1, batch_size=10), tiny_dataset())
+        result = CollaborativeTrainer(tiny_config(epochs=1, batch_size=10), tiny_dataset()).fit()
         params = result.checkpoint_params()
         assert "selfexpr.batch_0.C" in params
         assert "encoder.0.W" in params
 
     def test_init_params_skip_pretraining(self):
-        base = fit(tiny_config(epochs=0), tiny_dataset())
-        snap = base.network.snapshot()
-        warm = fit(tiny_config(epochs=1), tiny_dataset(), init_params=snap)
+        base = CollaborativeTrainer(tiny_config(epochs=0), tiny_dataset()).fit()
+        warm = CollaborativeTrainer(tiny_config(epochs=1), tiny_dataset())
+        warm.load_checkpoint_params(base.checkpoint_params())
+        warm.fit(skip_pretrain=True)
         assert warm.pretrain_log == []
 
 
 class TestPredict:
     def test_labels_in_range_and_deterministic(self):
         dataset = tiny_dataset()
-        result = fit(tiny_config(), dataset)
+        result = CollaborativeTrainer(tiny_config(), dataset).fit()
         labels = predict(result.network, dataset.features)
         assert labels.shape == (len(dataset),)
         assert set(labels.tolist()) <= {0, 1}
@@ -292,32 +331,32 @@ class TestPredict:
 
     def test_duplicated_rows_get_identical_labels(self):
         dataset = tiny_dataset()
-        result = fit(tiny_config(), dataset)
+        result = CollaborativeTrainer(tiny_config(), dataset).fit()
         x = np.repeat(dataset.features[:3], 2, axis=0)
         labels = predict(result.network, x)
         assert labels[0] == labels[1] and labels[2] == labels[3] and labels[4] == labels[5]
 
     def test_inference_never_touches_decoder_or_coefficients(self):
         dataset = tiny_dataset()
-        result = fit(tiny_config(), dataset)
+        result = CollaborativeTrainer(tiny_config(), dataset).fit()
         network = result.network
 
         def boom(*args, **kwargs):
             raise AssertionError("inference touched a training-only component")
 
         network.decode = boom
-        for layer in result.coeff_layers.values():
-            layer.apply = boom
-        # decoder parameter values must also be irrelevant
+        # decoder parameter and coefficient values must also be irrelevant
         for name, p in network.params.items():
             if name.startswith("decoder."):
                 p.values = np.full(p.shape, np.nan)
+        for coeffs in result.coeffs.values():
+            coeffs.values = np.full(coeffs.shape, np.nan)
         labels = predict(network, dataset.features)
         assert np.isfinite(labels).all()
 
     def test_predict_matches_epoch_end_evaluation(self):
         dataset = tiny_dataset()
-        result = fit(tiny_config(epochs=1), dataset)
+        result = CollaborativeTrainer(tiny_config(epochs=1), dataset).fit()
         labels = predict(result.network, dataset.features)
         sizes = np.bincount(labels, minlength=2)
         assert tuple(sizes) == result.metrics_history[-1].sizes
@@ -341,10 +380,37 @@ class TestSchedulesAndSwitches:
         assert set(seen[:per_epoch]) == {0.5}
         assert set(seen[per_epoch:]) == {0.9}
 
+    def test_fit_warm_starts_a_pretrained_head(self):
+        pretrained = CollaborativeTrainer(tiny_config(), tiny_dataset())
+        pretrained.pretrain()
+        trainer = CollaborativeTrainer(tiny_config(epochs=1), tiny_dataset())
+        trainer.load_checkpoint_params(pretrained.checkpoint_params())
+        calls = []
+        trainer.warm_start_classifier = lambda: calls.append(None)
+        trainer.fit(skip_pretrain=True)
+        assert calls == [None]
+
+    def test_fit_keeps_a_trained_head(self):
+        config = tiny_config(epochs=1, batch_size=10)
+        trained = CollaborativeTrainer(config, tiny_dataset()).fit()
+        trainer = CollaborativeTrainer(config, tiny_dataset())
+        trainer.load_checkpoint_params(trained.checkpoint_params())
+        heads = []
+        original = trainer.train_batch
+
+        def spy(batch_index, u):
+            heads.append(trainer.network.params["classifier.out.W"].values.copy())
+            return original(batch_index, u)
+
+        trainer.train_batch = spy
+        trainer.fit(skip_pretrain=True)
+        np.testing.assert_array_equal(heads[0],
+                                      trained.network.params["classifier.out.W"].values)
+
     def test_warm_start_can_be_disabled(self):
         dataset = tiny_dataset()
-        a = fit(tiny_config(epochs=1, warm_start_classifier=False), dataset)
-        b = fit(tiny_config(epochs=1), dataset)
+        a = CollaborativeTrainer(tiny_config(epochs=1, warm_start_classifier=False), dataset).fit()
+        b = CollaborativeTrainer(tiny_config(epochs=1), dataset).fit()
         wa = a.network.params["classifier.out.W"].values
         wb = b.network.params["classifier.out.W"].values
         assert not np.array_equal(wa, wb)

@@ -89,10 +89,12 @@ def subspace_affinity(coeffs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 KMEANS_MAX_ITER = 300
+KMEANS_RESTARTS = 10
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
-    """Seeded multi-restart k-means with k-means++ initialization."""
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded k-means with k-means++ initialization; the lowest-inertia
+    result of KMEANS_RESTARTS restarts."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if k < 1 or k > n:
@@ -100,7 +102,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> np.
     rng = Xorshift64Star(seed)
     sq_norms = (x * x).sum(axis=1)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(x, k, rng, sq_norms)
         labels = None
         for _ in range(KMEANS_MAX_ITER):

@@ -17,9 +17,10 @@ import numpy as np
 
 from .affinity import affinity_to_csv, affinity_to_pgm, class_affinity, subspace_affinity
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, complete_u_schedule, parse_config_file
-from .data import (Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv, load_idx,
-                   save_dataset_csv)
+from .config import (ExperimentConfig, complete_u_schedule, parse_config_file, parse_value,
+                     scalar_fields)
+from .data import (NONLINEARITIES, Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv,
+                   load_idx, save_dataset_csv)
 from .gradcheck import run_gradient_checks
 from .trainer import (CollaborativeTrainer, TrainingDivergedError, evaluate, format_metrics_row,
                       metrics_csv, metrics_header, metrics_row, pretrain_log_csv, train_log_csv)
@@ -44,8 +45,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--n-per", type=int, required=True)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--nonlinearity", default="none",
-                   choices=("none", "tanh-warp", "square-warp"))
+    p.add_argument("--nonlinearity", default="none", choices=NONLINEARITIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="prefix for _features.csv and _labels.csv")
 
@@ -95,35 +95,25 @@ def _add_data_flags(p):
                    help="comma-separated per-sample shape for CSV data, e.g. 1,28,28")
 
 
-_OVERRIDES = (
-    ("--lambda1", "lambda1", float), ("--lambda-cl", "lambda_cl", float),
-    ("--l", "l", float), ("--batch-size", "batch_size", int),
-    ("--epochs", "epochs", int), ("--pretrain-epochs", "pretrain_epochs", int),
-    ("--lr-pretrain", "lr_pretrain", float), ("--lr-ae", "lr_ae", float),
-    ("--lr-other", "lr_other", float), ("--inner-se-steps", "inner_se_steps", int),
-    ("--classifier-steps", "classifier_steps", int), ("--seed", "seed", int),
-)
+# the ExperimentConfig fields that a flag --<name> (with - for _) overrides
+_OVERRIDES = ("lambda1", "lambda_cl", "l", "batch_size", "epochs", "pretrain_epochs",
+              "lr_pretrain", "lr_ae", "lr_other", "inner_se_steps", "classifier_steps", "seed",
+              "soft_mask")
 
 
 def _add_override_flags(p):
-    for flag, _, cast in _OVERRIDES:
-        p.add_argument(flag, type=cast, default=None)
-    p.add_argument("--u-initial", type=float, default=None)
-    p.add_argument("--u-after", type=float, default=None)
-    p.add_argument("--soft-mask", choices=("true", "false"), default=None)
+    for name in _OVERRIDES + ("u_initial", "u_after"):  # one side each of u_schedule
+        p.add_argument("--" + name.replace("_", "-"))
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    for flag, key, _ in _OVERRIDES:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None:
-            changes[key] = value
-    if args.soft_mask is not None:
-        changes["soft_mask"] = args.soft_mask == "true"
-    if args.u_initial is not None or args.u_after is not None:
-        changes["u_schedule"] = complete_u_schedule(config.u_schedule, args.u_initial,
-                                                    args.u_after)
+    types = scalar_fields(ExperimentConfig)
+    changes = {name: parse_value(name, getattr(args, name), types[name])
+               for name in _OVERRIDES if getattr(args, name) is not None}
+    u_sides = [None if raw is None else parse_value(name, raw, float)
+               for name, raw in (("u_initial", args.u_initial), ("u_after", args.u_after))]
+    if u_sides != [None, None]:
+        changes["u_schedule"] = complete_u_schedule(config.u_schedule, *u_sides)
     return dataclasses.replace(config, **changes)
 
 

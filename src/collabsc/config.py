@@ -1,14 +1,20 @@
-"""Experiment configuration: validated dataclass plus flat key-value files.
+"""Experiment configuration: validated dataclasses plus flat key-value files.
 
 The file format is one ``key = value`` per line, ``#`` comments, with dotted
-keys for nesting (``network.encoder.0.kind = conv``). Keys are exactly the
-config field names, so files round-trip through ``config_to_text``.
+keys for nesting (``network.encoder.0.kind = conv``). The dataclasses are the
+schema: a key is a field's dotted path, its value is read by the field's
+declared type (bool, int, float or str), and ``config_to_text`` writes every
+field of every record, so a file is a full dump whose meaning never depends
+on the reader's defaults. ``u_schedule`` is the one field spelled as two keys,
+``u_schedule.initial`` and ``u_schedule.after_first_epoch``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
+from typing import get_type_hints
 
 from .network import ConfigError, LayerSpec, NetworkConfig
 
@@ -75,50 +81,61 @@ def complete_u_schedule(base: tuple[float, float], initial: float | None = None,
     return initial, max(initial, base[1]) if after is None else after
 
 
-_LAYER_FIELDS = ("kind", "channels_or_units", "kernel_size", "stride", "activation", "padding")
-_BOOL_KEYS = ("soft_mask", "warm_start_classifier")
-_INT_KEYS = ("batch_size", "epochs", "pretrain_epochs", "inner_se_steps",
-             "classifier_steps", "seed")
-_FLOAT_KEYS = ("lambda1", "lambda_cl", "l", "lr_pretrain", "lr_ae", "lr_other")
+_TRUE = ("true", "True", "1", "yes")
+_FALSE = ("false", "False", "0", "no")
+_U_SIDES = ("initial", "after_first_epoch")
 
 
-def _parse_bool(key, raw):
-    if raw in ("true", "True", "1", "yes"):
-        return True
-    if raw in ("false", "False", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def parse_value(key: str, raw: str, kind: type):
+    """``raw`` read as ``kind`` (bool, int, float or str); a ConfigError
+    naming ``key`` if it does not read as one."""
+    if kind is bool:
+        if raw in _TRUE or raw in _FALSE:
+            return raw in _TRUE
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _parse_layers(prefix: str, entries: dict) -> tuple[LayerSpec, ...]:
-    by_index: dict[int, dict] = {}
-    for key, raw in entries.items():
-        parts = key.split(".")
-        if len(parts) != 2 or not parts[0].isdigit() or parts[1] not in _LAYER_FIELDS:
-            raise ConfigError(f"unknown config key {prefix}.{key}")
-        by_index.setdefault(int(parts[0]), {})[parts[1]] = raw
+@cache  # get_type_hints evaluates each annotation string anew on every call
+def scalar_fields(cls) -> dict[str, type]:
+    """The bool, int, float and str fields of dataclass ``cls``, name to type."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if hints[f.name] in (bool, int, float, str)}
+
+
+def _take_fields(cls, prefix: str, entries: dict[str, str]) -> dict:
+    """Pop ``prefix + name`` from ``entries`` for each scalar field of
+    ``cls`` that is there, parsed by the field's type."""
+    return {name: parse_value(prefix + name, entries.pop(prefix + name), kind)
+            for name, kind in scalar_fields(cls).items() if prefix + name in entries}
+
+
+def _take_layers(prefix: str, entries: dict[str, str]) -> list[dict]:
+    """Pop the layer fields ``prefix.<i>.<name>``, i counting up from 0 in
+    canonical form (``1``, not ``01``); any other index stays behind as an
+    unknown key."""
+    indices = {key[len(prefix) + 1:].split(".")[0] for key in entries
+               if key.startswith(prefix + ".")}
     layers = []
-    for i in range(len(by_index)):
-        if i not in by_index:
-            raise ConfigError(f"{prefix}: layer indices must be contiguous, missing {prefix}.{i}")
-        fields = by_index[i]
-        if "kind" not in fields:
-            raise ConfigError(f"{prefix}.{i}.kind is required")
-        kwargs = {"kind": fields["kind"]}
-        for name in ("channels_or_units", "kernel_size", "stride"):
-            if name in fields:
-                try:
-                    kwargs[name] = int(fields[name])
-                except ValueError:
-                    raise ConfigError(f"{prefix}.{i}.{name}: expected an integer, "
-                                      f"got {fields[name]!r}") from None
-        for name in ("activation", "padding"):
-            if name in fields:
-                kwargs[name] = fields[name]
-        if "channels_or_units" not in kwargs:
-            raise ConfigError(f"{prefix}.{i}.channels_or_units is required")
-        layers.append(LayerSpec(**kwargs))
-    return tuple(layers)
+    while str(len(layers)) in indices:
+        layers.append(_take_fields(LayerSpec, f"{prefix}.{len(layers)}.", entries))
+    if any(i.isdecimal() and str(int(i)) == i and int(i) > len(layers) for i in indices):
+        raise ConfigError(f"{prefix}: layer indices must be contiguous, "
+                          f"missing {prefix}.{len(layers)}")
+    return layers
+
+
+def _build(cls, prefix: str, values: dict):
+    """``cls(**values)``, or a ConfigError naming a missing required field."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"{prefix}{f.name} is required")
+    return cls(**values)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -135,60 +152,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key}")
         entries[key] = raw
 
-    network_entries: dict[str, str] = {}
-    kwargs: dict = {}
-    u_sched: dict[str, float] = {}
-    for key, raw in entries.items():
-        if key.startswith("network."):
-            network_entries[key[len("network."):]] = raw
-        elif key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(key, raw)
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        elif key in ("u_schedule.initial", "u_schedule.after_first_epoch"):
-            try:
-                u_sched[key.split(".", 1)[1]] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        else:
-            raise ConfigError(f"unknown config key {key}")
+    network = _take_fields(NetworkConfig, "network.", entries)
+    stacks = {name: _take_layers(f"network.{name}", entries)
+              for name in ("encoder", "classifier_head")}
+    top = _take_fields(ExperimentConfig, "", entries)
+    u_sides = [parse_value(f"u_schedule.{side}", entries.pop(f"u_schedule.{side}"), float)
+               if f"u_schedule.{side}" in entries else None for side in _U_SIDES]
+    if entries:
+        raise ConfigError(f"unknown config key {next(iter(entries))}")
 
-    encoder_entries = {k[len("encoder."):]: v for k, v in network_entries.items()
-                       if k.startswith("encoder.")}
-    head_entries = {k[len("classifier_head."):]: v for k, v in network_entries.items()
-                    if k.startswith("classifier_head.")}
-    scalar_net = {k: v for k, v in network_entries.items()
-                  if not (k.startswith("encoder.") or k.startswith("classifier_head."))}
-    net_kwargs: dict = {}
-    for key, raw in scalar_net.items():
-        if key in ("num_clusters", "intrinsic_dim_guess"):
-            try:
-                net_kwargs[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"network.{key}: expected an integer, got {raw!r}") from None
-        else:
-            raise ConfigError(f"unknown config key network.{key}")
-    if "num_clusters" not in net_kwargs:
-        raise ConfigError("network.num_clusters is required")
-    if not encoder_entries:
-        raise ConfigError("network.encoder.0.* is required")
-    network = NetworkConfig(
-        encoder=_parse_layers("network.encoder", encoder_entries),
-        classifier_head=_parse_layers("network.classifier_head", head_entries),
-        **net_kwargs,
-    )
-
-    kwargs["u_schedule"] = complete_u_schedule(
-        ExperimentConfig.u_schedule, u_sched.get("initial"), u_sched.get("after_first_epoch"))
-    return ExperimentConfig(network=network, **kwargs)
+    for name, layers in stacks.items():
+        network[name] = tuple(_build(LayerSpec, f"network.{name}.{i}.", layer)
+                              for i, layer in enumerate(layers))
+    top["network"] = _build(NetworkConfig, "network.", network)
+    top["u_schedule"] = complete_u_schedule(ExperimentConfig.u_schedule, *u_sides)
+    return ExperimentConfig(**top)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -196,30 +174,23 @@ def parse_config_file(path) -> ExperimentConfig:
         return parse_config_text(f.read())
 
 
-def _layer_lines(prefix: str, layers) -> list[str]:
+def _record_lines(record, prefix: str = "") -> list[str]:
+    """One ``key = value`` line for every field of dataclass ``record``,
+    nested records and layer stacks included."""
     lines = []
-    for i, layer in enumerate(layers):
-        lines.append(f"{prefix}.{i}.kind = {layer.kind}")
-        lines.append(f"{prefix}.{i}.channels_or_units = {layer.channels_or_units}")
-        if layer.kind != "dense":
-            lines.append(f"{prefix}.{i}.kernel_size = {layer.kernel_size}")
-            lines.append(f"{prefix}.{i}.stride = {layer.stride}")
-            lines.append(f"{prefix}.{i}.padding = {layer.padding}")
-        lines.append(f"{prefix}.{i}.activation = {layer.activation}")
+    for f in fields(record):
+        key, value = prefix + f.name, getattr(record, f.name)
+        if is_dataclass(value):
+            lines += _record_lines(value, f"{key}.")
+        elif key == "u_schedule":
+            lines += [f"{key}.{side} = {side_value}" for side, side_value in zip(_U_SIDES, value)]
+        elif isinstance(value, tuple):
+            for i, layer in enumerate(value):
+                lines += _record_lines(layer, f"{key}.{i}.")
+        else:
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
     return lines
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    lines = _layer_lines("network.encoder", config.network.encoder)
-    lines += _layer_lines("network.classifier_head", config.network.classifier_head)
-    lines.append(f"network.num_clusters = {config.network.num_clusters}")
-    lines.append(f"network.intrinsic_dim_guess = {config.network.intrinsic_dim_guess}")
-    for key in _FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    lines.append(f"u_schedule.initial = {config.u_schedule[0]!r}")
-    lines.append(f"u_schedule.after_first_epoch = {config.u_schedule[1]!r}")
-    for key in _INT_KEYS:
-        lines.append(f"{key} = {getattr(config, key)}")
-    for key in _BOOL_KEYS:
-        lines.append(f"{key} = {'true' if getattr(config, key) else 'false'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_record_lines(config)) + "\n"

@@ -77,6 +77,8 @@ class Dataset:
         if labels.shape != (features.shape[0],):
             raise ValueError(
                 f"labels length {labels.shape} does not match {features.shape[0]} points")
+        if any(int(s) < 1 for s in feature_shape):
+            raise ValueError(f"feature_shape {feature_shape} needs every dimension >= 1")
         if int(np.prod(feature_shape)) != features.shape[1]:
             raise ValueError(
                 f"feature_shape {feature_shape} does not flatten to {features.shape[1]}")

@@ -115,6 +115,8 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
 
 def run_gradient_checks(seed: int = 0, trials: int = 20) -> dict[str, float]:
     """Max relative finite-difference error per op kind over seeded trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results: dict[str, float] = {}
     for i, kind in enumerate(ad.OP_KINDS):
         worst = 0.0

@@ -260,8 +260,7 @@ def ridge_self_expression(latent: np.ndarray, lambda1: float,
     return coeffs
 
 
-def spectral_cluster(affinity_matrix: np.ndarray, k: int, seed: int = 0,
-                     restarts: int = 10) -> np.ndarray:
+def spectral_cluster(affinity_matrix: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Normalized-Laplacian spectral clustering.
 
     Embeds points by the k smallest eigenvectors of I - D^{-1/2} A D^{-1/2}
@@ -287,4 +286,4 @@ def spectral_cluster(affinity_matrix: np.ndarray, k: int, seed: int = 0,
     embedding = vecs[:, -k:]
     row_norms = np.sqrt((embedding * embedding).sum(axis=1, keepdims=True))
     embedding = np.where(row_norms > 1e-30, embedding / np.where(row_norms > 0, row_norms, 1.0), 0.0)
-    return kmeans(embedding, k, seed=seed, restarts=restarts)
+    return kmeans(embedding, k, seed=seed)

@@ -11,6 +11,7 @@ from collabsc.affinity import subspace_affinity
 from collabsc.checkpoint import load_checkpoint, save_checkpoint
 from collabsc.config import config_to_text
 from collabsc.data import load_dataset_csv
+from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
 
 from test_trainer import tiny_config
@@ -189,6 +190,23 @@ class TestInputValidation:
             assert flag in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_non_positive_feature_dimension_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        prefix = tmp_path / "toy"
+        assert cli.main(["synth", "--k", "2", "--d", "2", "--D", "64", "--n-per", "20",
+                         "--out", str(prefix)]) == 0
+        network = NetworkConfig(encoder=(LayerSpec("conv", 2, kernel_size=3, stride=2),),
+                                classifier_head=(), num_clusters=2, intrinsic_dim_guess=2)
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(config_to_text(tiny_config(network=network)))
+        args = ["pretrain", "--data", f"{prefix}_features.csv", "--labels",
+                f"{prefix}_labels.csv", "--config", str(config_path)]
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main([*args, "--feature-shape", "1,-8,-8", "--checkpoint", str(ckpt)]) == 1
+        assert "dimension >= 1" in capsys.readouterr().err
+        assert not ckpt.exists()
+        # the same data and config train under a valid shape
+        assert cli.main([*args, "--feature-shape", "1,8,8", "--checkpoint", str(ckpt)]) == 0
+
     @pytest.mark.parametrize("flag", ["--lambda1", "--lambda-cl", "--lr-pretrain", "--lr-ae",
                                       "--lr-other"])
     def test_non_finite_override_exits_1_and_writes_nothing(self, tmp_path, capsys, flag):
@@ -259,6 +277,14 @@ class TestCommandPaths:
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck", "--trials", "1"]) == 0
         assert "overall max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_without_trials_exits_1(self, capsys, trials):
+        # zero trials would check no op and report an error of 0
+        assert cli.main(["gradcheck", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_no_command_exits_1(self, capsys):
         assert cli.main([]) == 1

@@ -1,5 +1,8 @@
 """Experiment config validation and key-value file round-trips."""
 
+import argparse
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +40,84 @@ pretrain_epochs = 4
 seed = 11
 soft_mask = false
 """
+
+# config_to_text's output for a conv encoder and a dense head before the
+# writer was derived from the dataclasses; such files must keep their meaning
+OLD_WRITER_TEXT = """\
+network.encoder.0.kind = conv
+network.encoder.0.channels_or_units = 4
+network.encoder.0.kernel_size = 3
+network.encoder.0.stride = 2
+network.encoder.0.padding = same
+network.encoder.0.activation = relu
+network.encoder.1.kind = conv
+network.encoder.1.channels_or_units = 6
+network.encoder.1.kernel_size = 5
+network.encoder.1.stride = 1
+network.encoder.1.padding = valid
+network.encoder.1.activation = none
+network.classifier_head.0.kind = dense
+network.classifier_head.0.channels_or_units = 16
+network.classifier_head.0.activation = relu
+network.num_clusters = 3
+network.intrinsic_dim_guess = 2
+lambda1 = 10.0
+lambda_cl = 0.5
+l = 0.1
+lr_pretrain = 0.001
+lr_ae = 2e-05
+lr_other = 0.001
+u_schedule.initial = 0.75
+u_schedule.after_first_epoch = 0.8
+batch_size = 150
+epochs = 30
+pretrain_epochs = 60
+inner_se_steps = 20
+classifier_steps = 1
+seed = 7
+soft_mask = false
+warm_start_classifier = true
+"""
+
+# each override flag: a value, the field it sets and that field's value on SAMPLE
+FLAG_CASES = {
+    "--lambda1": ("20.5", "lambda1", 20.5),
+    "--lambda-cl": ("0", "lambda_cl", 0.0),
+    "--l": ("0.2", "l", 0.2),
+    "--batch-size": ("30", "batch_size", 30),
+    "--epochs": ("7", "epochs", 7),
+    "--pretrain-epochs": ("0", "pretrain_epochs", 0),
+    "--lr-pretrain": ("2e-3", "lr_pretrain", 2e-3),
+    "--lr-ae": ("3e-6", "lr_ae", 3e-6),
+    "--lr-other": ("0.5", "lr_other", 0.5),
+    "--inner-se-steps": ("4", "inner_se_steps", 4),
+    "--classifier-steps": ("2", "classifier_steps", 2),
+    "--seed": ("99", "seed", 99),
+    "--u-initial": ("0.75", "u_schedule", (0.75, 0.9)),
+    "--u-after": ("0.95", "u_schedule", (0.8, 0.95)),
+    "--soft-mask": ("true", "soft_mask", True),
+}
+
+# every flag of every subcommand
+OVERRIDE_FLAGS = set(FLAG_CASES)
+DATA_FLAGS = {"--data", "--labels", "--idx-images", "--idx-labels", "--feature-shape"}
+COMMAND_FLAGS = {
+    "synth": {"--k", "--d", "--D", "--n-per", "--noise-sigma", "--nonlinearity", "--seed",
+              "--out"},
+    "pretrain": OVERRIDE_FLAGS | DATA_FLAGS | {"--config", "--checkpoint", "--log"},
+    "train": OVERRIDE_FLAGS | DATA_FLAGS | {"--config", "--checkpoint", "--init-checkpoint",
+                                            "--train-log", "--metrics-log"},
+    "eval": OVERRIDE_FLAGS | DATA_FLAGS | {"--pred", "--true", "--checkpoint", "--config"},
+    "export-affinity": OVERRIDE_FLAGS | DATA_FLAGS | {"--config", "--checkpoint", "--batch",
+                                                      "--out"},
+    "gradcheck": {"--seed", "--trials"},
+}
+
+
+def train_args(*flags):
+    return cli._build_parser().parse_args(["train", "--config", "c.txt", "--checkpoint",
+                                           "c.ckpt", *flags])
+
 
 # keys of deleted knobs, each with a value the knob used to take
 REMOVED_KEYS = {"teacher_grad": "true", "u": "0.8", "alpha_mode": "fixed", "alpha_fixed": "0.5",
@@ -95,6 +176,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="lambda1"):
             parse_config_text(SAMPLE.replace("lambda1 = 10.0", "lambda1 = ten"))
 
+    @pytest.mark.parametrize("index", ["00", "01"])
+    def test_non_canonical_layer_index_is_unknown(self, index):
+        # "00" would otherwise overwrite layer 0's width without a duplicate-key error
+        key = f"network.encoder.{index}.channels_or_units"
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            parse_config_text(SAMPLE + f"{key} = 64\n")
+
     def test_missing_layer_index_rejected(self):
         broken = SAMPLE.replace("network.encoder.1.", "network.encoder.2.")
         with pytest.raises(ConfigError, match="contiguous"):
@@ -128,11 +216,51 @@ class TestParse:
         assert parse_config_text(text).u_schedule == expected
         assert cli._apply_overrides(parse_config_text(base), args).u_schedule == expected
 
+    def test_old_writer_text_keeps_its_meaning(self):
+        network = NetworkConfig(
+            encoder=(LayerSpec("conv", 4, kernel_size=3, stride=2),
+                     LayerSpec("conv", 6, kernel_size=5, padding="valid", activation="none")),
+            classifier_head=(LayerSpec("dense", 16),), num_clusters=3, intrinsic_dim_guess=2)
+        assert parse_config_text(OLD_WRITER_TEXT) == ExperimentConfig(
+            network=network, lambda_cl=0.5, u_schedule=(0.75, 0.8), seed=7, soft_mask=False,
+            lr_ae=2e-5)
+
     def test_dense_kernel_size_refused(self):
         text = SAMPLE.replace("network.encoder.0.kind = dense\n",
                               "network.encoder.0.kind = dense\nnetwork.encoder.0.kernel_size = 3\n")
         with pytest.raises(ConfigError, match="dense layer takes no kernel_size"):
             parse_config_text(text)
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize("flag", FLAG_CASES)
+    def test_each_flag_sets_its_field(self, flag):
+        raw, field, expected = FLAG_CASES[flag]
+        config = parse_config_text(SAMPLE)
+        assert getattr(config, field) != expected
+        overridden = cli._apply_overrides(config, train_args(flag, raw))
+        assert overridden == dataclasses.replace(config, **{field: expected})
+
+    @pytest.mark.parametrize("flag, raw, message", [
+        ("--lr-other", "abc", "lr_other: expected a number, got 'abc'"),
+        ("--batch-size", "1.5", "batch_size: expected an integer, got '1.5'"),
+        ("--soft-mask", "maybe", "soft_mask: expected a boolean, got 'maybe'"),
+        ("--u-after", "high", "u_after: expected a number, got 'high'")])
+    def test_flag_values_read_as_config_values(self, flag, raw, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            cli._apply_overrides(parse_config_text(SAMPLE), train_args(flag, raw))
+
+    def test_no_flag_changes_nothing(self):
+        config = parse_config_text(SAMPLE)
+        assert cli._apply_overrides(config, train_args()) == config
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_each_command_keeps_its_flags(self, command):
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {flag for action in sub.choices[command]._actions
+                 for flag in action.option_strings}
+        assert flags == COMMAND_FLAGS[command] | {"-h", "--help"}
 
 
 class TestValidation:

@@ -8,6 +8,11 @@ stage 2 dropped its negative term and stage 3 built its subspace affinity
 once. None may change with a later refactor of the numerics; a change that
 reorders a float sum shows up here first.
 
+The same four logs are committed under ``golden/``, and ``compare_logs``
+reports how far a fresh log is from one, value by value. A change that
+must move a log's bits can then state the deviation it measured and assert
+a tolerance instead of a pin.
+
 The collab cases run k = 3, three classifier steps per batch and two epochs
 (so the u schedule switches), with confident positive and negative pairs in
 every row, once with soft and once with hard masks.
@@ -18,6 +23,8 @@ produce other bytes; recapture there on the unchanged code first.
 """
 
 import hashlib
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,3 +101,78 @@ def test_train_log_bytes_are_unchanged(case):
         f"on OpenBLAS 0.3.31 (Haswell kernels); on numpy {np.__version__} or another BLAS "
         f"build or CPU, recapture on the unchanged parent commit before reading this as a "
         f"numerics regression")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_log(case) -> str:
+    return (GOLDEN / f"train_log_{case}.csv").read_bytes().decode()
+
+
+@dataclass(frozen=True)
+class Deviation:
+    """One column's largest absolute and relative deviation of a log from
+    its golden log, and the first data row (from 1) where they differ."""
+
+    max_abs: float
+    max_rel: float
+    first_row: int | None  # None: every value is equal
+
+
+def compare_logs(golden: str, fresh: str) -> dict[str, Deviation]:
+    """Deviation of ``fresh`` from ``golden`` for each column of two CSV
+    logs with one header line. Logs whose headers or row counts differ are
+    refused."""
+    golden_lines, fresh_lines = golden.splitlines(), fresh.splitlines()
+    if golden_lines[0] != fresh_lines[0]:
+        raise ValueError(f"headers differ: {golden_lines[0]!r} against {fresh_lines[0]!r}")
+    if len(golden_lines) != len(fresh_lines):
+        raise ValueError(f"row counts differ: {len(golden_lines) - 1} golden against "
+                         f"{len(fresh_lines) - 1} fresh")
+    columns = golden_lines[0].split(",")
+    want, got = (np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+                 .reshape(-1, len(columns)) for lines in (golden_lines, fresh_lines))
+    dev = np.abs(got - want)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(dev == 0, 0.0, dev / np.abs(want))
+    return {column: Deviation(float(dev[:, j].max(initial=0.0)), float(rel[:, j].max(initial=0.0)),
+                              int(np.argmax(dev[:, j] > 0)) + 1 if dev[:, j].any() else None)
+            for j, column in enumerate(columns)}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_LOG_SHA256))
+def test_golden_log_bytes_match_the_pin(case):
+    assert hashlib.sha256(golden_log(case).encode()).hexdigest() == TRAIN_LOG_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_LOG_SHA256))
+def test_fresh_log_has_no_deviation_from_golden(case):
+    config, dataset = CASES[case]()
+    fresh = train_log_csv(CollaborativeTrainer(config, dataset).fit())
+    report = compare_logs(golden_log(case), fresh)
+    assert set(report.values()) == {Deviation(0.0, 0.0, None)}
+
+
+def test_one_ulp_is_reported_at_its_column_and_row():
+    golden = golden_log("collab")
+    lines = golden.splitlines()
+    column = lines[0].split(",").index("l_pos")
+    row = lines[3].split(",")  # data row 3
+    value = float(row[column])
+    moved = float(np.nextafter(value, np.inf))
+    row[column] = repr(moved)
+    report = compare_logs(golden, "\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    ulp = moved - value
+    assert ulp > 0
+    assert report["l_pos"] == Deviation(ulp, ulp / abs(value), 3)
+    assert {name: d for name, d in report.items() if name != "l_pos"} == {
+        name: Deviation(0.0, 0.0, None) for name in report if name != "l_pos"}
+
+
+def test_header_or_row_count_mismatch_refused():
+    golden = golden_log("dense")
+    with pytest.raises(ValueError, match="headers differ"):
+        compare_logs(golden, golden.replace("step,", "stage,", 1))
+    with pytest.raises(ValueError, match="row counts differ: 2 golden against 3 fresh"):
+        compare_logs(golden, golden + golden.splitlines()[-1] + "\n")

@@ -7,6 +7,18 @@ the autodiff ``subspace_affinity_tensor``; ``subspace_affinity`` is its
 values on a constant with the diagonal set to 1. ``kmeans`` finds the
 prototypes that warm-start the classifier. No spectral step runs anywhere:
 cluster labels come from the classifier.
+
+Both k-means and the warm start's readout take cluster means from one sorted
+pass, ``cluster_means``: a stable argsort of the labels, one gather of the
+rows in that order, and one ``np.add.reduce`` over each cluster's contiguous
+slice. That sums each cluster's rows in the order ``x[labels == c]`` holds
+them, so every centroid equals ``x[labels == c].mean(axis=0)`` bit for bit.
+``np.add.reduceat`` and ``np.add.at`` may not replace the slices.
+``reduceat`` sums in another order and changes centroid bits. ``add.at``
+adds one row at a time where ``add.reduce`` sums a one-column slice
+pairwise, so even started from -0.0 it changes the bits of one-column
+points (started from +0.0 it also turns a -0.0 sum into +0.0), and it is
+slower than the per-cluster masks.
 """
 
 from __future__ import annotations
@@ -94,11 +106,22 @@ KMEANS_RESTARTS = 10
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Seeded k-means with k-means++ initialization; the lowest-inertia
-    result of KMEANS_RESTARTS restarts."""
+    result of KMEANS_RESTARTS restarts.
+
+    Each Lloyd iteration assigns every point to its nearest center, then
+    moves all k centers in one ``cluster_means`` pass; every empty cluster
+    is re-seeded at the point farthest from its nearest center. The labels
+    equal, bit for bit, those of a loop that takes
+    ``x[labels == c].mean(axis=0)`` once per cluster (a test oracle keeps
+    it). Non-finite points, and points whose squared distances overflow,
+    raise ``ValueError``.
+    """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"kmeans needs 1 <= k <= n, got k={k}, n={n}")
+    if not np.isfinite(x).all():
+        raise ValueError("kmeans needs finite points, got NaN or inf")
     rng = Xorshift64Star(seed)
     sq_norms = (x * x).sum(axis=1)
     best_labels, best_inertia = None, np.inf
@@ -106,22 +129,47 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         centers = _kmeans_pp_init(x, k, rng, sq_norms)
         labels = None
         for _ in range(KMEANS_MAX_ITER):
-            d2 = sq_norms[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
+            d2 = _sq_distances(x, sq_norms, centers)
             new_labels = d2.argmin(axis=1)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            for c in range(k):
-                members = labels == c
-                if members.any():
-                    centers[c] = x[members].mean(axis=0)
-                else:  # re-seed an empty cluster at the farthest point
-                    centers[c] = x[d2.min(axis=1).argmax()]
-        d2 = sq_norms[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
-        inertia = float(np.maximum(d2.min(axis=1), 0.0).sum())
+            centers, counts = cluster_means(x, labels, k)
+            empty = counts == 0
+            if empty.any():  # re-seed empty clusters at the farthest point
+                centers[empty] = x[d2.min(axis=1).argmax()]
+        inertia = float(np.maximum(_sq_distances(x, sq_norms, centers).min(axis=1), 0.0).sum())
         if inertia < best_inertia:
-            best_inertia, best_labels = inertia, labels.copy()
+            best_inertia, best_labels = inertia, labels
+    if best_labels is None:
+        raise ValueError("kmeans found no finite inertia: squared distances overflow float64")
     return best_labels.astype(np.int64)
+
+
+def cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's mean row of ``x`` and its size, in one sorted pass
+    (see the module docstring); row c equals ``x[labels == c].mean(axis=0)``
+    bit for bit, and is zero for an empty cluster."""
+    counts = np.bincount(labels, minlength=k)
+    xs = x[np.argsort(labels, kind="stable")]
+    means = np.zeros((k, x.shape[1]))
+    start = 0
+    for c, end in enumerate(np.cumsum(counts).tolist()):
+        if end > start:
+            np.add.reduce(xs[start:end], axis=0, out=means[c])
+        start = end
+    means /= np.maximum(counts, 1)[:, None]
+    return means, counts
+
+
+def _sq_distances(x, sq_norms, centers):
+    """(n, k) squared distances ``|x|^2 - 2 x.c + |c|^2``, built in place;
+    each entry is rounded as in that left-to-right expression."""
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += (centers * centers).sum(axis=1)
+    return d2
 
 
 def _kmeans_pp_init(x, k, rng, sq_norms):
@@ -135,7 +183,7 @@ def _kmeans_pp_init(x, k, rng, sq_norms):
             centers[c] = x[rng.below(n)]
         else:
             r = rng.uniform() * total
-            centers[c] = x[int(np.searchsorted(np.cumsum(d2), r, side="right").clip(0, n - 1))]
+            centers[c] = x[min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)]
         d2 = np.minimum(
             d2, np.maximum(sq_norms - 2.0 * (x @ centers[c]) + (centers[c] * centers[c]).sum(), 0.0))
     return centers

@@ -121,6 +121,9 @@ def _load_data(args) -> Dataset:
     if args.idx_images or args.idx_labels:
         if not (args.idx_images and args.idx_labels):
             raise CliValidationError("--idx-images and --idx-labels must be given together")
+        if args.feature_shape:
+            raise CliValidationError(
+                "--feature-shape applies to --data only; IDX images carry their own shape")
         return load_idx(args.idx_images, args.idx_labels)
     if not args.data:
         raise CliValidationError("no input data: give --data or --idx-images/--idx-labels")

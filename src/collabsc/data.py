@@ -52,6 +52,8 @@ class SyntheticSpec:
         if self.D < self.d * self.k:
             raise ValueError(
                 f"infeasible spec: D >= d*k required, got D={self.D} < d*k={self.d * self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_per < self.d + 1:
             raise ValueError(
                 f"infeasible spec: n_per >= d+1 required, got n_per={self.n_per} < {self.d + 1}")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .affinity import class_affinity, kmeans, subspace_affinity, subspace_affinity_tensor
+from .affinity import (class_affinity, cluster_means, kmeans, subspace_affinity,
+                       subspace_affinity_tensor)
 from .checkpoint import CheckpointError
 from .config import ExperimentConfig
 from .data import Dataset
@@ -311,9 +312,8 @@ class CollaborativeTrainer:
             for chunk in eval_chunks(features.shape[0], self.config.batch_size)])
         k = self.config.network.num_clusters
         labels = kmeans(feats, k, seed=mix_seed(self.config.seed, 3))
-        centroids = np.stack([
-            feats[labels == c].mean(axis=0) if (labels == c).any() else feats.mean(axis=0)
-            for c in range(k)])
+        centroids, counts = cluster_means(feats, labels, k)
+        centroids[counts == 0] = feats.mean(axis=0)
         w = centroids.T
         b = -0.5 * (centroids * centroids).sum(axis=1)
         logits = feats @ w + b

@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Most of these are deliberately naive: exhaustive enumeration and direct
-formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops. The
-last section holds a reference pipeline instead: the closed-form ridge
-self-expression solver and normalized-Laplacian spectral clustering, the
-post-processing that collaborative training replaces, used to check the
-synthetic generator and the subspace affinity. The production code must agree
-with these, never the other way around.
+formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops and
+of k-means' centroid update. The last section holds a reference pipeline
+instead: the closed-form ridge self-expression solver and
+normalized-Laplacian spectral clustering, the post-processing that
+collaborative training replaces, used to check the synthetic generator and
+the subspace affinity. The production code must agree with these, never the
+other way around.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 
 import numpy as np
 
-from collabsc.affinity import kmeans
+from collabsc.affinity import KMEANS_MAX_ITER, KMEANS_RESTARTS, kmeans
+from collabsc.rng import Xorshift64Star
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -222,6 +224,62 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
                 g.sum(axis=(0, 2, 3)))
 
     return out, bwd
+
+
+# ---------------------------------------------------------------------------
+# k-means, one cluster mask at a time
+# ---------------------------------------------------------------------------
+# The mask-and-mean Lloyd loop that ``collabsc.affinity.kmeans`` replaced with
+# one sorted centroid pass, kept as it was. The engine must return its labels
+# bit for bit: a centroid summed in another order would move the warm start.
+
+def loop_kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Seeded k-means with k-means++ initialization; the lowest-inertia
+    result of KMEANS_RESTARTS restarts."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    if k < 1 or k > n:
+        raise ValueError(f"kmeans needs 1 <= k <= n, got k={k}, n={n}")
+    rng = Xorshift64Star(seed)
+    sq_norms = (x * x).sum(axis=1)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(KMEANS_RESTARTS):
+        centers = _loop_kmeans_pp_init(x, k, rng, sq_norms)
+        labels = None
+        for _ in range(KMEANS_MAX_ITER):
+            d2 = sq_norms[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
+            new_labels = d2.argmin(axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                members = labels == c
+                if members.any():
+                    centers[c] = x[members].mean(axis=0)
+                else:  # re-seed an empty cluster at the farthest point
+                    centers[c] = x[d2.min(axis=1).argmax()]
+        d2 = sq_norms[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
+        inertia = float(np.maximum(d2.min(axis=1), 0.0).sum())
+        if inertia < best_inertia:
+            best_inertia, best_labels = inertia, labels.copy()
+    return best_labels.astype(np.int64)
+
+
+def _loop_kmeans_pp_init(x, k, rng, sq_norms):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.below(n)]
+    d2 = np.maximum(sq_norms - 2.0 * (x @ centers[0]) + (centers[0] * centers[0]).sum(), 0.0)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = x[rng.below(n)]
+        else:
+            r = rng.uniform() * total
+            centers[c] = x[int(np.searchsorted(np.cumsum(d2), r, side="right").clip(0, n - 1))]
+        d2 = np.minimum(
+            d2, np.maximum(sq_norms - 2.0 * (x @ centers[c]) + (centers[c] * centers[c]).sum(), 0.0))
+    return centers
 
 
 # ---------------------------------------------------------------------------

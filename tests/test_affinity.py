@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity, kmeans,
-                               subspace_affinity)
+from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity, cluster_means,
+                               kmeans, subspace_affinity)
 from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
 
-from oracles import ridge_self_expression, spectral_cluster, unscale
+from oracles import loop_kmeans, ridge_self_expression, spectral_cluster, unscale
 
 
 def random_predictions(n, k, seed):
@@ -210,6 +211,65 @@ class TestKmeans:
         a = kmeans(pts, 3, seed=5)
         b = kmeans(pts, 3, seed=5)
         assert (a == b).all()
+
+    # the ci profile widens this fuzz: every centroid must be summed in the
+    # loop oracle's order, or a label can flip on a tie
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 40,
+              deadline=None)
+    @given(n=st.integers(1, 40), dim=st.integers(1, 6), distinct=st.integers(1, 40),
+           k=st.integers(1, 40), exponents=st.lists(st.integers(-100, 100), min_size=6,
+                                                    max_size=6),
+           zero_share=st.sampled_from([0.0, 0.25, 1.0]), zero_column=st.booleans(),
+           seed=st.integers(0, 2**32))
+    @example(n=12, dim=1, distinct=12, k=3, exponents=[0] * 6, zero_share=0.0,
+             zero_column=False, seed=1)  # D = 1
+    @example(n=9, dim=3, distinct=4, k=1, exponents=[0] * 6, zero_share=0.25,
+             zero_column=False, seed=2)  # k = 1
+    @example(n=9, dim=3, distinct=9, k=9, exponents=[0] * 6, zero_share=0.25,
+             zero_column=True, seed=3)  # k = n
+    @example(n=20, dim=2, distinct=3, k=8, exponents=[0] * 6, zero_share=0.0,
+             zero_column=False, seed=4)  # duplicate rows: clusters go empty
+    def test_labels_match_the_loop_oracle(self, n, dim, distinct, k, exponents, zero_share,
+                                          zero_column, seed):
+        rng = Xorshift64Star(seed)
+        distinct, k = min(distinct, n), min(k, n)
+        rows = rng.normals((distinct, dim)) * 10.0 ** np.array(exponents[:dim], dtype=np.float64)
+        pts = rows[[rng.below(distinct) for _ in range(n)]]
+        pts[np.array([rng.uniform() < zero_share for _ in range(n * dim)]).reshape(n, dim)] = -0.0
+        if zero_column:
+            pts[:, 0] = -0.0
+        got = kmeans(pts, k, seed=seed)
+        expected = loop_kmeans(pts, k, seed=seed)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_warm_start_shape_matches_the_loop_oracle(self):
+        # collab-k20's warm start: 1000 head features of width 32, k = 20
+        rng = Xorshift64Star(20)
+        pts = (rng.normals((20, 32)) * 3.0)[np.arange(1000) % 20] + rng.normals((1000, 32))
+        assert kmeans(pts, 20, seed=7).tobytes() == loop_kmeans(pts, 20, seed=7).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, value):
+        pts = Xorshift64Star(11).normals((10, 3))
+        pts[4, 1] = value
+        with pytest.raises(ValueError, match="kmeans needs finite points"):
+            kmeans(pts, 2)
+
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans(np.full((4, 2), 1e200), 2)
+
+
+class TestClusterMeans:
+    def test_each_mean_is_the_masked_mean(self):
+        pts = Xorshift64Star(12).normals((9, 3))
+        pts[:, 1] = -0.0
+        labels = np.array([2, 0, 2, 0, 0, 2, 3, 3, 0])
+        means, counts = cluster_means(pts, labels, 5)
+        assert counts.tolist() == [4, 0, 3, 2, 0]
+        for c in (0, 2, 3):
+            assert means[c].tobytes() == pts[labels == c].mean(axis=0).tobytes()
+        assert means[[1, 4]].tobytes() == np.zeros((2, 3)).tobytes()  # empty clusters
 
 
 class TestExports:

@@ -10,7 +10,7 @@ from collabsc import cli
 from collabsc.affinity import subspace_affinity
 from collabsc.checkpoint import load_checkpoint, save_checkpoint
 from collabsc.config import config_to_text
-from collabsc.data import load_dataset_csv
+from collabsc.data import load_dataset_csv, write_idx_images, write_idx_labels
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
 
@@ -225,6 +225,45 @@ class TestInputValidation:
                          "--noise-sigma", value, "--out", str(prefix)]) == 1
         assert "noise_sigma" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_synth_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        assert cli.main(["synth", "--k", "2", "--d", "2", "--D", "12", "--n-per", "5",
+                         "--seed", "-1", "--out", str(tmp_path / "toy")]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_feature_shape_with_idx_input_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, np.arange(40 * 16, dtype=np.uint8).reshape(40, 4, 4))
+        write_idx_labels(labels, np.arange(40) % 2)
+        network = NetworkConfig(encoder=(LayerSpec("conv", 2, kernel_size=3, stride=2),),
+                                classifier_head=(), num_clusters=2, intrinsic_dim_guess=2)
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(config_to_text(tiny_config(network=network)))
+        args = ["pretrain", "--idx-images", str(images), "--idx-labels", str(labels),
+                "--config", str(config_path)]
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main([*args, "--feature-shape", "2,2,4", "--checkpoint", str(ckpt)]) == 1
+        assert "--feature-shape" in capsys.readouterr().err
+        assert not ckpt.exists()
+        # the same images and config pretrain without the flag
+        assert cli.main([*args, "--checkpoint", str(ckpt)]) == 0
+
+    def test_non_finite_warm_start_features_exit_1_and_write_nothing(self, tmp_path, capsys):
+        network = NetworkConfig(
+            encoder=(LayerSpec("dense", 16), LayerSpec("dense", 8, activation="none")),
+            classifier_head=(LayerSpec("dense", 4),), num_clusters=2, intrinsic_dim_guess=2)
+        _, _, args = write_inputs(tmp_path, network=network)
+        pretrained = tmp_path / "pretrained.ckpt"
+        assert cli.main(["pretrain", *args, "--checkpoint", str(pretrained)]) == 0
+        params = load_checkpoint(pretrained)
+        params["classifier.0.b"] = np.full_like(params["classifier.0.b"], np.inf)
+        save_checkpoint(pretrained, params)
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["train", *args, "--init-checkpoint", str(pretrained),
+                         "--checkpoint", str(ckpt)]) == 1
+        assert "kmeans needs finite points" in capsys.readouterr().err
+        assert not ckpt.exists()
 
 
 class TestCommandPaths:

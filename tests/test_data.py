@@ -36,6 +36,11 @@ class TestSyntheticSpecValidation:
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(k=2, d=2, D=10, n_per=5, **{field: value})
 
+    def test_rejects_negative_seed(self):
+        # the generator masks its seed to 64 bits, so -1 would alias 2**64 - 1
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SyntheticSpec(k=2, d=2, D=10, n_per=5, seed=-1)
+
 
 class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):

@@ -12,6 +12,8 @@ from collabsc.rng import Xorshift64Star
 from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_chunks,
                               make_batches, metrics_csv, predict, train_log_csv)
 
+from oracles import loop_kmeans
+
 
 def tiny_dataset(seed=0, n_per=20):
     return generate_synthetic(SyntheticSpec(k=2, d=2, D=12, n_per=n_per, seed=seed,
@@ -406,6 +408,32 @@ class TestSchedulesAndSwitches:
         trainer.fit(skip_pretrain=True)
         np.testing.assert_array_equal(heads[0],
                                       trained.network.params["classifier.out.W"].values)
+
+    def test_warm_start_head_is_the_loop_oracle_readout(self, monkeypatch):
+        trainer = CollaborativeTrainer(tiny_config(), tiny_dataset())
+        trainer.pretrain()
+        seen = []
+        kmeans = trainer_module.kmeans
+
+        def spy(feats, k, seed):
+            seen.append((feats, k, seed))
+            return kmeans(feats, k, seed=seed)
+
+        monkeypatch.setattr(trainer_module, "kmeans", spy)
+        trainer.warm_start_classifier()
+        (feats, k, seed), = seen
+        # the head as the mask-and-mean readout built it from the loop oracle's labels
+        labels = loop_kmeans(feats, k, seed=seed)
+        centroids = np.stack([
+            feats[labels == c].mean(axis=0) if (labels == c).any() else feats.mean(axis=0)
+            for c in range(k)])
+        w = centroids.T
+        b = -0.5 * (centroids * centroids).sum(axis=1)
+        logits = feats @ w + b
+        gain = 4.0 / max(float((logits - logits.mean(axis=0, keepdims=True)).std()), 1e-12)
+        params = trainer.network.params
+        assert params["classifier.out.W"].values.tobytes() == (gain * w).tobytes()
+        assert params["classifier.out.b"].values.tobytes() == (gain * b).tobytes()
 
     def test_warm_start_can_be_disabled(self):
         dataset = tiny_dataset()

@@ -11,8 +11,8 @@ from .affinity import class_affinity, kmeans, subspace_affinity
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config_file, parse_config_text, config_to_text
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx
-from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
-                     subspace_loss, total_loss)
+from .losses import (LossBreakdown, clamped_count, collaboration_rate, collaborative_loss,
+                     negative_teacher, positive_teacher, subspace_loss, total_loss)
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
 from .network import ConfigError, LayerSpec, Network, NetworkConfig
 from .optim import Adam, AdamState
@@ -21,10 +21,10 @@ from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate, pred
 __all__ = [
     "Adam", "AdamState", "CollaborativeTrainer", "ConfigError", "Dataset", "ExperimentConfig",
     "LayerSpec", "LossBreakdown", "Network", "NetworkConfig", "SyntheticSpec",
-    "TrainingDivergedError", "accuracy", "ari", "autodiff",
-    "class_affinity", "collaboration_rate", "config_to_text", "evaluate",
+    "TrainingDivergedError", "accuracy", "ari", "autodiff", "clamped_count",
+    "class_affinity", "collaboration_rate", "collaborative_loss", "config_to_text", "evaluate",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
-    "load_idx", "negative_loss", "nmi", "parse_config_file", "parse_config_text",
-    "positive_loss", "predict", "save_checkpoint", "subspace_affinity", "subspace_loss",
+    "load_idx", "negative_teacher", "nmi", "parse_config_file", "parse_config_text",
+    "positive_teacher", "predict", "save_checkpoint", "subspace_affinity", "subspace_loss",
     "total_loss",
 ]

@@ -21,7 +21,8 @@ VERSION = 2
 
 class CheckpointError(ValueError):
     """Malformed checkpoint file (the message carries the byte offset), or a
-    key that does not fit the model it is loaded into (the message names it)."""
+    key that does not fit the model it is loaded into or holds a NaN or inf
+    value (the message names it)."""
 
 
 def save_checkpoint(path, params: dict) -> None:

@@ -21,7 +21,13 @@ from .network import ConfigError, LayerSpec, NetworkConfig
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of a training run in one validated record."""
+    """Every knob of a training run in one validated record.
+
+    ``lambda_cl`` weighs the collaborative term in stage 3's joint objective
+    only. At 0 the joint step ignores it, but stage 2 still takes
+    ``classifier_steps`` classifier steps on the positive term, so the run is
+    not a no-collaboration ablation.
+    """
 
     network: NetworkConfig
     lambda1: float = 10.0
@@ -44,8 +50,9 @@ class ExperimentConfig:
         # isfinite rejects the NaN and +-inf that a bare range check lets through
         if not (math.isfinite(self.lambda1) and self.lambda1 > 0):
             raise ConfigError(f"lambda1 must be finite and > 0, got {self.lambda1}")
-        # lambda_cl = 0 is allowed: it disables the collaborative term in the
-        # joint objective (the no-collaboration ablation)
+        # lambda_cl = 0 is allowed: it drops the collaborative term from stage
+        # 3's joint objective, but stage 2 still trains the classifier on the
+        # positive term, so it is not a no-collaboration ablation
         if not (math.isfinite(self.lambda_cl) and self.lambda_cl >= 0):
             raise ConfigError(f"lambda_cl must be finite and >= 0, got {self.lambda_cl}")
         thresholds = (("u_schedule.initial", self.u_schedule[0]),

@@ -225,9 +225,19 @@ def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
 
 
 def load_dataset_csv(features_path, labels_path, feature_shape=None) -> Dataset:
-    """Features CSV (one point per row) plus its labels CSV (one integer per line)."""
+    """Features CSV (one point per row) plus its labels CSV (one integer per
+    line). A NaN or infinite feature or a negative label raises ``ValueError``
+    naming its first row."""
     features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
     labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{features_path}: row {bad_rows[0] + 1} holds a NaN or infinite "
+                         f"feature")
+    bad_rows = np.flatnonzero(labels < 0)
+    if bad_rows.size:
+        raise ValueError(f"{labels_path}: row {bad_rows[0] + 1} holds negative label "
+                         f"{labels[bad_rows[0]]}")
     if feature_shape is None:
         feature_shape = (features.shape[1],)
     provenance = {"source": "csv", "features_path": str(features_path),

@@ -1,13 +1,17 @@
 """Collaborative losses and the joint training objective.
 
 The two affinity matrices teach each other: confident positives from the
-subspace affinity (A_s > u) supervise the classifier affinity (cross-entropy
-pulls selected class-affinity entries toward 1), and confident negatives
-from the classifier affinity (A_c < l) supervise the subspace affinity
-(pulls selected entries toward 0). Each term builds its own teacher from
-its teacher affinity: the selected pairs (off the diagonal, where both
-affinities are pinned to 1 and carry no signal), their count and their mask
-weights. A teacher is a constant: no gradient flows into it.
+subspace affinity (A_s > u) supervise the classifier affinity (pulling the
+selected class-affinity entries toward 1), and confident negatives from the
+classifier affinity (A_c < l) supervise the subspace affinity (pulling the
+selected entries toward 0). Each direction is the same term,
+``collaborative_loss``: a confidence-masked cross-entropy from a teacher onto
+a student. Stage 2 uses it for the positive term (student A_c); stage 3 for
+both terms (students A_c and 1 - A_s). The caller builds each teacher from
+its teacher affinity (``positive_teacher``, ``negative_teacher``): the
+selected pairs (off the diagonal, where both affinities are pinned to 1 and
+carry no signal), their count and their mask weights. A teacher is a
+constant: no gradient flows into it.
 
 The entropy in the source formulation is written without a sign, but
 minimizing +sum(p log q) is ill-posed (it drives q to 0); the standard
@@ -71,54 +75,20 @@ def collaboration_rate(count_pos: int, count_neg: int) -> float:
     return max(count_pos, 1) / max(count_neg, 1)
 
 
-def _as_tensor(a) -> ad.Tensor:
-    return a if isinstance(a, ad.Tensor) else ad.constant(np.asarray(a, dtype=np.float64))
-
-
-def _cross_entropy(weights: np.ndarray, count: int, student: ad.Tensor) -> ad.Tensor:
-    """-sum(weights * log(max(student, 1e-12))) / count, for count > 0."""
-    log_student = ad.log(student, LOG_CLAMP)
-    return ad.scale(ad.tensor_sum(ad.multiply(ad.constant(weights), log_student)), -1.0 / count)
-
-
-def _clamped_count(selected: np.ndarray, student: ad.Tensor) -> int:
-    """Selected pairs whose student entry sits at or below the log floor."""
-    return int((selected & ~(student.values > LOG_CLAMP)).sum())
-
-
-def positive_term(teacher: Teacher, class_aff) -> ad.Tensor:
-    """Mean over the teacher's selected pairs of -w * log(class affinity)."""
+def collaborative_loss(teacher: Teacher, student: ad.Tensor) -> ad.Tensor:
+    """-sum(w * log(max(student, 1e-12))) / count over the teacher's
+    selected pairs, with w its mask weights; a constant 0 when it selects
+    none."""
     if teacher.count == 0:
         return ad.constant(np.asarray(0.0))
-    return _cross_entropy(teacher.weights, teacher.count, _as_tensor(class_aff))
+    log_student = ad.log(student, LOG_CLAMP)
+    return ad.scale(ad.tensor_sum(ad.multiply(ad.constant(teacher.weights), log_student)),
+                    -1.0 / teacher.count)
 
 
-def positive_loss(teacher: Teacher, class_aff):
-    """``positive_term`` with the counts: (loss tensor, selected count,
-    clamped count).
-
-    ``teacher`` is ``positive_teacher`` of the subspace affinity. The
-    trainer builds it once per batch: stage 2 steps only the classifier, so
-    the coefficients, and with them the teacher, do not move before stage 3.
-    """
-    student = _as_tensor(class_aff)
-    return (positive_term(teacher, student), teacher.count,
-            _clamped_count(teacher.selected, student))
-
-
-def negative_loss(class_aff: np.ndarray, subspace_aff, l: float, soft_mask: bool = True):
-    """Mean over selected pairs of -w * log(1 - subspace affinity).
-
-    The teacher is the classifier affinity (see ``negative_teacher``).
-    Returns (loss tensor, selected count, clamped count).
-    """
-    teacher = negative_teacher(class_aff, l, soft_mask)
-    if teacher.count == 0:
-        return ad.constant(np.asarray(0.0)), 0, 0
-    subspace = _as_tensor(subspace_aff)
-    student = ad.subtract(ad.constant(np.ones(subspace.shape)), subspace)
-    return (_cross_entropy(teacher.weights, teacher.count, student), teacher.count,
-            _clamped_count(teacher.selected, student))
+def clamped_count(teacher: Teacher, student: ad.Tensor) -> int:
+    """Selected pairs whose student entry sits at or below the log floor."""
+    return int((teacher.selected & ~(student.values > LOG_CLAMP)).sum())
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .affinity import (class_affinity, cluster_means, kmeans, subspace_affinity,
 from .checkpoint import CheckpointError
 from .config import ExperimentConfig
 from .data import Dataset
-from .losses import (LossBreakdown, collaboration_rate, negative_loss, positive_loss,
-                     positive_teacher, positive_term, subspace_loss, total_loss)
+from .losses import (LossBreakdown, clamped_count, collaboration_rate, collaborative_loss,
+                     negative_teacher, positive_teacher, subspace_loss, total_loss)
 from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
 from .network import Network
 from .optim import Adam
@@ -179,11 +179,14 @@ class CollaborativeTrainer:
     def load_checkpoint_params(self, params: dict[str, np.ndarray]) -> None:
         """Load the network parameters and every ``selfexpr.batch_<i>.C``.
 
-        A ``selfexpr.`` key must name a batch i of this partition and hold an
-        (n_i, n_i) matrix, or ``CheckpointError`` names it and nothing is loaded.
+        Every value must be finite, and a ``selfexpr.`` key must name a batch
+        i of this partition and hold an (n_i, n_i) matrix, or
+        ``CheckpointError`` names the key and nothing is loaded.
         """
         coeffs = {}
         for name, values in params.items():
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"checkpoint key {name!r} holds NaN or inf values")
             if not name.startswith("selfexpr."):
                 continue
             match = re.fullmatch(r"selfexpr\.batch_([0-9]+)\.C", name)
@@ -351,18 +354,20 @@ class CollaborativeTrainer:
             # softmax rows of finite logits, l2-normalized, are unit and
             # non-negative by construction; stage 3 checks them in full
             self._check_finite("stage-2 predictions", nu)
-            l_pos_t = positive_term(teacher, ad.matmul(nu, ad.transpose(nu)))
+            l_pos_t = collaborative_loss(teacher, ad.matmul(nu, ad.transpose(nu)))
             self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
         nu = self.network.classify(latent)
         self._check_finite("stage-3 predictions", nu)
-        l_pos_t, count_pos, clamped_pos = positive_loss(teacher, ad.matmul(nu, ad.transpose(nu)))
-        l_neg_t, count_neg, clamped_neg = negative_loss(
-            class_affinity(nu.values), subspace_affinity_tensor(coeffs), cfg.l,
-            soft_mask=cfg.soft_mask)
-        alpha = collaboration_rate(count_pos, count_neg)
+        class_aff_t = ad.matmul(nu, ad.transpose(nu))
+        l_pos_t = collaborative_loss(teacher, class_aff_t)
+        neg_teacher = negative_teacher(class_affinity(nu.values), cfg.l, soft_mask=cfg.soft_mask)
+        subspace_aff_t = subspace_affinity_tensor(coeffs)
+        dissimilarity_t = ad.subtract(ad.constant(np.ones(subspace_aff_t.shape)), subspace_aff_t)
+        l_neg_t = collaborative_loss(neg_teacher, dissimilarity_t)
+        alpha = collaboration_rate(teacher.count, neg_teacher.count)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._descend("stage-3 joint loss", total_t, self.ae_adam, self.cls_adam, coeff_adam)
@@ -382,10 +387,10 @@ class CollaborativeTrainer:
             omega=omega_t.item(),
             lambda_cl=cfg.lambda_cl,
             total=total_t.item(),
-            count_pos=count_pos,
-            count_neg=count_neg,
-            clamped_pos=clamped_pos,
-            clamped_neg=clamped_neg,
+            count_pos=teacher.count,
+            count_neg=neg_teacher.count,
+            clamped_pos=clamped_count(teacher, class_aff_t),
+            clamped_neg=clamped_count(neg_teacher, dissimilarity_t),
         )
 
     # ------------------------------------------------------------------

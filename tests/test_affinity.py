@@ -255,6 +255,8 @@ class TestKmeans:
         with pytest.raises(ValueError, match="kmeans needs finite points"):
             kmeans(pts, 2)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_distances_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             kmeans(np.full((4, 2), 1e200), 2)

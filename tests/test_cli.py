@@ -14,7 +14,7 @@ from collabsc.data import load_dataset_csv, write_idx_images, write_idx_labels
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
 
-from test_trainer import tiny_config
+from test_trainer import OVERFLOWS, tiny_config
 
 
 def write_inputs(tmp_path, **overrides):
@@ -87,6 +87,7 @@ class TestPretrain:
 
 
 class TestTrainDivergence:
+    @OVERFLOWS
     def test_diverged_train_exits_2_with_restored_checkpoint(self, tmp_path, capsys):
         # one stage-1 step at this rate leaves the first batch's coefficients
         # non-finite; train_batch restores them to their zero start
@@ -105,10 +106,10 @@ class TestTrainDivergence:
         # not bad input: the round is undone and its checkpoint saved
         config, dataset, args = write_inputs(tmp_path, batch_size=10)
 
-        def failing_negative_loss(*args, **kwargs):
+        def failing_negative_teacher(*args, **kwargs):
             raise ValueError("class affinity entries must lie in [0, 1]")
 
-        monkeypatch.setattr(trainer_module, "negative_loss", failing_negative_loss)
+        monkeypatch.setattr(trainer_module, "negative_teacher", failing_negative_teacher)
         ckpt = tmp_path / "model.ckpt"
         assert cli.main(["train", *args, "--checkpoint", str(ckpt)]) == 2
         assert "batch 0 at step 1 failed a value check" in capsys.readouterr().err
@@ -171,6 +172,31 @@ class TestTrainedCheckpoint:
         assert code == 1
         assert "selfexpr.batch_0.C" in capsys.readouterr().err
         assert not Path(f"{out}_subspace.csv").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "classifier.out.b", np.nan),
+        ("train", "decoder.0.W", np.inf),
+        ("export-affinity", "selfexpr.batch_2.C", -np.inf)],
+        ids=["eval", "train", "export-affinity"])
+    def test_non_finite_checkpoint_value_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                   command, key, value):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params[key].flat[0] = value
+        save_checkpoint(ckpt, params)
+        out = tmp_path / "out"
+        extra = {"eval": ["--checkpoint", str(ckpt)],
+                 "train": ["--init-checkpoint", str(ckpt), "--checkpoint", str(out),
+                           "--train-log", f"{out}.csv", "--metrics-log", f"{out}.metrics"],
+                 "export-affinity": ["--checkpoint", str(ckpt), "--batch", "2",
+                                     "--out", str(out)]}[command]
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main([command, *args, *extra]) == 1
+        captured = capsys.readouterr()
+        assert f"checkpoint key {key!r} holds NaN or inf values" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
 
 
 class TestInputValidation:
@@ -249,7 +275,10 @@ class TestInputValidation:
         # the same images and config pretrain without the flag
         assert cli.main([*args, "--checkpoint", str(ckpt)]) == 0
 
+    @OVERFLOWS
     def test_non_finite_warm_start_features_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # the checkpoint is finite (a non-finite one is refused on load), but
+        # its head weights overflow the warm start's features
         network = NetworkConfig(
             encoder=(LayerSpec("dense", 16), LayerSpec("dense", 8, activation="none")),
             classifier_head=(LayerSpec("dense", 4),), num_clusters=2, intrinsic_dim_guess=2)
@@ -257,13 +286,37 @@ class TestInputValidation:
         pretrained = tmp_path / "pretrained.ckpt"
         assert cli.main(["pretrain", *args, "--checkpoint", str(pretrained)]) == 0
         params = load_checkpoint(pretrained)
-        params["classifier.0.b"] = np.full_like(params["classifier.0.b"], np.inf)
+        for name in ("classifier.0.W", "classifier.0.b"):
+            params[name] = np.full_like(params[name], 1e308)
         save_checkpoint(pretrained, params)
         ckpt = tmp_path / "model.ckpt"
         assert cli.main(["train", *args, "--init-checkpoint", str(pretrained),
                          "--checkpoint", str(ckpt)]) == 1
         assert "kmeans needs finite points" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flag, bad_value, message", [
+        ("--data", "nan", "row 5 holds a NaN or infinite feature"),
+        ("--labels", "-1", "row 5 holds negative label -1")], ids=["feature", "label"])
+    def test_bad_csv_row_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flag,
+                                                    bad_value, message):
+        args, ckpt = train_checkpoint(tmp_path)
+        path = Path(args[args.index(flag) + 1])
+        rows = path.read_text().splitlines()
+        rows[4] = ",".join([bad_value, *rows[4].split(",")[1:]])
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        extra = {"train": ["--checkpoint", str(out), "--train-log", f"{out}.csv",
+                           "--metrics-log", f"{out}.metrics"],
+                 "eval": ["--checkpoint", str(ckpt)]}[command]
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main([command, *args, *extra]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and path.name in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
 
 
 class TestCommandPaths:

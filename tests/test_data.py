@@ -154,6 +154,28 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.labels_for_evaluation(),
                                       ds.labels_for_evaluation())
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_with_its_row(self, tmp_path, value):
+        ds = generate_synthetic(SyntheticSpec(k=2, d=2, D=6, n_per=5, seed=2))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        save_dataset_csv(ds, fpath, lpath)
+        rows = fpath.read_text().splitlines()
+        for i in (6, 3):  # the message names the first of two bad rows
+            rows[i - 1] = ",".join([*rows[i - 1].split(",")[:-1], value])
+        fpath.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="row 3 holds a NaN or infinite feature"):
+            load_dataset_csv(fpath, lpath)
+
+    def test_negative_label_rejected_with_its_row(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(k=2, d=2, D=6, n_per=5, seed=2))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        save_dataset_csv(ds, fpath, lpath)
+        labels = lpath.read_text().splitlines()
+        labels[3], labels[7] = "-1", "-2"
+        lpath.write_text("\n".join(labels) + "\n")
+        with pytest.raises(ValueError, match="row 4 holds negative label -1"):
+            load_dataset_csv(fpath, lpath)
+
 
 class TestLabelBarrier:
     SRC = Path(__file__).resolve().parents[1] / "src" / "collabsc"

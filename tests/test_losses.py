@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import collabsc.autodiff as ad
 from collabsc.affinity import subspace_affinity, subspace_affinity_tensor
-from collabsc.losses import (collaboration_rate, negative_loss, negative_teacher, positive_loss,
-                             positive_teacher, positive_term, subspace_loss, total_loss)
+from collabsc.losses import (clamped_count, collaboration_rate, collaborative_loss,
+                             negative_teacher, positive_teacher, subspace_loss, total_loss)
 from collabsc.rng import Xorshift64Star
 
 from oracles import central_difference_gradient
@@ -80,36 +80,47 @@ class TestBuildMasks:
         assert (negative == negative.T).all()
 
 
+def dissimilarity(subspace_aff) -> ad.Tensor:
+    """Stage 3's negative-term student 1 - A_s, built as the trainer builds it."""
+    a_s = subspace_aff if isinstance(subspace_aff, ad.Tensor) else ad.constant(subspace_aff)
+    return ad.subtract(ad.constant(np.ones(a_s.shape)), a_s)
+
+
 class TestPositiveLoss:
+    """``collaborative_loss`` with the positive teacher onto the class affinity."""
+
     def test_single_pair_hard_mask(self):
         a_s = np.array([[1.0, 0.9], [0.0, 1.0]])
-        a_c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, count, clamped = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=False), a_c)
-        assert count == 1 and clamped == 0
+        a_c = ad.constant(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        teacher = positive_teacher(a_s, u=0.7, soft_mask=False)
+        loss = collaborative_loss(teacher, a_c)
+        assert teacher.count == 1 and clamped_count(teacher, a_c) == 0
         assert loss.item() == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_single_pair_soft_mask(self):
         a_s = np.array([[1.0, 0.9], [0.0, 1.0]])
-        a_c = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, _, _ = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=True), a_c)
+        a_c = ad.constant(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        loss = collaborative_loss(positive_teacher(a_s, u=0.7, soft_mask=True), a_c)
         assert loss.item() == pytest.approx(0.9 * -np.log(0.5), abs=1e-12)
 
     def test_perfect_agreement_is_zero(self):
         a_s = np.ones((3, 3))
-        a_c = np.ones((3, 3))
-        loss, count, _ = positive_loss(positive_teacher(a_s, u=0.7), a_c)
-        assert count == 6
-        assert loss.item() == 0.0
+        a_c = ad.constant(np.ones((3, 3)))
+        teacher = positive_teacher(a_s, u=0.7)
+        assert teacher.count == 6
+        assert collaborative_loss(teacher, a_c).item() == 0.0
 
     def test_no_selection_returns_zero(self):
-        loss, count, _ = positive_loss(positive_teacher(np.eye(3), u=0.7), np.eye(3))
-        assert count == 0 and loss.item() == 0.0
+        teacher = positive_teacher(np.eye(3), u=0.7)
+        loss = collaborative_loss(teacher, ad.constant(np.eye(3)))
+        assert teacher.count == 0 and loss.item() == 0.0
 
     def test_zero_entry_clamped_and_counted(self):
         a_s = np.array([[1.0, 0.9], [0.9, 1.0]])
-        a_c = np.zeros((2, 2)) + np.eye(2)
-        loss, count, clamped = positive_loss(positive_teacher(a_s, u=0.7, soft_mask=False), a_c)
-        assert clamped == 2
+        a_c = ad.constant(np.zeros((2, 2)) + np.eye(2))
+        teacher = positive_teacher(a_s, u=0.7, soft_mask=False)
+        loss = collaborative_loss(teacher, a_c)
+        assert clamped_count(teacher, a_c) == 2
         assert loss.item() == pytest.approx(-np.log(1e-12), abs=1e-9)
         assert np.isfinite(loss.item())
 
@@ -119,14 +130,14 @@ class TestPositiveLoss:
         teacher = positive_teacher(a_s, u=0.6, soft_mask=False)
         selected = teacher.selected
         target = ad.parameter(a_c.copy())
-        loss, count, _ = positive_loss(teacher, target)
-        if count:
+        loss = collaborative_loss(teacher, target)
+        if teacher.count:
             ad.backward(loss)
             grad = target.grad
             assert (grad[selected] < 0).all()
             assert (grad[~selected] == 0).all()
             numeric = central_difference_gradient(
-                lambda: positive_loss(teacher, ad.constant(target.values))[0].item(),
+                lambda: collaborative_loss(teacher, ad.constant(target.values)).item(),
                 target.values)
             np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
@@ -135,21 +146,12 @@ class TestPositiveLoss:
         teacher = positive_teacher(a_s, u=0.6)
         if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base, _, _ = positive_loss(teacher, a_c)
+        base = collaborative_loss(teacher, ad.constant(a_c))
         i, j = np.argwhere(teacher.selected)[0]
         bumped = a_c.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 1.0)
-        higher, _, _ = positive_loss(teacher, bumped)
+        higher = collaborative_loss(teacher, ad.constant(bumped))
         assert higher.item() < base.item()
-
-
-    @pytest.mark.parametrize("soft_mask", [True, False])
-    def test_teacher_built_once_gives_the_same_loss(self, soft_mask):
-        a_s, a_c = affinity_pair(n=6, seed=11)
-        teacher = positive_teacher(a_s, u=0.6, soft_mask=soft_mask)
-        loss, count, _ = positive_loss(teacher, a_c)
-        assert teacher.count == count > 0
-        assert positive_term(teacher, a_c).item() == loss.item()
 
     def test_teacher_rejects_nan_affinity(self):
         bad = np.eye(3)
@@ -159,44 +161,49 @@ class TestPositiveLoss:
 
 
 class TestNegativeLoss:
+    """``collaborative_loss`` with the negative teacher onto 1 - subspace affinity."""
+
     def test_single_pair_hard_mask(self):
         a_c = np.array([[1.0, 0.05], [0.05, 1.0]])
         a_s = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, count, _ = negative_loss(a_c, a_s, l=0.1, soft_mask=False)
-        assert count == 2
+        teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
+        assert teacher.count == 2
+        loss = collaborative_loss(teacher, dissimilarity(a_s))
         assert loss.item() == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_single_pair_soft_mask(self):
         a_c = np.array([[1.0, 0.2], [0.9, 1.0]])
         a_s = np.array([[1.0, 0.5], [0.5, 1.0]])
-        loss, count, _ = negative_loss(a_c, a_s, l=0.3, soft_mask=True)
-        assert count == 1
+        teacher = negative_teacher(a_c, l=0.3, soft_mask=True)
+        assert teacher.count == 1
+        loss = collaborative_loss(teacher, dissimilarity(a_s))
         assert loss.item() == pytest.approx(0.8 * -np.log(0.5), abs=1e-12)
 
     def test_zero_subspace_affinity_is_zero_loss(self):
         a_c = np.zeros((2, 2)) + np.eye(2)
         a_s = np.eye(2)
-        loss, count, _ = negative_loss(a_c, a_s, l=0.1)
-        assert count == 2
-        assert loss.item() == 0.0
+        teacher = negative_teacher(a_c, l=0.1)
+        assert teacher.count == 2
+        assert collaborative_loss(teacher, dissimilarity(a_s)).item() == 0.0
 
     def test_saturated_subspace_affinity_clamped(self):
         a_c = np.zeros((2, 2)) + np.eye(2)
         a_s = np.ones((2, 2))
-        loss, _, clamped = negative_loss(a_c, a_s, l=0.1, soft_mask=False)
-        assert clamped == 2
-        assert np.isfinite(loss.item())
+        teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
+        student = dissimilarity(a_s)
+        assert clamped_count(teacher, student) == 2
+        assert np.isfinite(collaborative_loss(teacher, student).item())
 
     def test_monotone_in_subspace_affinity(self):
         a_s, a_c = affinity_pair(n=5, seed=6)
         teacher = negative_teacher(a_c, l=0.35)
         if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base, _, _ = negative_loss(a_c, a_s, l=0.35)
+        base = collaborative_loss(teacher, dissimilarity(a_s))
         i, j = np.argwhere(teacher.selected)[0]
         bumped = a_s.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 0.999)
-        higher, _, _ = negative_loss(a_c, bumped, l=0.35)
+        higher = collaborative_loss(teacher, dissimilarity(bumped))
         assert higher.item() > base.item()
 
 
@@ -340,10 +347,9 @@ class TestSubspaceAffinityTensor:
         np.fill_diagonal(coeffs_values, 0.0)
         coeffs = ad.parameter(coeffs_values)
         a_c = np.zeros((4, 4)) + np.eye(4)  # everything off-diagonal is a negative pair
-        loss, count, _ = negative_loss(a_c, subspace_affinity_tensor(coeffs), l=0.1,
-                                       soft_mask=False)
-        assert count == 12
-        ad.backward(loss)
+        teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
+        assert teacher.count == 12
+        ad.backward(collaborative_loss(teacher, dissimilarity(subspace_affinity_tensor(coeffs))))
         assert coeffs.grad is not None
         assert float(np.abs(coeffs.grad).max()) > 0
 
@@ -353,8 +359,9 @@ def test_losses_always_finite_property():
     for trial in range(30):
         n = 3 + rng.below(5)
         a_s, a_c = affinity_pair(n=n, seed=100 + trial)
-        lp, count_pos, _ = positive_loss(positive_teacher(a_s, u=0.6), a_c)
-        ln, count_neg, _ = negative_loss(a_c, a_s, l=0.3)
-        omega = ad.add(lp, ad.scale(ln, collaboration_rate(count_pos, count_neg)))
+        pos, neg = positive_teacher(a_s, u=0.6), negative_teacher(a_c, l=0.3)
+        lp = collaborative_loss(pos, ad.constant(a_c))
+        ln = collaborative_loss(neg, dissimilarity(a_s))
+        omega = ad.add(lp, ad.scale(ln, collaboration_rate(pos.count, neg.count)))
         assert np.isfinite(omega.item())
         assert lp.item() >= 0.0 and ln.item() >= 0.0

@@ -14,6 +14,12 @@ from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_
 
 from oracles import loop_kmeans
 
+# tier-1 turns RuntimeWarning into an error; these tests drive values past
+# float64's range on purpose, so numpy's overflow and invalid-value warnings
+# are expected there
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                       "ignore:invalid value encountered:RuntimeWarning")
+
 
 def tiny_dataset(seed=0, n_per=20):
     return generate_synthetic(SyntheticSpec(k=2, d=2, D=12, n_per=n_per, seed=seed,
@@ -86,6 +92,7 @@ class TestPretrain:
         for p in trainer.network.params.values():
             assert np.isfinite(p.values).all()
 
+    @OVERFLOWS
     def test_non_finite_loss_restores_initial_parameters(self):
         # at this rate the second batch's loss overflows to inf
         dataset = tiny_dataset()
@@ -162,6 +169,7 @@ class TestTrainBatchDivergence:
         for name in before:
             np.testing.assert_array_equal(after[name], before[name], err_msg=name)
 
+    @OVERFLOWS
     @pytest.mark.parametrize("group", ["autoencoder", "coeffs"])
     def test_runaway_learning_rate_restores_batch_start(self, group):
         trainer = self.trainer_after_one_good_round()
@@ -173,6 +181,7 @@ class TestTrainBatchDivergence:
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
+    @OVERFLOWS
     def test_non_finite_predictions_restore_batch_start(self):
         # one stage-1 step at this rate leaves a finite loss behind but an
         # encoder whose output is not finite, so the classifier predicts NaN
@@ -183,6 +192,7 @@ class TestTrainBatchDivergence:
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
+    @OVERFLOWS
     def test_non_finite_coefficients_restore_batch_start(self):
         # one stage-1 step at this rate leaves the loss it checked finite but
         # the coefficients it stepped not, before the teacher reads them
@@ -199,10 +209,10 @@ class TestTrainBatchDivergence:
         # stages 1 and 2 have stepped every optimizer when stage 3's check fails
         trainer = self.trainer_after_one_good_round()
 
-        def failing_negative_loss(*args, **kwargs):
+        def failing_negative_teacher(*args, **kwargs):
             raise ValueError("class affinity entries must lie in [0, 1]")
 
-        monkeypatch.setattr(trainer_module, "negative_loss", failing_negative_loss)
+        monkeypatch.setattr(trainer_module, "negative_teacher", failing_negative_teacher)
         before = self.state(trainer)
         with pytest.raises(TrainingDivergedError,
                            match="batch 1 at step 0 failed a value check: class") as info:
@@ -242,6 +252,22 @@ class TestTrainBatch:
             breakdown.coeff_norm_sq + breakdown.self_expression + breakdown.reconstruction,
             rel=1e-12)
         assert np.isfinite(breakdown.total)
+
+    def test_empty_negative_teacher_adds_nothing(self):
+        # the warm-started head's softmax rows keep every class affinity far
+        # above this l, so no pair is a negative; l_neg is the constant-0 branch
+        trainer = CollaborativeTrainer(tiny_config(l=1e-300), tiny_dataset())
+        trainer.pretrain()
+        trainer.warm_start_classifier()
+        for batch_index in range(len(trainer.batches)):
+            b = trainer.train_batch(batch_index, u=0.7)
+            assert (b.count_neg, b.l_neg, b.clamped_neg) == (0, 0.0, 0)
+            assert b.alpha == max(b.count_pos, 1)
+            assert b.total == b.l_sub + b.lambda_cl * b.l_pos
+            for name, p in trainer.network.params.items():
+                assert np.isfinite(p.values).all(), name
+            assert np.isfinite(trainer.coeffs[batch_index].values).all()
+        assert b.count_pos > 0  # the positive term still trains
 
     def test_coeff_diagonal_zero_after_training(self):
         dataset = tiny_dataset()

@@ -111,25 +111,28 @@ class LossBreakdown:
     clamped_neg: int = 0
 
 
-def subspace_loss(latent: ad.Tensor, coeffs: ad.Tensor, inputs: ad.Tensor,
-                  reconstruction: ad.Tensor, lambda1: float):
+def subspace_loss(latent: ad.Tensor, coeffs: ad.Tensor, mixed: ad.Tensor,
+                  inputs: ad.Tensor, reconstruction: ad.Tensor, lambda1: float):
     """||C||_F^2 + (lambda1/2) ||Z - C^T Z||_F^2 + (1/2) ||X - Xhat||_F^2.
 
     Batches are rows here, so the coefficient matrix acts transposed:
-    output row i mixes latent rows j with weights C[j, i]. Returns the
-    scalar tensor and the three term tensors.
+    output row i mixes latent rows j with weights C[j, i]. ``mixed`` is the
+    caller's C^T Z tensor, the one the decoder turned into ``reconstruction``,
+    so the product is built once per pass. Returns the scalar tensor and the
+    three term tensors.
     """
     n = latent.shape[0]
     if coeffs.shape != (n, n):
         raise ad.ShapeError(
             f"coefficients {coeffs.shape} do not match batch of {n} latent rows")
+    if mixed.shape != latent.shape:
+        raise ad.ShapeError(f"mixed latent shape {mixed.shape} != latent shape {latent.shape}")
     if inputs.shape != reconstruction.shape:
         raise ad.ShapeError(
             f"reconstruction shape {reconstruction.shape} != input shape {inputs.shape}")
     if np.count_nonzero(np.diag(coeffs.values)):
         raise ValueError("coefficient diagonal is not zero; project before the loss")
     coeff_norm = ad.frobenius_sq(coeffs)
-    mixed = ad.matmul(ad.transpose(coeffs), latent)
     self_expr = ad.scale(ad.frobenius_sq(ad.subtract(latent, mixed)), lambda1 / 2.0)
     recon = ad.scale(ad.frobenius_sq(ad.subtract(inputs, reconstruction)), 0.5)
     total = ad.add(ad.add(coeff_norm, self_expr), recon)

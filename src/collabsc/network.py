@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import CheckpointError
+from .optim import flat_parameters, group_views
 from .rng import Xorshift64Star, mix_seed
 
 LAYER_KINDS = ("conv", "conv-transpose", "dense")
@@ -124,7 +125,10 @@ class Network:
     """Encoder/decoder/classifier parameter store and forward passes.
 
     Owned by a single trainer; all forward methods are pure functions of the
-    current parameters and their input.
+    current parameters and their input. Each optimizer group (autoencoder,
+    classifier) is views into one flat buffer (``optim.flat_parameters``), so
+    code that sets parameter values writes into their arrays, never rebinds
+    them.
     """
 
     def __init__(self, config: NetworkConfig, input_shape: tuple, seed: int = 0):
@@ -133,7 +137,6 @@ class Network:
         self.config = config
         self.input_shape = tuple(int(s) for s in input_shape)
         self.input_dim = int(np.prod(self.input_shape))
-        self.params: dict[str, ad.Tensor] = {}
         rng = Xorshift64Star(mix_seed(seed, 1))
 
         self.encoder_plans = _plans("encoder", config.encoder, self.input_shape)
@@ -163,21 +166,28 @@ class Network:
         self.classifier_out_in_dim = int(np.prod(
             (self.classifier_plans or self.encoder_plans)[-1].out_shape))
 
+        initial: dict[str, np.ndarray] = {}
         for plan in self.encoder_plans + self.decoder_plans + self.classifier_plans:
-            self._init_layer(plan, rng)
-        self._init_dense("classifier.out", self.classifier_out_in_dim, config.num_clusters,
-                         "none", rng)
+            self._init_layer(initial, plan, rng)
+        self._init_dense(initial, "classifier.out", self.classifier_out_in_dim,
+                         config.num_clusters, "none", rng)
+        classifier = {k: initial.pop(k) for k in list(initial) if k.startswith("classifier.")}
+        # each group's flat buffer and its parameters, views into it
+        self.groups = {"autoencoder": flat_parameters(initial),
+                       "classifier": flat_parameters(classifier)}
+        self.params: dict[str, ad.Tensor] = {
+            name: p for _, group in self.groups.values() for name, p in group.items()}
 
-    def _init_dense(self, name, fan_in, fan_out, activation, rng):
+    def _init_dense(self, initial, name, fan_in, fan_out, activation, rng):
         std = np.sqrt(2.0 / fan_in) if activation == "relu" else np.sqrt(2.0 / (fan_in + fan_out))
-        self.params[f"{name}.W"] = ad.parameter(rng.normals((fan_in, fan_out)) * std)
-        self.params[f"{name}.b"] = ad.parameter(np.zeros(fan_out))
+        initial[f"{name}.W"] = rng.normals((fan_in, fan_out)) * std
+        initial[f"{name}.b"] = np.zeros(fan_out)
 
-    def _init_layer(self, plan: _LayerPlan, rng):
+    def _init_layer(self, initial, plan: _LayerPlan, rng):
         spec = plan.spec
         if spec.kind == "dense":
-            self._init_dense(plan.name, int(np.prod(plan.in_shape)), spec.channels_or_units,
-                             spec.activation, rng)
+            self._init_dense(initial, plan.name, int(np.prod(plan.in_shape)),
+                             spec.channels_or_units, spec.activation, rng)
             return
         f = spec.kernel_size
         in_c = plan.in_shape[0]
@@ -189,8 +199,8 @@ class Network:
             w_shape = (out_c, in_c, f, f)
         else:
             w_shape = (in_c, out_c, f, f)
-        self.params[f"{plan.name}.W"] = ad.parameter(rng.normals(w_shape) * std)
-        self.params[f"{plan.name}.b"] = ad.parameter(np.zeros(out_c))
+        initial[f"{plan.name}.W"] = rng.normals(w_shape) * std
+        initial[f"{plan.name}.b"] = np.zeros(out_c)
 
     # ------------------------------------------------------------------
     # forward passes
@@ -290,21 +300,28 @@ class Network:
     # ------------------------------------------------------------------
 
     def autoencoder_params(self) -> dict[str, ad.Tensor]:
-        return {k: v for k, v in self.params.items()
-                if k.startswith("encoder.") or k.startswith("decoder.")}
+        return dict(self.groups["autoencoder"][1])
 
     def classifier_params(self) -> dict[str, ad.Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("classifier.")}
+        return dict(self.groups["classifier"][1])
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Write ``values`` into every parameter's array; a missing or
+        mis-shaped value is refused before any is written."""
+        arrays = {}
         for name, p in self.params.items():
             if name not in values:
                 raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != p.shape:
-                raise ad.ShapeError(
-                    f"checkpoint parameter {name!r} has shape {arr.shape}, expected {p.shape}")
-            p.values = arr.copy()
+            arrays[name] = np.asarray(values[name], dtype=np.float64)
+            if arrays[name].shape != p.shape:
+                raise ad.ShapeError(f"checkpoint parameter {name!r} has shape "
+                                    f"{arrays[name].shape}, expected {p.shape}")
+        for name, p in self.params.items():
+            p.values[...] = arrays[name]
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.values.copy() for name, p in self.params.items()}
+        """A copy of every parameter's values: one buffer copy per group."""
+        values = {}
+        for buffer, group in self.groups.values():
+            values.update(zip(group, group_views(buffer.copy(), [p.shape for p in group.values()])))
+        return values

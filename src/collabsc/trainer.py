@@ -202,7 +202,7 @@ class CollaborativeTrainer:
         self.network.load_values(
             {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
         for i, values in coeffs.items():
-            self._batch_coeffs(i).values = values.copy()
+            self._batch_coeffs(i).values[...] = values
 
     @contextmanager
     def _restoring(self, what: str, batch_index: int | None = None):
@@ -222,7 +222,7 @@ class CollaborativeTrainer:
         except (TrainingDivergedError, ValueError) as exc:
             self.network.load_values(network)
             for c, values in zip(coeffs, coeff_values):
-                c.values = values
+                c.values[...] = values
             for adam, state in zip(adams, adam_states):
                 adam.state = state
             if isinstance(exc, TrainingDivergedError):
@@ -252,10 +252,15 @@ class CollaborativeTrainer:
 
     def _subspace_pass(self, x: ad.Tensor, coeffs: ad.Tensor):
         """Encode, self-express (latent rows mixed as C^T Z), decode: the
-        latent, then ``subspace_loss``'s total and its three terms."""
+        latent, then ``subspace_loss``'s total and its three terms.
+
+        The one C^T Z node feeds both the decoder and the self-expression
+        term, so backward sums their gradients before one matmul backward.
+        """
         latent = self.network.encode(x)
-        recon = self.network.decode(ad.matmul(ad.transpose(coeffs), latent))
-        return (latent, *subspace_loss(latent, coeffs, x, recon, self.config.lambda1))
+        mixed = ad.matmul(ad.transpose(coeffs), latent)
+        recon = self.network.decode(mixed)
+        return (latent, *subspace_loss(latent, coeffs, mixed, x, recon, self.config.lambda1))
 
     # ------------------------------------------------------------------
 
@@ -322,8 +327,8 @@ class CollaborativeTrainer:
         logits = feats @ w + b
         spread = float((logits - logits.mean(axis=0, keepdims=True)).std())
         gain = 4.0 / max(spread, 1e-12)  # sharp enough for confident affinities
-        self.network.params["classifier.out.W"].values = gain * w
-        self.network.params["classifier.out.b"].values = gain * b
+        self.network.params["classifier.out.W"].values[...] = gain * w
+        self.network.params["classifier.out.b"].values[...] = gain * b
 
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
         """One three-stage round on one batch (see the module docstring); a

@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Most of these are deliberately naive: exhaustive enumeration and direct
-formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops and
-of k-means' centroid update. The last section holds a reference pipeline
-instead: the closed-form ridge self-expression solver and
+formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
+k-means' centroid update and of the Adam step. The last section holds a
+reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
 collaborative training replaces, used to check the synthetic generator and
 the subspace affinity. The production code must agree with these, never the
@@ -18,6 +18,8 @@ import math
 import numpy as np
 
 from collabsc.affinity import KMEANS_MAX_ITER, KMEANS_RESTARTS, kmeans
+from collabsc.autodiff import ShapeError
+from collabsc.optim import BETA1, BETA2, EPS
 from collabsc.rng import Xorshift64Star
 
 
@@ -280,6 +282,39 @@ def _loop_kmeans_pp_init(x, k, rng, sq_norms):
         d2 = np.minimum(
             d2, np.maximum(sq_norms - 2.0 * (x @ centers[c]) + (centers[c] * centers[c]).sum(), 0.0))
     return centers
+
+
+# ---------------------------------------------------------------------------
+# Adam, one parameter at a time
+# ---------------------------------------------------------------------------
+# The per-parameter step that ``collabsc.optim.Adam`` replaced with one flat
+# chain per group, kept as it was. The flat step must move parameters and
+# moments bit for bit like this one: elementwise IEEE operations round the
+# same whatever the array layout, so any difference is a changed operation.
+
+def loop_adam_step(params: dict, state) -> None:
+    """One Adam step over ``params`` (name to parameter tensor).
+
+    ``state`` has ``lr``, ``step`` and the name-keyed moment dicts ``m`` and
+    ``v``; the step rebinds their arrays and moves the parameters in place.
+    A None gradient counts as zero.
+    """
+    s = state
+    s.step += 1
+    bc1 = 1.0 - BETA1 ** s.step
+    bc2 = 1.0 - BETA2 ** s.step
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            g = 0.0
+        elif np.shape(g) != p.shape:
+            raise ShapeError(
+                f"adam: gradient shape {np.shape(g)} != parameter {name!r} shape {p.shape}")
+        s.m[name] = BETA1 * s.m[name] + (1.0 - BETA1) * g
+        s.v[name] = BETA2 * s.v[name] + (1.0 - BETA2) * np.square(g)
+        m_hat = s.m[name] / bc1
+        v_hat = s.v[name] / bc2
+        p.values -= s.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 # ---------------------------------------------------------------------------

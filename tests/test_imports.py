@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-every exported name exists."""
+"""Source hygiene: every module-level import in the package is used, every
+exported name exists, and only ``Tensor.__init__`` binds a tensor's
+``values``."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,46 @@ def test_every_exported_name_resolves():
     import collabsc
 
     assert [name for name in collabsc.__all__ if not hasattr(collabsc, name)] == []
+
+
+def values_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """(enclosing class/def names, line) of every assignment to, augmented
+    assignment of or deletion of an attribute named ``values``, outside
+    ``Tensor.__init__``.
+
+    Parameters are views into their optimizer group's flat buffer, so code
+    that sets their values must write into the array; binding a new one
+    would silently detach the parameter from the buffer its optimizer steps.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "values"
+                    and isinstance(child.ctx, (ast.Store, ast.Del))
+                    and scope != ("Tensor", "__init__")):
+                found.append((scope, child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_finds_values_bindings_outside_the_tensor_constructor():
+    source = ("class Tensor:\n"
+              "    def __init__(self, v):\n"
+              "        self.values = v\n"
+              "def load(p, q, v):\n"
+              "    p.values[...] = v\n"
+              "    p.values = v\n"
+              "    p.values -= v\n"
+              "    q.values, x = v, 1\n"
+              "    del q.values\n")
+    assert values_bindings(source) == [(("load",), 6), (("load",), 7), (("load",), 8),
+                                       (("load",), 9)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_binds_values_only_in_the_tensor_constructor(path):
+    assert values_bindings(path.read_text()) == []

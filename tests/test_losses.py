@@ -242,7 +242,11 @@ class TestCollaborationRate:
 class TestSubspaceLoss:
     @staticmethod
     def _tensors(z, c, x, xhat):
-        return (ad.constant(z), ad.parameter(c), ad.constant(x), ad.constant(xhat))
+        """subspace_loss's tensor arguments, with the caller's C^T Z built
+        from ``c`` and ``z``."""
+        latent, coeffs = ad.constant(z), ad.parameter(c)
+        mixed = ad.matmul(ad.transpose(coeffs), latent)
+        return (latent, coeffs, mixed, ad.constant(x), ad.constant(xhat))
 
     def test_all_zero_case(self):
         z = np.zeros((2, 2))
@@ -289,8 +293,14 @@ class TestSubspaceLoss:
     def test_rejects_shape_mismatch(self):
         z = np.ones((2, 2))
         with pytest.raises(ad.ShapeError):
-            subspace_loss(ad.constant(z), ad.parameter(np.zeros((3, 3))),
+            subspace_loss(ad.constant(z), ad.parameter(np.zeros((3, 3))), ad.constant(z),
                           ad.constant(z), ad.constant(z), 1.0)
+
+    def test_rejects_mixed_latent_of_another_shape(self):
+        z = np.ones((2, 2))
+        with pytest.raises(ad.ShapeError, match="mixed latent"):
+            subspace_loss(ad.constant(z), ad.parameter(np.zeros((2, 2))),
+                          ad.constant(np.ones((2, 3))), ad.constant(z), ad.constant(z), 1.0)
 
 
 class TestTotalLoss:

@@ -229,3 +229,19 @@ class TestParameterGroups:
         del snap["classifier.out.W"]
         with pytest.raises(CheckpointError, match="classifier.out.W"):
             net.load_values(snap)
+
+    @pytest.mark.parametrize("bad", ["missing", "mis-shaped"])
+    def test_refused_load_writes_nothing(self, bad):
+        # the last parameter is bad, so every other one would be written first
+        net = Network(dense_config(), (8,), seed=0)
+        before = net.snapshot()
+        values = {name: v + 1.0 for name, v in before.items()}
+        last = list(values)[-1]
+        if bad == "missing":
+            del values[last]
+        else:
+            values[last] = np.ones(3)
+        with pytest.raises((CheckpointError, ad.ShapeError), match=last):
+            net.load_values(values)
+        for name, p in net.params.items():
+            np.testing.assert_array_equal(p.values, before[name], err_msg=name)

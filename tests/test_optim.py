@@ -1,10 +1,15 @@
 """Adam optimizer behavior."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import collabsc.autodiff as ad
-from collabsc.optim import Adam
+from collabsc.optim import Adam, flat_parameters
+from collabsc.rng import Xorshift64Star
+from oracles import loop_adam_step
 
 
 def test_zero_gradient_leaves_fresh_params_unchanged():
@@ -30,10 +35,10 @@ def test_two_zero_grad_steps_decay_moments_and_freeze_params():
     adam = Adam({"p": p}, lr=0.1)
     p.grad = np.array([0.0])
     adam.step()
-    m1, v1 = adam.state.m["p"].copy(), adam.state.v["p"].copy()
+    m1, v1 = adam.state.m.copy(), adam.state.v.copy()
     adam.step()
-    np.testing.assert_allclose(adam.state.m["p"], 0.9 * m1)
-    np.testing.assert_allclose(adam.state.v["p"], 0.999 * v1)
+    np.testing.assert_allclose(adam.state.m, 0.9 * m1)
+    np.testing.assert_allclose(adam.state.v, 0.999 * v1)
     assert p.values[0] == 5.0
     assert adam.state.step == 2
 
@@ -52,6 +57,80 @@ def test_shape_mismatch_rejected():
     p.grad = np.ones(4)
     with pytest.raises(ad.ShapeError, match="shape"):
         adam.step()
+
+
+def test_wrong_shaped_gradient_changes_nothing():
+    # every gradient's shape is checked before the step counter, a moment or
+    # a parameter moves, even one that comes before the bad gradient
+    _, params = flat_parameters({"a": np.ones(3), "b": np.full((2, 2), 2.0)})
+    adam = Adam(params, lr=0.1)
+    params["a"].grad = np.ones(3)
+    params["b"].grad = np.ones(3)
+    with pytest.raises(ad.ShapeError, match="'b'"):
+        adam.step()
+    np.testing.assert_array_equal(params["a"].values, np.ones(3))
+    np.testing.assert_array_equal(params["b"].values, np.full((2, 2), 2.0))
+    np.testing.assert_array_equal(adam.state.m, np.zeros(7))
+    np.testing.assert_array_equal(adam.state.v, np.zeros(7))
+    assert adam.state.step == 0
+
+
+def test_parameters_must_tile_one_buffer():
+    a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(3))
+    with pytest.raises(ValueError, match="flat_parameters"):
+        Adam({"a": a, "b": b}, lr=0.1)
+    _, grouped = flat_parameters({"a": np.ones(2), "b": np.ones(3)})
+    with pytest.raises(ValueError, match="flat_parameters"):
+        Adam({"b": grouped["b"], "a": grouped["a"]}, lr=0.1)
+    with pytest.raises(ValueError, match="cover"):
+        Adam({"a": grouped["a"], "b2": ad.Tensor(grouped["b"].values[:2], True)}, lr=0.1)
+
+
+SPECIAL_ENTRIES = (-0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 1e150, -1e150)
+
+
+def with_specials(rng, values):
+    """``values`` with about a quarter of its entries replaced by signed
+    zeros, subnormals or +-1e150."""
+    flat = values.reshape(-1)
+    for i in range(flat.size):
+        if rng.below(4) == 0:
+            flat[i] = SPECIAL_ENTRIES[rng.below(len(SPECIAL_ENTRIES))]
+    return values
+
+
+@settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 40,
+          deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+                       min_size=1, max_size=8),
+       coeff_side=st.integers(0, 6), lr=st.sampled_from([1e-3, 0.1, 1.0]),
+       seed=st.integers(1, 2**32))
+def test_flat_step_matches_the_loop_oracle(shapes, coeff_side, lr, seed):
+    # coeff_side > 0 draws a one-parameter group like a batch's C instead
+    rng = Xorshift64Star(seed)
+    if coeff_side:
+        shapes = [(coeff_side, coeff_side)]
+    initial = {f"p{i}": with_specials(rng, rng.normals(shape)) for i, shape in enumerate(shapes)}
+    params = ({"coeffs": ad.parameter(initial["p0"])} if coeff_side
+              else flat_parameters(initial)[1])
+    oracle_params = {name: ad.parameter(v) for name, v in zip(params, initial.values())}
+    adam = Adam(params, lr=lr)
+    oracle = SimpleNamespace(lr=lr, step=0,
+                             m={name: np.zeros(p.shape) for name, p in oracle_params.items()},
+                             v={name: np.zeros(p.shape) for name, p in oracle_params.items()})
+    for _ in range(50):
+        for p, q in zip(params.values(), oracle_params.values()):
+            grad = (None if rng.below(5) == 0
+                    else with_specials(rng, rng.normals(p.shape) * 10.0 ** (3 * rng.below(3) - 3)))
+            p.grad, q.grad = grad, grad
+        adam.step()
+        loop_adam_step(oracle_params, oracle)
+    assert adam.state.step == oracle.step == 50
+    for name, moment in (("m", adam.state.m), ("v", adam.state.v)):
+        expected = np.concatenate([a.reshape(-1) for a in getattr(oracle, name).values()])
+        assert moment.reshape(-1).tobytes() == expected.tobytes(), name
+    for name, p in params.items():
+        assert p.values.tobytes() == oracle_params[name].values.tobytes(), name
 
 
 def test_descends_a_quadratic():

@@ -159,8 +159,7 @@ class TestTrainBatchDivergence:
         for group, adam in adams.items():
             values[f"{group}.adam.step"] = np.asarray(adam.state.step)
             for moment in ("m", "v"):
-                for name, arr in getattr(adam.state, moment).items():
-                    values[f"{group}.adam.{moment}.{name}"] = arr.copy()
+                values[f"{group}.adam.{moment}"] = getattr(adam.state, moment).copy()
         return values
 
     def assert_state_equals(self, trainer, before):
@@ -236,6 +235,82 @@ class TestTrainBatchDivergence:
         with pytest.raises(TrainingDivergedError, match="classifier.out.b"):
             trainer.train_batch(0, u=0.7)
         self.assert_state_equals(trainer, before)
+
+
+class TestParameterViews:
+    """Every site that sets parameter values writes into the arrays the
+    optimizers step: a rebound array would train a detached copy."""
+
+    @staticmethod
+    def assert_views_are_live(trainer):
+        network = trainer.network.params
+        for group, adam in (("autoencoder", trainer.ae_adam), ("classifier", trainer.cls_adam)):
+            assert adam.buffer is trainer.network.groups[group][0]
+            for name, p in adam.params.items():
+                assert p is network[name]
+                assert np.shares_memory(p.values, adam.buffer), name
+        assert trainer.ae_adam.params.keys() | trainer.cls_adam.params.keys() == network.keys()
+        for i, coeffs in trainer.coeffs.items():
+            assert trainer.coeff_adams[i].buffer is coeffs.values
+        # one more step on every optimizer moves every live parameter
+        live = {**network, **{f"C{i}": c for i, c in trainer.coeffs.items()}}
+        before = {name: p.values.copy() for name, p in live.items()}
+        for p in live.values():
+            p.grad = np.ones(p.shape)
+        for adam in (trainer.ae_adam, trainer.cls_adam, *trainer.coeff_adams.values()):
+            adam.step()
+        for name, p in live.items():
+            assert (p.values != before[name]).all(), name
+
+    @staticmethod
+    def trainer_with_coefficients():
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10), tiny_dataset())
+        for i in range(len(trainer.batches)):
+            trainer.train_batch(i, u=0.7)
+        return trainer
+
+    def test_warm_start(self):
+        trainer = self.trainer_with_coefficients()
+        trainer.warm_start_classifier()
+        self.assert_views_are_live(trainer)
+
+    def test_load_checkpoint_params(self):
+        trainer = self.trainer_with_coefficients()
+        params = {name: values + 0.5 for name, values in trainer.checkpoint_params().items()}
+        for i in trainer.coeffs:
+            np.fill_diagonal(params[f"selfexpr.batch_{i}.C"], 0.0)
+        assert "selfexpr.batch_0.C" in params
+        trainer.load_checkpoint_params(params)
+        for name, values in trainer.checkpoint_params().items():
+            np.testing.assert_array_equal(values, params[name], err_msg=name)
+        self.assert_views_are_live(trainer)
+
+    def test_train_batch_divergence_restore(self, monkeypatch):
+        trainer = self.trainer_with_coefficients()
+
+        def failing_negative_teacher(*args, **kwargs):
+            raise ValueError("class affinity entries must lie in [0, 1]")
+
+        monkeypatch.setattr(trainer_module, "negative_teacher", failing_negative_teacher)
+        with pytest.raises(TrainingDivergedError, match="failed a value check"):
+            trainer.train_batch(0, u=0.7)
+        self.assert_views_are_live(trainer)
+
+    def test_pretraining_divergence_restore(self):
+        trainer = self.trainer_with_coefficients()
+        decode, calls = trainer.network.decode, []
+
+        def failing_decode(latent):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ad.AutodiffError("log: NaN input")
+            return decode(latent)
+
+        trainer.network.decode = failing_decode
+        with pytest.raises(TrainingDivergedError, match="pretraining epoch 1 failed"):
+            trainer.pretrain()
+        del trainer.network.decode
+        self.assert_views_are_live(trainer)
 
 
 class TestTrainBatch:

@@ -2,11 +2,13 @@
 
 The classifier affinity is the Gram matrix of l2-normalized prediction rows.
 The subspace affinity is the symmetrized absolute coefficients,
-row-normalized by each row's largest off-diagonal entry. It has one formula,
-the autodiff ``subspace_affinity_tensor``; ``subspace_affinity`` is its
-values on a constant with the diagonal set to 1. ``kmeans`` finds the
-prototypes that warm-start the classifier. No spectral step runs anywhere:
-cluster labels come from the classifier.
+row-normalized by each row's largest off-diagonal entry. Each has one
+formula, an autodiff tensor: ``class_affinity_tensor`` and
+``subspace_affinity_tensor``. Their numpy forms, ``class_affinity`` and
+``subspace_affinity``, are that formula's values on a constant with the
+diagonal set to 1 (the class form clipped to [0, 1] by ``clip_overshoot``
+first). ``kmeans`` finds the prototypes that warm-start the classifier. No
+spectral step runs anywhere: cluster labels come from the classifier.
 
 Both k-means and the warm start's readout take cluster means from one sorted
 pass, ``cluster_means``: a stable argsort of the labels, one gather of the
@@ -29,28 +31,38 @@ from . import autodiff as ad
 from .rng import Xorshift64Star
 
 
-def class_affinity(predictions: np.ndarray) -> np.ndarray:
-    """Gram matrix of prediction rows; entries in [0, 1], diagonal exactly 1.
+def class_affinity_tensor(nu: ad.Tensor) -> ad.Tensor:
+    """Differentiable class affinity nu nu^T of checked prediction rows.
 
-    Rows must be l2-normalized with non-negative entries (softmax output
-    after row normalization). Rounding overshoot beyond 1 is clipped, but
-    only within 1e-12.
+    Rows must be l2-normalized within 1e-9 with non-negative entries
+    (softmax output after row normalization), or ``ValueError`` says which
+    check failed. Entries may round a little above 1; see ``clip_overshoot``.
     """
-    nu = np.asarray(predictions, dtype=np.float64)
-    if nu.ndim != 2:
-        raise ValueError(f"predictions must be 2-d (n, k), got shape {nu.shape}")
+    p = nu.values
+    if p.ndim != 2:
+        raise ValueError(f"predictions must be 2-d (n, k), got shape {p.shape}")
     # each check is stated positively, so NaN (unordered) fails it
-    if not (nu >= 0).all():
+    if not (p >= 0).all():
         raise ValueError("predictions must be non-negative (and not NaN)")
-    norms = np.sqrt((nu * nu).sum(axis=1))
-    worst = float(np.abs(norms - 1.0).max())
+    worst = float(np.abs(np.sqrt((p * p).sum(axis=1)) - 1.0).max())
     if not worst <= 1e-9:
         raise ValueError(f"prediction rows are not l2-normalized (max deviation {worst:.3e})")
-    a = nu @ nu.T
-    overshoot = float(a.max()) - 1.0
+    return ad.matmul(nu, ad.transpose(nu))
+
+
+def clip_overshoot(class_aff: np.ndarray) -> np.ndarray:
+    """A clipped copy of class affinity values in [0, 1]; rounding overshoot
+    beyond 1 is clipped only within 1e-12, more raises ``ValueError``."""
+    overshoot = float(class_aff.max()) - 1.0
     if not overshoot <= 1e-12:
         raise ValueError(f"affinity exceeds 1 by {overshoot:.3e}, beyond rounding tolerance")
-    a = np.clip(a, 0.0, 1.0)
+    return np.clip(class_aff, 0.0, 1.0)
+
+
+def class_affinity(predictions: np.ndarray) -> np.ndarray:
+    """``class_affinity_tensor`` of a constant, clipped by ``clip_overshoot``,
+    with the diagonal set to 1: entries in [0, 1]."""
+    a = clip_overshoot(class_affinity_tensor(ad.constant(predictions)).values)
     np.fill_diagonal(a, 1.0)
     return a
 

@@ -52,8 +52,8 @@ def hungarian(cost) -> np.ndarray:
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"hungarian: cost matrix must be square, got shape {c.shape}")
-    if np.isnan(c).any():
-        raise ValueError("hungarian: cost matrix contains NaN")
+    if not np.isfinite(c).all():
+        raise ValueError("hungarian: cost matrix contains NaN or inf")
     n = c.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)

@@ -306,8 +306,11 @@ class Network:
         return dict(self.groups["classifier"][1])
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Write ``values`` into every parameter's array; a missing or
-        mis-shaped value is refused before any is written."""
+        """Write ``values`` into every parameter's array; a missing,
+        mis-shaped or unknown key is refused before any value is written."""
+        for name in values:
+            if name not in self.params:
+                raise CheckpointError(f"checkpoint key {name!r} names no network parameter")
         arrays = {}
         for name, p in self.params.items():
             if name not in values:

@@ -3,13 +3,17 @@
 Per batch, one training round is:
   stage 1 - several optimizer steps on the subspace objective over the
             autoencoder and the batch's coefficient matrix (diagonal
-            re-projected to zero after every step), then refresh the
-            subspace affinity;
-  stage 2 - classifier-only steps on the positive collaborative term, with
-            the encoder output frozen (the negative term's teacher and
-            student are both constants here, so it has no gradient);
+            re-projected to zero after every step), then build the round's
+            subspace affinity tensor from the final C;
+  stage 2 - classifier-only steps on the positive collaborative term, taught
+            by that affinity's values, with the encoder output frozen (the
+            negative term's teacher and student are both constants here, so
+            it has no gradient);
   stage 3 - one joint step on the full objective over all parameters, the
-            autoencoder group at its own smaller learning rate.
+            autoencoder group at its own smaller learning rate; it
+            differentiates the same subspace affinity tensor.
+Each class affinity, stage 2's and stage 3's, is ``class_affinity_tensor`` of
+that step's predictions, so every step checks the prediction rows in full.
 
 The batch partition is shuffled once from the seed and then fixed. Each
 batch keeps its own coefficient matrix C, a plain n x n parameter of the
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .affinity import (class_affinity, cluster_means, kmeans, subspace_affinity,
+from .affinity import (class_affinity_tensor, clip_overshoot, cluster_means, kmeans,
                        subspace_affinity_tensor)
 from .checkpoint import CheckpointError
 from .config import ExperimentConfig
@@ -348,28 +352,28 @@ class CollaborativeTrainer:
             self._descend("stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
             np.fill_diagonal(coeffs.values, 0.0)
         self._check_finite("stage-1 coefficients", coeffs)
-        subspace_aff = subspace_affinity(coeffs.values)
+        # C stays put until stage 3's step: stage 2 teaches from this affinity
+        # and stage 3 differentiates it, so nothing may write into its values
+        subspace_aff_t = subspace_affinity_tensor(coeffs)
 
         # stage 2: classifier-only steps on the positive term (the negative term
-        # would add a constant); C stays put, so stage 3 reuses the teacher
+        # would add a constant); stage 3 reuses the teacher
         latent_frozen = self.network.encode(x, params=self.network.frozen_params())
-        teacher = positive_teacher(subspace_aff, u, soft_mask=cfg.soft_mask)
+        teacher = positive_teacher(subspace_aff_t.values, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)
-            # softmax rows of finite logits, l2-normalized, are unit and
-            # non-negative by construction; stage 3 checks them in full
             self._check_finite("stage-2 predictions", nu)
-            l_pos_t = collaborative_loss(teacher, ad.matmul(nu, ad.transpose(nu)))
+            l_pos_t = collaborative_loss(teacher, class_affinity_tensor(nu))
             self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
         nu = self.network.classify(latent)
         self._check_finite("stage-3 predictions", nu)
-        class_aff_t = ad.matmul(nu, ad.transpose(nu))
+        class_aff_t = class_affinity_tensor(nu)
         l_pos_t = collaborative_loss(teacher, class_aff_t)
-        neg_teacher = negative_teacher(class_affinity(nu.values), cfg.l, soft_mask=cfg.soft_mask)
-        subspace_aff_t = subspace_affinity_tensor(coeffs)
+        neg_teacher = negative_teacher(clip_overshoot(class_aff_t.values), cfg.l,
+                                       soft_mask=cfg.soft_mask)
         dissimilarity_t = ad.subtract(ad.constant(np.ones(subspace_aff_t.shape)), subspace_aff_t)
         l_neg_t = collaborative_loss(neg_teacher, dissimilarity_t)
         alpha = collaboration_rate(teacher.count, neg_teacher.count)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity, cluster_means,
-                               kmeans, subspace_affinity)
+import collabsc.autodiff as ad
+from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity,
+                               class_affinity_tensor, clip_overshoot, cluster_means, kmeans,
+                               subspace_affinity)
 from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
@@ -53,6 +55,59 @@ class TestClassAffinity:
         eigenvalues = np.linalg.eigvalsh((a + a.T) / 2)
         assert eigenvalues.min() > -1e-10
         assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+class TestClassAffinityTensor:
+    def test_clipped_unit_diagonal_copy_equals_numpy_form_bitwise(self):
+        # the trainer's negative teacher reads the clipped tensor values;
+        # with the diagonal set to 1 they are class_affinity bit for bit
+        for trial, (n, k) in enumerate([(6, 3), (12, 5), (9, 2), (20, 7), (3, 1)]):
+            p = random_predictions(n, k, seed=30 + trial)
+            p[1] = p[0]  # a repeated row rounds its Gram entry near 1
+            values = np.clip(class_affinity_tensor(ad.parameter(p)).values, 0.0, 1.0)
+            np.fill_diagonal(values, 1.0)
+            np.testing.assert_array_equal(values, class_affinity(p))
+
+    def test_values_are_the_gram_of_the_rows(self):
+        p = random_predictions(8, 4, seed=5)
+        np.testing.assert_allclose(class_affinity_tensor(ad.constant(p)).values, p @ p.T,
+                                   atol=1e-15)
+
+    def test_gradient_flows_into_predictions(self):
+        p = ad.parameter(random_predictions(5, 3, seed=6))
+        ad.backward(ad.tensor_sum(class_affinity_tensor(p)))
+        # d sum(P P^T) / dP = 2 * (column sums of P) in every row
+        np.testing.assert_allclose(p.grad, np.tile(2.0 * p.values.sum(axis=0), (5, 1)),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.array([[0.5, 0.5], [1.0, 0.0]]), "normalized"),
+        (np.array([[np.nan, 1.0], [1.0, 0.0]]), "NaN"),
+        (np.array([[-0.6, 0.8], [1.0, 0.0]]), "non-negative"),
+        (np.array([[np.inf, 0.0], [1.0, 0.0]]), "normalized"),
+        (np.ones(3), "2-d")])
+    def test_refuses_what_class_affinity_refuses(self, rows, message):
+        for build in (lambda: class_affinity_tensor(ad.constant(rows)),
+                      lambda: class_affinity(rows)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
+class TestClipOvershoot:
+    def test_clips_rounding_overshoot_into_a_copy(self):
+        a = np.array([[1.0 + 1e-13, 0.25], [0.25, 1.0]])
+        kept = a.copy()
+        clipped = clip_overshoot(a)
+        np.testing.assert_array_equal(clipped, [[1.0, 0.25], [0.25, 1.0]])
+        np.testing.assert_array_equal(a, kept)  # stage 3 differentiates the input
+
+    def test_refuses_overshoot_beyond_rounding(self):
+        with pytest.raises(ValueError, match="exceeds 1 by"):
+            clip_overshoot(np.array([[1.0 + 1e-11]]))
+
+    def test_refuses_nan(self):
+        with pytest.raises(ValueError, match="exceeds 1 by nan"):
+            clip_overshoot(np.array([[np.nan, 0.5]]))
 
 
 class TestSubspaceAffinity:

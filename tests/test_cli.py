@@ -161,6 +161,16 @@ class TestTrainedCheckpoint:
         assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 1
         assert "encoder.0.W" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["classifier.0.W", "encoder.0.W_typo"])
+    def test_eval_checkpoint_with_an_unknown_key_exits_1(self, tmp_path, capsys, key):
+        # tiny_config's head has no hidden layer, so classifier.0.W is foreign
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params[key] = np.zeros((8, 4))
+        save_checkpoint(ckpt, params)
+        assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 1
+        assert f"checkpoint key {key!r} names no network parameter" in capsys.readouterr().err
+
     def test_export_misshapen_coefficients_exits_1(self, tmp_path, capsys):
         args, ckpt = train_checkpoint(tmp_path)
         params = load_checkpoint(ckpt)

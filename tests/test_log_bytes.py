@@ -19,7 +19,10 @@ and Z; it moved all four logs. The logs from before it are kept under
 equal, and each moved column within 4x the largest relative deviation
 measured when the share landed (``CT_Z_SHARE_DEVIATION``). The pins and
 ``golden/`` hold the logs from after it, so exact-byte guarding continues
-from there.
+from there. The class-affinity share that followed moved no pin: each round
+builds its subspace affinity tensor once for stages 2 and 3, and stage 3's
+negative teacher reads the clipped values of the class affinity tensor it
+differentiates, where it had built a separate numpy Gram.
 
 The collab cases run k = 3, three classifier steps per batch and two epochs
 (so the u schedule switches), with confident positive and negative pairs in

@@ -338,8 +338,9 @@ class TestSubspaceAffinityTensor:
         np.testing.assert_allclose(tensor.values[off], expected[off], atol=1e-15)
 
     def test_unit_diagonal_copy_equals_numpy_construction_bitwise(self):
-        # the trainer's stage 3 takes its numpy subspace affinity from the
-        # tensor; both equal the numpy construction bit for bit
+        # the trainer's positive teacher reads the tensor's values; with the
+        # diagonal set to 1 they are subspace_affinity, and both equal the
+        # numpy construction bit for bit
         rng = Xorshift64Star(12)
         for trial in range(5):
             coeffs = rng.normals((7, 7)) * 10.0 ** (trial - 2)

@@ -28,6 +28,15 @@ class TestHungarian:
         with pytest.raises(ValueError, match="NaN"):
             hungarian(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("cost", [[[np.inf, np.inf], [np.inf, np.inf]],
+                                      [[-np.inf, 1.0], [1.0, 0.0]],
+                                      [[0.0, 1.0], [np.inf, 0.0]]],
+                             ids=["all-inf", "minus-inf", "one-inf"])
+    def test_rejects_infinite_costs(self, cost):
+        # an all-inf matrix never finished the augmenting-path search
+        with pytest.raises(ValueError, match="NaN or inf"):
+            hungarian(np.array(cost))
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             hungarian(np.ones((2, 3)))

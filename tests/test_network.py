@@ -230,7 +230,7 @@ class TestParameterGroups:
         with pytest.raises(CheckpointError, match="classifier.out.W"):
             net.load_values(snap)
 
-    @pytest.mark.parametrize("bad", ["missing", "mis-shaped"])
+    @pytest.mark.parametrize("bad", ["missing", "mis-shaped", "unknown"])
     def test_refused_load_writes_nothing(self, bad):
         # the last parameter is bad, so every other one would be written first
         net = Network(dense_config(), (8,), seed=0)
@@ -239,7 +239,10 @@ class TestParameterGroups:
         last = list(values)[-1]
         if bad == "missing":
             del values[last]
+        elif bad == "mis-shaped":
+            values[last] = np.ones(3)
         else:
+            last = "decoder.9.W"  # an extra key after every parameter
             values[last] = np.ones(3)
         with pytest.raises((CheckpointError, ad.ShapeError), match=last):
             net.load_values(values)

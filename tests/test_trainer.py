@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import collabsc.affinity as affinity_module
 import collabsc.autodiff as ad
 import collabsc.trainer as trainer_module
+from collabsc.checkpoint import CheckpointError
 from collabsc.config import ExperimentConfig
 from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.network import LayerSpec, NetworkConfig
@@ -191,6 +193,26 @@ class TestTrainBatchDivergence:
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
+    def test_non_unit_prediction_rows_are_refused_before_any_classifier_step(self):
+        # finite rows of norm 1.5: stage 2's class affinity refuses them
+        # before its first step, and the round is undone
+        trainer = self.trainer_after_one_good_round()
+        classify, classifier_step, steps = trainer.network.classify, trainer.cls_adam.step, []
+
+        def counted_step():
+            steps.append(None)
+            classifier_step()
+
+        trainer.network.classify = lambda latent, params=None: ad.scale(
+            classify(latent, params=params), 1.5)
+        trainer.cls_adam.step = counted_step
+        before = self.state(trainer)
+        with pytest.raises(TrainingDivergedError, match="not l2-normalized") as info:
+            trainer.train_batch(1, u=0.7)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert steps == []
+        self.assert_state_equals(trainer, before)
+
     @OVERFLOWS
     def test_non_finite_coefficients_restore_batch_start(self):
         # one stage-1 step at this rate leaves the loss it checked finite but
@@ -285,6 +307,16 @@ class TestParameterViews:
             np.testing.assert_array_equal(values, params[name], err_msg=name)
         self.assert_views_are_live(trainer)
 
+    def test_load_checkpoint_params_refuses_an_unknown_key_and_loads_nothing(self):
+        trainer = self.trainer_with_coefficients()
+        before = trainer.checkpoint_params()
+        params = {name: values + 0.5 for name, values in before.items()}
+        params["encoder.0.W_typo"] = np.zeros(2)
+        with pytest.raises(CheckpointError, match="'encoder.0.W_typo' names no network"):
+            trainer.load_checkpoint_params(params)
+        for name, values in trainer.checkpoint_params().items():
+            np.testing.assert_array_equal(values, before[name], err_msg=name)
+
     def test_train_batch_divergence_restore(self, monkeypatch):
         trainer = self.trainer_with_coefficients()
 
@@ -376,6 +408,33 @@ class TestTrainBatch:
                 assert b[name] is None
             else:
                 np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestOneAffinityPerRound:
+    @pytest.mark.parametrize("classifier_steps", [1, 3])
+    def test_each_affinity_comes_from_its_tensor_formula(self, monkeypatch, classifier_steps):
+        # stage 1 builds the subspace tensor once for stages 2 and 3; every
+        # classifier prediction gets one class tensor; no numpy form runs
+        calls = dict.fromkeys(("subspace_affinity_tensor", "class_affinity_tensor",
+                               "subspace_affinity", "class_affinity"), 0)
+
+        def counting(name):
+            fn = getattr(affinity_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(trainer_module, name, counting(name), raising=False)
+        trainer = CollaborativeTrainer(
+            tiny_config(batch_size=10, classifier_steps=classifier_steps), tiny_dataset())
+        trainer.pretrain()
+        trainer.train_batch(0, u=0.7)
+        assert calls == {"subspace_affinity_tensor": 1,
+                         "class_affinity_tensor": classifier_steps + 1,
+                         "subspace_affinity": 0, "class_affinity": 0}
 
 
 class TestFit:

@@ -296,14 +296,8 @@ class Network:
         return self.classify(self.encode(x, params=params), params=params)
 
     # ------------------------------------------------------------------
-    # parameter groups
+    # parameter values
     # ------------------------------------------------------------------
-
-    def autoencoder_params(self) -> dict[str, ad.Tensor]:
-        return dict(self.groups["autoencoder"][1])
-
-    def classifier_params(self) -> dict[str, ad.Tensor]:
-        return dict(self.groups["classifier"][1])
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Write ``values`` into every parameter's array; a missing,

@@ -19,6 +19,10 @@ The batch partition is shuffled once from the seed and then fixed. Each
 batch keeps its own coefficient matrix C, a plain n x n parameter of the
 trainer that mixes the batch's latent rows Z as C^T Z, with its optimizer
 moments across epochs: the only state keyed by batch identity.
+
+One guard, ``_restoring``, owns a pretraining epoch's or a batch round's
+state: it saves each stepped group's buffer and Adam state, refuses a
+parameter the block leaves non-finite, and on failure puts the saved back.
 """
 
 from __future__ import annotations
@@ -58,16 +62,16 @@ PRETRAIN_DIVERGENCE_FACTOR = 1e8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training diverged; the model holds the last good snapshot.
+    """Training diverged; ``_restoring`` put back what the failed block stepped.
 
-    ``pretrain`` raises it when a batch's reconstruction loss is non-finite
-    or its per-point value exceeds ``PRETRAIN_DIVERGENCE_FACTOR`` times the
-    first batch's; ``train_batch`` when a stage's loss or predictions are
-    non-finite before its step, or C or a parameter after it. Both raise it,
-    chained, for a ``ValueError`` from a check on a value computed in
-    training. The network (for ``train_batch`` also the batch's C and the
-    three optimizers it steps) then holds its values from the start of the
-    failed pretraining epoch or ``train_batch`` call.
+    Raised for a loss non-finite before its step, stage 1's C non-finite
+    after its steps, a pretraining per-point loss over
+    ``PRETRAIN_DIVERGENCE_FACTOR`` times the first batch's, a parameter that
+    a pretraining epoch or ``train_batch`` call leaves non-finite (named),
+    and, chained, a ``ValueError`` from a check on a value computed in
+    training. Each group that epoch or call steps (for ``train_batch`` the
+    autoencoder, the classifier and the batch's C) then holds its parameters
+    and Adam state from the start.
     """
 
 
@@ -154,8 +158,8 @@ class CollaborativeTrainer:
                                     Xorshift64Star(mix_seed(config.seed, 2)))
         self.coeffs: dict[int, ad.Tensor] = {}
         self.coeff_adams: dict[int, Adam] = {}
-        self.ae_adam = Adam(self.network.autoencoder_params(), lr=config.lr_ae)
-        self.cls_adam = Adam(self.network.classifier_params(), lr=config.lr_other)
+        self.ae_adam = Adam(self.network.groups["autoencoder"][1], lr=config.lr_ae)
+        self.cls_adam = Adam(self.network.groups["classifier"][1], lr=config.lr_other)
         self.step = 0
         self.train_log: list[LossBreakdown] = []
         self.metrics_history: list[MetricsRow] = []
@@ -163,15 +167,17 @@ class CollaborativeTrainer:
 
     # ------------------------------------------------------------------
 
-    def _batch_coeffs(self, batch_index: int) -> ad.Tensor:
-        """Batch ``batch_index``'s coefficient matrix; a zero one, with its
-        optimizer, on the batch's first visit."""
+    def _batch_adam(self, batch_index: int) -> Adam:
+        """The optimizer of batch ``batch_index``'s coefficient matrix, named
+        ``selfexpr.batch_<i>.C``; both are created, C zero, on the batch's
+        first visit."""
         if batch_index not in self.coeffs:
             side = int(self.batches[batch_index].size)
             self.coeffs[batch_index] = ad.parameter(np.zeros((side, side)))
-            self.coeff_adams[batch_index] = Adam({"coeffs": self.coeffs[batch_index]},
-                                                 lr=self.config.lr_other)
-        return self.coeffs[batch_index]
+            self.coeff_adams[batch_index] = Adam(
+                {f"selfexpr.batch_{batch_index}.C": self.coeffs[batch_index]},
+                lr=self.config.lr_other)
+        return self.coeff_adams[batch_index]
 
     def checkpoint_params(self) -> dict[str, np.ndarray]:
         """The network parameters plus a copy of every ``selfexpr.batch_<i>.C``."""
@@ -184,8 +190,8 @@ class CollaborativeTrainer:
         """Load the network parameters and every ``selfexpr.batch_<i>.C``.
 
         Every value must be finite, and a ``selfexpr.`` key must name a batch
-        i of this partition and hold an (n_i, n_i) matrix, or
-        ``CheckpointError`` names the key and nothing is loaded.
+        i of this partition and hold an (n_i, n_i) matrix with a zero
+        diagonal, or ``CheckpointError`` names the key and nothing is loaded.
         """
         coeffs = {}
         for name, values in params.items():
@@ -202,32 +208,29 @@ class CollaborativeTrainer:
             if values.shape != (side, side):
                 raise CheckpointError(f"checkpoint key {name!r} has shape {values.shape}, "
                                       f"expected {(side, side)}")
+            if np.count_nonzero(np.diagonal(values)):
+                raise CheckpointError(f"checkpoint key {name!r} has a non-zero diagonal")
             coeffs[i] = values
         self.network.load_values(
             {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
         for i, values in coeffs.items():
-            self._batch_coeffs(i).values[...] = values
+            self._batch_adam(i).buffer[...] = values
 
     @contextmanager
-    def _restoring(self, what: str, batch_index: int | None = None):
-        """Restore what the block can change if it raises
-        ``TrainingDivergedError`` or a ``ValueError`` (re-raised as the former,
-        naming ``what``): the network, plus batch ``batch_index``'s C and the
-        three optimizers its round steps; never every batch's C."""
-        network = self.network.snapshot()
-        coeffs, adams = [], []
-        if batch_index is not None:
-            coeffs = [self._batch_coeffs(batch_index)]
-            adams = [self.ae_adam, self.cls_adam, self.coeff_adams[batch_index]]
-        coeff_values = [c.values.copy() for c in coeffs]
-        adam_states = [adam.state_copy() for adam in adams]
+    def _restoring(self, what: str, *adams: Adam):
+        """Undo the block if it fails. Every parameter ``adams`` step must be
+        finite when it ends (``TrainingDivergedError`` names the first that
+        is not); on that error or a ``ValueError`` (re-raised as the former,
+        naming ``what``) each buffer and Adam state is put back as it was."""
+        saved = [(adam.buffer.copy(), adam.state_copy()) for adam in adams]
         try:
             yield
+            for adam in adams:
+                for name, p in adam.params.items():
+                    self._check_finite(f"{what}: parameter {name}", p)
         except (TrainingDivergedError, ValueError) as exc:
-            self.network.load_values(network)
-            for c, values in zip(coeffs, coeff_values):
-                c.values[...] = values
-            for adam, state in zip(adams, adam_states):
+            for adam, (buffer, state) in zip(adams, saved):
+                adam.buffer[...] = buffer
                 adam.state = state
             if isinstance(exc, TrainingDivergedError):
                 raise
@@ -275,12 +278,12 @@ class CollaborativeTrainer:
         (see ``TrainingDivergedError``).
         """
         cfg = self.config
-        adam = Adam(self.network.autoencoder_params(), lr=cfg.lr_pretrain)
+        adam = Adam(self.network.groups["autoencoder"][1], lr=cfg.lr_pretrain)
         history: list[float] = []
         initial = None  # the first batch's per-point loss, before any step
         for epoch in range(1, cfg.pretrain_epochs + 1):
             epoch_loss = 0.0
-            with self._restoring(f"pretraining epoch {epoch}"):
+            with self._restoring(f"pretraining epoch {epoch}", adam):
                 for batch, chunk in enumerate(self.batches, start=1):
                     x = ad.constant(self.dataset.features[chunk])
                     recon = self.network.decode(self.network.encode(x))
@@ -337,7 +340,8 @@ class CollaborativeTrainer:
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
         """One three-stage round on one batch (see the module docstring); a
         diverged round is undone (see ``TrainingDivergedError``)."""
-        with self._restoring(f"batch {batch_index} at step {self.step}", batch_index):
+        with self._restoring(f"batch {batch_index} at step {self.step}", self.ae_adam,
+                             self.cls_adam, self._batch_adam(batch_index)):
             return self._train_batch_stages(batch_index, u)
 
     def _train_batch_stages(self, batch_index: int, u: float) -> LossBreakdown:
@@ -362,15 +366,12 @@ class CollaborativeTrainer:
         teacher = positive_teacher(subspace_aff_t.values, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)
-            self._check_finite("stage-2 predictions", nu)
             l_pos_t = collaborative_loss(teacher, class_affinity_tensor(nu))
             self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
-        nu = self.network.classify(latent)
-        self._check_finite("stage-3 predictions", nu)
-        class_aff_t = class_affinity_tensor(nu)
+        class_aff_t = class_affinity_tensor(self.network.classify(latent))
         l_pos_t = collaborative_loss(teacher, class_aff_t)
         neg_teacher = negative_teacher(clip_overshoot(class_aff_t.values), cfg.l,
                                        soft_mask=cfg.soft_mask)
@@ -381,9 +382,6 @@ class CollaborativeTrainer:
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._descend("stage-3 joint loss", total_t, self.ae_adam, self.cls_adam, coeff_adam)
         np.fill_diagonal(coeffs.values, 0.0)
-        for name, p in self.network.params.items():
-            self._check_finite(f"stage-3 parameter {name}", p)
-        self._check_finite(f"stage-3 parameter selfexpr.batch_{batch_index}.C", coeffs)
 
         return LossBreakdown(
             coeff_norm_sq=coeff_norm_t.item(),

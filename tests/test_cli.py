@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes and the files each command leaves."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from collabsc.data import load_dataset_csv, write_idx_images, write_idx_labels
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
 
-from test_trainer import OVERFLOWS, tiny_config
+from test_trainer import OVERFLOWS, poison_last_step, tiny_config
 
 
 def write_inputs(tmp_path, **overrides):
@@ -84,6 +85,23 @@ class TestPretrain:
         assert params.keys() == initial.keys()
         for name, values in params.items():
             np.testing.assert_array_equal(values, initial[name], err_msg=name)
+
+    def test_non_finite_parameter_exits_2_with_a_checkpoint_that_loads(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the last step of 2 epochs of 2 batches leaves decoder.0.b NaN
+        config, dataset, args = write_inputs(tmp_path, pretrain_epochs=2)
+        poison_last_step(monkeypatch, 4)
+        ckpt = tmp_path / "model.ckpt"
+        assert cli.main(["pretrain", *args, "--checkpoint", str(ckpt)]) == 2
+        assert "parameter decoder.0.b went non-finite" in capsys.readouterr().err
+        monkeypatch.undo()
+        reference = CollaborativeTrainer(dataclasses.replace(config, pretrain_epochs=1), dataset)
+        reference.pretrain()
+        trainer = CollaborativeTrainer(config, dataset)
+        trainer.load_checkpoint_params(load_checkpoint(ckpt))
+        for name, p in trainer.network.params.items():
+            np.testing.assert_array_equal(p.values, reference.network.params[name].values,
+                                          err_msg=name)
 
 
 class TestTrainDivergence:
@@ -182,6 +200,26 @@ class TestTrainedCheckpoint:
         assert code == 1
         assert "selfexpr.batch_0.C" in capsys.readouterr().err
         assert not Path(f"{out}_subspace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "export-affinity"])
+    def test_non_zero_coefficient_diagonal_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                      command):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params["selfexpr.batch_2.C"][3, 3] = 0.25
+        save_checkpoint(ckpt, params)
+        out = tmp_path / "out"
+        extra = {"train": ["--init-checkpoint", str(ckpt), "--checkpoint", str(out),
+                           "--train-log", f"{out}.csv"],
+                 "export-affinity": ["--checkpoint", str(ckpt), "--batch", "2",
+                                     "--out", str(out)]}[command]
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main([command, *args, *extra]) == 1
+        captured = capsys.readouterr()
+        assert "checkpoint key 'selfexpr.batch_2.C' has a non-zero diagonal" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
 
     @pytest.mark.parametrize("command, key, value", [
         ("eval", "classifier.out.b", np.nan),

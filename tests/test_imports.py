@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, every
-exported name exists, and only ``Tensor.__init__`` binds a tensor's
-``values``."""
+exported name exists, only ``Tensor.__init__`` binds a tensor's ``values``,
+and only ``Adam.__init__`` and the trainer's restore guard bind an
+optimizer's ``state``."""
 
 import ast
 from pathlib import Path
@@ -52,28 +53,45 @@ def test_every_exported_name_resolves():
     assert [name for name in collabsc.__all__ if not hasattr(collabsc, name)] == []
 
 
-def values_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
+def attribute_bindings(source: str, attr: str,
+                       owners: set[tuple[str, ...]]) -> list[tuple[tuple[str, ...], int]]:
     """(enclosing class/def names, line) of every assignment to, augmented
-    assignment of or deletion of an attribute named ``values``, outside
-    ``Tensor.__init__``.
-
-    Parameters are views into their optimizer group's flat buffer, so code
-    that sets their values must write into the array; binding a new one
-    would silently detach the parameter from the buffer its optimizer steps.
-    """
+    assignment of or deletion of an attribute named ``attr``, outside the
+    scopes ``owners``."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "values"
-                    and isinstance(child.ctx, (ast.Store, ast.Del))
-                    and scope != ("Tensor", "__init__")):
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, (ast.Store, ast.Del)) and scope not in owners):
                 found.append((scope, child.lineno))
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, scope + (child.name,) if named else scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def values_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``attribute_bindings`` of ``values`` outside ``Tensor.__init__``.
+
+    Parameters are views into their optimizer group's flat buffer, so code
+    that sets their values must write into the array; binding a new one
+    would silently detach the parameter from the buffer its optimizer steps.
+    """
+    return attribute_bindings(source, "values", {("Tensor", "__init__")})
+
+
+def state_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``attribute_bindings`` of ``state`` outside ``Adam.__init__`` and
+    ``CollaborativeTrainer._restoring``.
+
+    The restore guard is the one place that puts saved optimizer state
+    back; a second one could restore moments without the parameters they
+    belong to.
+    """
+    return attribute_bindings(source, "state", {("Adam", "__init__"),
+                                                ("CollaborativeTrainer", "_restoring")})
 
 
 def test_finds_values_bindings_outside_the_tensor_constructor():
@@ -93,3 +111,26 @@ def test_finds_values_bindings_outside_the_tensor_constructor():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_binds_values_only_in_the_tensor_constructor(path):
     assert values_bindings(path.read_text()) == []
+
+
+def test_finds_state_bindings_outside_their_owners():
+    source = ("class Adam:\n"
+              "    def __init__(self, s):\n"
+              "        self.state = s\n"
+              "    def reset(self, s):\n"
+              "        self.state = s\n"
+              "class CollaborativeTrainer:\n"
+              "    def _restoring(self, adam, s):\n"
+              "        adam.state = s\n"
+              "    def restore(self, adam, s):\n"
+              "        adam.state.step = 0\n"
+              "        adam.state = s\n"
+              "        del adam.state\n")
+    assert state_bindings(source) == [(("Adam", "reset"), 5),
+                                      (("CollaborativeTrainer", "restore"), 11),
+                                      (("CollaborativeTrainer", "restore"), 12)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_binds_state_only_in_adam_init_and_the_restore_guard(path):
+    assert state_bindings(path.read_text()) == []

@@ -208,8 +208,8 @@ class TestDecoderMirror:
 class TestParameterGroups:
     def test_groups_partition_parameters(self):
         net = Network(dense_config(), (8,), seed=0)
-        ae = set(net.autoencoder_params())
-        cls = set(net.classifier_params())
+        ae = set(net.groups["autoencoder"][1])
+        cls = set(net.groups["classifier"][1])
         assert ae.isdisjoint(cls)
         assert ae | cls == set(net.params)
         assert "classifier.out.W" in cls

@@ -10,6 +10,7 @@ from collabsc.checkpoint import CheckpointError
 from collabsc.config import ExperimentConfig
 from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.network import LayerSpec, NetworkConfig
+from collabsc.optim import Adam
 from collabsc.rng import Xorshift64Star
 from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_chunks,
                               make_batches, metrics_csv, predict, train_log_csv)
@@ -37,6 +38,20 @@ def tiny_config(**overrides):
                     inner_se_steps=3, seed=0)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def poison_last_step(monkeypatch, steps):
+    """Make the ``steps``-th ``Adam.step`` of any optimizer write NaN into
+    ``decoder.0.b`` after stepping."""
+    step, calls = Adam.step, []
+
+    def poisoned_step(adam):
+        step(adam)
+        calls.append(None)
+        if len(calls) == steps:
+            adam.params["decoder.0.b"].values[0] = np.nan
+
+    monkeypatch.setattr(Adam, "step", poisoned_step)
 
 
 class TestBatching:
@@ -129,6 +144,22 @@ class TestPretrain:
         for name, p in trainer.network.params.items():
             np.testing.assert_array_equal(p.values, reference.network.params[name].values)
 
+    def test_non_finite_parameter_after_the_last_step_restores_epoch_start(self, monkeypatch):
+        # the loss each step sees stays finite, so only the epoch-end check
+        # of the stepped group can catch the NaN the last step leaves
+        trainer = CollaborativeTrainer(tiny_config(pretrain_epochs=2, batch_size=10),
+                                       tiny_dataset())
+        poison_last_step(monkeypatch, 2 * len(trainer.batches))
+        with pytest.raises(TrainingDivergedError,
+                           match="pretraining epoch 2: parameter decoder.0.b went non-finite"):
+            trainer.pretrain()
+        reference = CollaborativeTrainer(tiny_config(pretrain_epochs=1, batch_size=10),
+                                         tiny_dataset())
+        reference.pretrain()
+        for name, p in trainer.network.params.items():
+            np.testing.assert_array_equal(p.values, reference.network.params[name].values,
+                                          err_msg=name)
+
     def test_recovering_high_learning_rate_is_not_divergence(self):
         # lr 1.0 overshoots to about 8e5 times the initial per-point loss,
         # then recovers; that stays below the divergence factor
@@ -189,7 +220,8 @@ class TestTrainBatchDivergence:
         trainer = self.trainer_after_one_good_round(inner_se_steps=1)
         trainer.ae_adam.state.lr = 1e300
         before = self.state(trainer)
-        with pytest.raises(TrainingDivergedError, match="stage-2 predictions went non-finite"):
+        with pytest.raises(TrainingDivergedError,
+                           match="failed a value check: predictions must be non-negative"):
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
@@ -241,21 +273,28 @@ class TestTrainBatchDivergence:
         assert isinstance(info.value.__cause__, ValueError)
         self.assert_state_equals(trainer, before)
 
-    def test_non_finite_joint_step_restores_batch_start(self):
+    @pytest.mark.parametrize("name", ["classifier.out.b", "selfexpr.batch_0.C"])
+    def test_non_finite_joint_step_restores_batch_start(self, name):
+        # stage 3 is the last step of either optimizer; it leaves a NaN off
+        # C's diagonal, where the zero-diagonal projection keeps it
         trainer = self.trainer_after_one_good_round()
-        classifier_step = trainer.cls_adam.step
-        calls = []
+        config = trainer.config
+        adam, steps = ((trainer.cls_adam, config.classifier_steps + 1) if name.startswith("cl")
+                       else (trainer.coeff_adams[0], config.inner_se_steps + 1))
+        step, calls = adam.step, []
 
         def poisoned_step():
-            classifier_step()
+            step()
             calls.append(None)
-            if len(calls) > trainer.config.classifier_steps:  # the stage-3 step
-                trainer.network.params["classifier.out.b"].values[0] = np.nan
+            if len(calls) == steps:
+                adam.params[name].values.flat[1] = np.nan
 
-        trainer.cls_adam.step = poisoned_step
+        adam.step = poisoned_step
         before = self.state(trainer)
-        with pytest.raises(TrainingDivergedError, match="classifier.out.b"):
+        with pytest.raises(TrainingDivergedError,
+                           match=f"batch 0 at step 0: parameter {name} went non-finite"):
             trainer.train_batch(0, u=0.7)
+        assert len(calls) == steps
         self.assert_state_equals(trainer, before)
 
 
@@ -296,11 +335,17 @@ class TestParameterViews:
         trainer.warm_start_classifier()
         self.assert_views_are_live(trainer)
 
-    def test_load_checkpoint_params(self):
-        trainer = self.trainer_with_coefficients()
+    @staticmethod
+    def shifted_params(trainer):
+        """Every checkpoint value plus 0.5, each C's diagonal kept zero."""
         params = {name: values + 0.5 for name, values in trainer.checkpoint_params().items()}
         for i in trainer.coeffs:
             np.fill_diagonal(params[f"selfexpr.batch_{i}.C"], 0.0)
+        return params
+
+    def test_load_checkpoint_params(self):
+        trainer = self.trainer_with_coefficients()
+        params = self.shifted_params(trainer)
         assert "selfexpr.batch_0.C" in params
         trainer.load_checkpoint_params(params)
         for name, values in trainer.checkpoint_params().items():
@@ -310,9 +355,23 @@ class TestParameterViews:
     def test_load_checkpoint_params_refuses_an_unknown_key_and_loads_nothing(self):
         trainer = self.trainer_with_coefficients()
         before = trainer.checkpoint_params()
-        params = {name: values + 0.5 for name, values in before.items()}
+        params = self.shifted_params(trainer)
         params["encoder.0.W_typo"] = np.zeros(2)
         with pytest.raises(CheckpointError, match="'encoder.0.W_typo' names no network"):
+            trainer.load_checkpoint_params(params)
+        for name, values in trainer.checkpoint_params().items():
+            np.testing.assert_array_equal(values, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("value", [1e-300, -0.5])
+    def test_load_checkpoint_params_refuses_a_non_zero_diagonal_and_loads_nothing(self, value):
+        # the last C is bad: a check made while loading would have written the
+        # network and every other C first
+        trainer = self.trainer_with_coefficients()
+        before = trainer.checkpoint_params()
+        params = self.shifted_params(trainer)
+        key = f"selfexpr.batch_{max(trainer.coeffs)}.C"
+        params[key][2, 2] = value
+        with pytest.raises(CheckpointError, match=f"{key!r} has a non-zero diagonal"):
             trainer.load_checkpoint_params(params)
         for name, values in trainer.checkpoint_params().items():
             np.testing.assert_array_equal(values, before[name], err_msg=name)

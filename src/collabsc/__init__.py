@@ -16,7 +16,7 @@ from .losses import (LossBreakdown, clamped_count, collaboration_rate, collabora
 from .metrics import accuracy, ari, hungarian, infer_labels, nmi
 from .network import ConfigError, LayerSpec, Network, NetworkConfig
 from .optim import Adam, AdamState
-from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate, predict
+from .trainer import CollaborativeTrainer, TrainingDivergedError, evaluate
 
 __all__ = [
     "Adam", "AdamState", "CollaborativeTrainer", "ConfigError", "Dataset", "ExperimentConfig",
@@ -25,6 +25,6 @@ __all__ = [
     "class_affinity", "collaboration_rate", "collaborative_loss", "config_to_text", "evaluate",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
     "load_idx", "negative_teacher", "nmi", "parse_config_file", "parse_config_text",
-    "positive_teacher", "predict", "save_checkpoint", "subspace_affinity", "subspace_loss",
+    "positive_teacher", "save_checkpoint", "subspace_affinity", "subspace_loss",
     "total_loss",
 ]

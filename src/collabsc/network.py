@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import CheckpointError
-from .optim import flat_parameters, group_views
+from .optim import flat_parameters
 from .rng import Xorshift64Star, mix_seed
 
 LAYER_KINDS = ("conv", "conv-transpose", "dense")
@@ -122,13 +121,14 @@ def _plans(prefix: str, specs, in_shape: tuple) -> list[_LayerPlan]:
 
 
 class Network:
-    """Encoder/decoder/classifier parameter store and forward passes.
+    """Encoder/decoder/classifier parameters and forward passes.
 
     Owned by a single trainer; all forward methods are pure functions of the
-    current parameters and their input. Each optimizer group (autoencoder,
-    classifier) is views into one flat buffer (``optim.flat_parameters``), so
-    code that sets parameter values writes into their arrays, never rebinds
-    them.
+    current parameters and their input. ``groups`` holds the two optimizer
+    groups, ``autoencoder`` and ``classifier``, each the ``(buffer, params)``
+    pair ``optim.flat_parameters`` builds; ``params`` names every parameter
+    of both. The trainer's optimizers step, save and load them, so code that
+    sets parameter values writes into their arrays, never rebinds them.
     """
 
     def __init__(self, config: NetworkConfig, input_shape: tuple, seed: int = 0):
@@ -294,31 +294,3 @@ class Network:
         """
         params = self.frozen_params() if params is None else params
         return self.classify(self.encode(x, params=params), params=params)
-
-    # ------------------------------------------------------------------
-    # parameter values
-    # ------------------------------------------------------------------
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Write ``values`` into every parameter's array; a missing,
-        mis-shaped or unknown key is refused before any value is written."""
-        for name in values:
-            if name not in self.params:
-                raise CheckpointError(f"checkpoint key {name!r} names no network parameter")
-        arrays = {}
-        for name, p in self.params.items():
-            if name not in values:
-                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-            arrays[name] = np.asarray(values[name], dtype=np.float64)
-            if arrays[name].shape != p.shape:
-                raise ad.ShapeError(f"checkpoint parameter {name!r} has shape "
-                                    f"{arrays[name].shape}, expected {p.shape}")
-        for name, p in self.params.items():
-            p.values[...] = arrays[name]
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """A copy of every parameter's values: one buffer copy per group."""
-        values = {}
-        for buffer, group in self.groups.values():
-            values.update(zip(group, group_views(buffer.copy(), [p.shape for p in group.values()])))
-        return values

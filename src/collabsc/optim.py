@@ -1,11 +1,11 @@
 """Adam optimizer with bias correction, one flat chain per parameter group.
 
-A group of several parameters lives as views, in order, into one contiguous
-float64 buffer (``flat_parameters`` builds it), so one step is one chain of
-array operations over the whole group rather than one per parameter. A lone
-parameter, such as a batch's coefficient matrix, is its own buffer. Code that
-sets a parameter's values writes into its array; rebinding ``values`` would
-detach the parameter from the buffer its optimizer steps.
+A group is the pair ``flat_parameters`` builds: one contiguous float64
+buffer and its parameters, views in order into it. One step is one chain of
+array operations over the whole buffer rather than one per parameter, and a
+group's state is that buffer plus one ``m`` and one ``v``. Code that sets a
+parameter's values writes into its array; rebinding ``values`` would detach
+the parameter from the buffer its optimizer steps.
 """
 
 from __future__ import annotations
@@ -38,31 +38,13 @@ def flat_parameters(values: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str
     return buffer, {name: Tensor(view, requires_grad=True) for name, view in zip(values, views)}
 
 
-def group_buffer(params: dict[str, Tensor]) -> np.ndarray:
-    """The array a step over ``params`` writes: a lone parameter's values, or
-    the flat buffer that several parameters tile in order (``ValueError`` if
-    they do not)."""
-    arrays = [p.values for p in params.values()]
-    if len(arrays) == 1:
-        return arrays[0]
-    buffer, start = arrays[0].base, 0
-    for a in arrays:
-        if not (isinstance(buffer, np.ndarray) and a.base is buffer and a.flags.c_contiguous
-                and a.ctypes.data == buffer.ctypes.data + start * buffer.itemsize):
-            raise ValueError("adam: a group of several parameters must tile one flat "
-                             "buffer in order; build it with flat_parameters")
-        start += a.size
-    if buffer.ndim != 1 or start != buffer.size:
-        raise ValueError("adam: the group's parameters do not cover their flat buffer")
-    return buffer
-
-
 @dataclass
 class AdamState:
     """Step counter and moment estimates for one parameter group.
 
-    ``m`` and ``v`` are one array each, shaped like the group's buffer (see
-    ``group_buffer``): the parameters' moments in the group's order.
+    ``m`` and ``v`` are one array each holding the parameters' moments in
+    the group's order: shaped like the group's buffer, or like its parameter
+    if it has only one.
     """
 
     lr: float
@@ -72,24 +54,30 @@ class AdamState:
 
 
 class Adam:
-    """Standard Adam over a named group of parameters.
+    """Standard Adam over a group ``(buffer, params)`` from ``flat_parameters``.
 
     A parameter whose grad is None is treated as having a zero gradient:
-    its moments decay but a fresh (all-zero) state leaves it untouched.
+    its moments decay but a fresh (all-zero) state leaves it untouched. A
+    group of one parameter steps the buffer in that parameter's shape, so
+    its gradient is read as it is, never gathered into a copy.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float):
+    def __init__(self, group: tuple[np.ndarray, dict[str, Tensor]], lr: float):
+        self.buffer, params = group
         self.params = dict(params)
-        self.buffer = group_buffer(self.params)
-        self.state = AdamState(lr=lr, m=np.zeros(self.buffer.shape),
-                               v=np.zeros(self.buffer.shape))
+        shapes = [p.shape for p in self.params.values()]
         self._grads = None
-        if len(self.params) > 1:  # several parameters gather their gradients here
+        if len(shapes) == 1:
+            self._stepped = self.buffer.reshape(shapes[0])
+        else:  # several parameters gather their gradients here
+            self._stepped = self.buffer
             self._grads = np.empty(self.buffer.shape)
-            self._grad_views = group_views(self._grads, [p.shape for p in self.params.values()])
+            self._grad_views = group_views(self._grads, shapes)
+        self.state = AdamState(lr=lr, m=np.zeros(self._stepped.shape),
+                               v=np.zeros(self._stepped.shape))
 
     def _gradient(self):
-        """The group's gradient, shaped like ``buffer``, or 0.0 for a lone
+        """The group's gradient, shaped like ``m``, or 0.0 for a lone
         parameter without one; every shape is checked before anything is read."""
         for name, p in self.params.items():
             if p.grad is not None and np.shape(p.grad) != p.shape:
@@ -111,7 +99,7 @@ class Adam:
         bc2 = 1.0 - BETA2 ** s.step
         s.m = BETA1 * s.m + (1.0 - BETA1) * g
         s.v = BETA2 * s.v + (1.0 - BETA2) * np.square(g)
-        self.buffer -= s.lr * (s.m / bc1) / (np.sqrt(s.v / bc2) + EPS)
+        self._stepped -= s.lr * (s.m / bc1) / (np.sqrt(s.v / bc2) + EPS)
 
     def state_copy(self) -> AdamState:
         """A copy of the state for restoring into ``self.state`` later.

@@ -43,7 +43,7 @@ from .losses import (LossBreakdown, clamped_count, collaboration_rate, collabora
                      negative_teacher, positive_teacher, subspace_loss, total_loss)
 from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
 from .network import Network
-from .optim import Adam
+from .optim import Adam, flat_parameters, group_views
 from .rng import Xorshift64Star, mix_seed
 
 TRAIN_LOG_HEADER = ("step,coeff_norm_sq,self_expression,reconstruction,l_sub,"
@@ -107,16 +107,11 @@ class MetricsRow:
     sizes: tuple[int, ...]
 
 
-def predict(network: Network, features, params=None) -> np.ndarray:
-    """Inference path: encode, classify, row argmax. Never touches the
-    decoder or any coefficient matrix. ``params`` as for
-    ``Network.predictions``."""
-    return infer_labels(network.predictions(features, params=params).values)
-
-
 def predict_dataset(network: Network, features: np.ndarray, batch_size: int) -> np.ndarray:
+    """Inference path, chunk by chunk: encode, classify, row argmax. Never
+    touches the decoder or any coefficient matrix."""
     params = network.frozen_params()
-    parts = [predict(network, features[chunk], params=params)
+    parts = [infer_labels(network.predictions(features[chunk], params=params).values)
              for chunk in eval_chunks(features.shape[0], batch_size)]
     return np.concatenate(parts)
 
@@ -144,6 +139,11 @@ class CollaborativeTrainer:
     coefficient matrix ``coeffs[i]`` with its optimizer ``coeff_adams[i]``
     (both created on the batch's first visit), and the run's logs.
 
+    The optimizers ``ae_adam``, ``cls_adam`` and ``coeff_adams`` are the
+    run's one parameter registry: each steps one ``flat_parameters`` group,
+    and ``checkpoint_params``, ``load_checkpoint_params`` and
+    ``_zero_grads`` walk them.
+
     ``fit`` appends one ``LossBreakdown`` per batch step to ``train_log``,
     one ``MetricsRow`` per evaluation to ``metrics_history`` and, unless it
     skips pretraining, each pretraining epoch's mean loss to
@@ -158,8 +158,8 @@ class CollaborativeTrainer:
                                     Xorshift64Star(mix_seed(config.seed, 2)))
         self.coeffs: dict[int, ad.Tensor] = {}
         self.coeff_adams: dict[int, Adam] = {}
-        self.ae_adam = Adam(self.network.groups["autoencoder"][1], lr=config.lr_ae)
-        self.cls_adam = Adam(self.network.groups["classifier"][1], lr=config.lr_other)
+        self.ae_adam = Adam(self.network.groups["autoencoder"], lr=config.lr_ae)
+        self.cls_adam = Adam(self.network.groups["classifier"], lr=config.lr_other)
         self.step = 0
         self.train_log: list[LossBreakdown] = []
         self.metrics_history: list[MetricsRow] = []
@@ -167,54 +167,71 @@ class CollaborativeTrainer:
 
     # ------------------------------------------------------------------
 
+    def _adams(self) -> list[Adam]:
+        """The run's optimizers; every trained parameter is in one of their groups."""
+        return [self.ae_adam, self.cls_adam, *self.coeff_adams.values()]
+
     def _batch_adam(self, batch_index: int) -> Adam:
         """The optimizer of batch ``batch_index``'s coefficient matrix, named
         ``selfexpr.batch_<i>.C``; both are created, C zero, on the batch's
         first visit."""
         if batch_index not in self.coeffs:
             side = int(self.batches[batch_index].size)
-            self.coeffs[batch_index] = ad.parameter(np.zeros((side, side)))
-            self.coeff_adams[batch_index] = Adam(
-                {f"selfexpr.batch_{batch_index}.C": self.coeffs[batch_index]},
-                lr=self.config.lr_other)
+            name = f"selfexpr.batch_{batch_index}.C"
+            adam = Adam(flat_parameters({name: np.zeros((side, side))}), lr=self.config.lr_other)
+            self.coeffs[batch_index] = adam.params[name]
+            self.coeff_adams[batch_index] = adam
         return self.coeff_adams[batch_index]
 
     def checkpoint_params(self) -> dict[str, np.ndarray]:
-        """The network parameters plus a copy of every ``selfexpr.batch_<i>.C``."""
-        params = self.network.snapshot()
-        for i, coeffs in self.coeffs.items():
-            params[f"selfexpr.batch_{i}.C"] = coeffs.values.copy()
+        """A copy of every parameter the optimizers step, the network's and
+        each ``selfexpr.batch_<i>.C``: one buffer copy per group."""
+        params = {}
+        for adam in self._adams():
+            shapes = [p.shape for p in adam.params.values()]
+            params.update(zip(adam.params, group_views(adam.buffer.copy(), shapes)))
         return params
 
     def load_checkpoint_params(self, params: dict[str, np.ndarray]) -> None:
-        """Load the network parameters and every ``selfexpr.batch_<i>.C``.
+        """Load every network parameter and any ``selfexpr.batch_<i>.C``.
 
-        Every value must be finite, and a ``selfexpr.`` key must name a batch
-        i of this partition and hold an (n_i, n_i) matrix with a zero
-        diagonal, or ``CheckpointError`` names the key and nothing is loaded.
+        The one loader. Before anything is written, every key is checked:
+        it must name a network parameter or a C of batch i of this partition,
+        hold that parameter's shape ((n_i, n_i) for C) in finite values, and
+        for C have a zero diagonal; and no network parameter may be missing.
+        A ``CheckpointError`` names the first key that fails.
         """
-        coeffs = {}
+        network = {name: p for adam in (self.ae_adam, self.cls_adam)
+                   for name, p in adam.params.items()}
+        checked = {}  # name -> (batch index, or None for a network key; values)
         for name, values in params.items():
+            values = np.asarray(values, dtype=np.float64)
+            batch = None
+            if name in network:
+                shape = network[name].shape
+            elif name.startswith("selfexpr."):
+                match = re.fullmatch(r"selfexpr\.batch_([0-9]+)\.C", name)
+                batch = int(match.group(1)) if match else -1
+                if not 0 <= batch < len(self.batches):
+                    raise CheckpointError(f"checkpoint key {name!r} names no batch of this "
+                                          f"partition of {len(self.batches)} batches")
+                shape = (int(self.batches[batch].size),) * 2
+            else:
+                raise CheckpointError(f"checkpoint key {name!r} names no network parameter")
+            if values.shape != shape:
+                raise CheckpointError(f"checkpoint key {name!r} has shape {values.shape}, "
+                                      f"expected {shape}")
             if not np.isfinite(values).all():
                 raise CheckpointError(f"checkpoint key {name!r} holds NaN or inf values")
-            if not name.startswith("selfexpr."):
-                continue
-            match = re.fullmatch(r"selfexpr\.batch_([0-9]+)\.C", name)
-            i = int(match.group(1)) if match else -1
-            if not 0 <= i < len(self.batches):
-                raise CheckpointError(f"checkpoint key {name!r} names no batch of this "
-                                      f"partition of {len(self.batches)} batches")
-            side = int(self.batches[i].size)
-            if values.shape != (side, side):
-                raise CheckpointError(f"checkpoint key {name!r} has shape {values.shape}, "
-                                      f"expected {(side, side)}")
-            if np.count_nonzero(np.diagonal(values)):
+            if batch is not None and np.count_nonzero(np.diagonal(values)):
                 raise CheckpointError(f"checkpoint key {name!r} has a non-zero diagonal")
-            coeffs[i] = values
-        self.network.load_values(
-            {k: v for k, v in params.items() if not k.startswith("selfexpr.")})
-        for i, values in coeffs.items():
-            self._batch_adam(i).buffer[...] = values
+            checked[name] = batch, values
+        for name in network:
+            if name not in params:
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+        for name, (batch, values) in checked.items():
+            target = network[name] if batch is None else self._batch_adam(batch).params[name]
+            target.values[...] = values
 
     @contextmanager
     def _restoring(self, what: str, *adams: Adam):
@@ -239,14 +256,14 @@ class CollaborativeTrainer:
                 f"from before {what}") from exc
 
     def _zero_grads(self) -> None:
-        for p in self.network.params.values():
-            p.grad = None
-        for coeffs in self.coeffs.values():
-            coeffs.grad = None
+        for adam in self._adams():
+            for p in adam.params.values():
+                p.grad = None
 
-    def _check_finite(self, what: str, t: ad.Tensor) -> None:
+    @staticmethod
+    def _check_finite(what: str, t: ad.Tensor) -> None:
         if not np.isfinite(t.values).all():
-            raise TrainingDivergedError(f"{what} went non-finite at step {self.step}")
+            raise TrainingDivergedError(f"{what} went non-finite")
 
     def _descend(self, what: str, loss: ad.Tensor, *adams: Adam) -> None:
         """One descent step: check ``loss`` is finite, backpropagate it into
@@ -278,12 +295,12 @@ class CollaborativeTrainer:
         (see ``TrainingDivergedError``).
         """
         cfg = self.config
-        adam = Adam(self.network.groups["autoencoder"][1], lr=cfg.lr_pretrain)
+        adam = Adam(self.network.groups["autoencoder"], lr=cfg.lr_pretrain)
         history: list[float] = []
         initial = None  # the first batch's per-point loss, before any step
         for epoch in range(1, cfg.pretrain_epochs + 1):
-            epoch_loss = 0.0
-            with self._restoring(f"pretraining epoch {epoch}", adam):
+            epoch_loss, where = 0.0, f"pretraining epoch {epoch}"
+            with self._restoring(where, adam):
                 for batch, chunk in enumerate(self.batches, start=1):
                     x = ad.constant(self.dataset.features[chunk])
                     recon = self.network.decode(self.network.encode(x))
@@ -300,7 +317,7 @@ class CollaborativeTrainer:
                             f"loss {initial:.3g}): {per_point:.3g} per point at epoch "
                             f"{epoch}, batch {batch}; the model holds its parameters from "
                             f"before epoch {epoch}")
-                    self._descend("pretraining reconstruction loss", loss, adam)
+                    self._descend(f"{where}: reconstruction loss", loss, adam)
                     epoch_loss += value
             history.append(epoch_loss / len(self.batches))
         return history
@@ -340,11 +357,11 @@ class CollaborativeTrainer:
     def train_batch(self, batch_index: int, u: float) -> LossBreakdown:
         """One three-stage round on one batch (see the module docstring); a
         diverged round is undone (see ``TrainingDivergedError``)."""
-        with self._restoring(f"batch {batch_index} at step {self.step}", self.ae_adam,
-                             self.cls_adam, self._batch_adam(batch_index)):
-            return self._train_batch_stages(batch_index, u)
+        where = f"batch {batch_index} at step {self.step}"
+        with self._restoring(where, self.ae_adam, self.cls_adam, self._batch_adam(batch_index)):
+            return self._train_batch_stages(where, batch_index, u)
 
-    def _train_batch_stages(self, batch_index: int, u: float) -> LossBreakdown:
+    def _train_batch_stages(self, where: str, batch_index: int, u: float) -> LossBreakdown:
         cfg = self.config
         x = ad.constant(self.dataset.features[self.batches[batch_index]])
         coeffs = self.coeffs[batch_index]
@@ -353,9 +370,9 @@ class CollaborativeTrainer:
         # stage 1: subspace objective over autoencoder + coefficients
         for _ in range(cfg.inner_se_steps):
             l_sub_t = self._subspace_pass(x, coeffs)[1]
-            self._descend("stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
+            self._descend(f"{where}: stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
             np.fill_diagonal(coeffs.values, 0.0)
-        self._check_finite("stage-1 coefficients", coeffs)
+        self._check_finite(f"{where}: stage-1 coefficients", coeffs)
         # C stays put until stage 3's step: stage 2 teaches from this affinity
         # and stage 3 differentiates it, so nothing may write into its values
         subspace_aff_t = subspace_affinity_tensor(coeffs)
@@ -367,7 +384,7 @@ class CollaborativeTrainer:
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)
             l_pos_t = collaborative_loss(teacher, class_affinity_tensor(nu))
-            self._descend("stage-2 collaborative loss", l_pos_t, self.cls_adam)
+            self._descend(f"{where}: stage-2 collaborative loss", l_pos_t, self.cls_adam)
 
         # stage 3: one joint step on the full objective
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
@@ -380,7 +397,8 @@ class CollaborativeTrainer:
         alpha = collaboration_rate(teacher.count, neg_teacher.count)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
-        self._descend("stage-3 joint loss", total_t, self.ae_adam, self.cls_adam, coeff_adam)
+        self._descend(f"{where}: stage-3 joint loss", total_t, self.ae_adam, self.cls_adam,
+                      coeff_adam)
         np.fill_diagonal(coeffs.values, 0.0)
 
         return LossBreakdown(

@@ -46,7 +46,7 @@ def assert_holds_state_before_first_round(ckpt, config, dataset):
     trainer = CollaborativeTrainer(config, dataset)
     trainer.pretrain()
     trainer.warm_start_classifier()
-    expected = trainer.network.snapshot()
+    expected = trainer.checkpoint_params()
     expected["selfexpr.batch_0.C"] = np.zeros((10, 10))
     params = load_checkpoint(ckpt)
     assert params.keys() == expected.keys()
@@ -60,7 +60,7 @@ class TestPretrain:
         ckpt, log = tmp_path / "model.ckpt", tmp_path / "pretrain.csv"
         assert cli.main(["pretrain", *args, "--checkpoint", str(ckpt), "--log", str(log)]) == 0
         assert len(log.read_text().splitlines()) == 1 + 4
-        initial = CollaborativeTrainer(config, dataset).network.snapshot()
+        initial = CollaborativeTrainer(config, dataset).checkpoint_params()
         params = load_checkpoint(ckpt)
         assert params.keys() == initial.keys()
         assert not np.array_equal(params["encoder.0.W"], initial["encoder.0.W"])
@@ -80,7 +80,7 @@ class TestPretrain:
         code = cli.main(["pretrain", *args, "--checkpoint", str(ckpt), "--lr-pretrain", "1e9"])
         assert code == 2
         assert "diverged" in capsys.readouterr().err
-        initial = CollaborativeTrainer(config, dataset).network.snapshot()
+        initial = CollaborativeTrainer(config, dataset).checkpoint_params()
         params = load_checkpoint(ckpt)
         assert params.keys() == initial.keys()
         for name, values in params.items():
@@ -93,7 +93,8 @@ class TestPretrain:
         poison_last_step(monkeypatch, 4)
         ckpt = tmp_path / "model.ckpt"
         assert cli.main(["pretrain", *args, "--checkpoint", str(ckpt)]) == 2
-        assert "parameter decoder.0.b went non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: pretraining epoch 2: parameter decoder.0.b "
+                                           "went non-finite\n")
         monkeypatch.undo()
         reference = CollaborativeTrainer(dataclasses.replace(config, pretrain_epochs=1), dataset)
         reference.pretrain()
@@ -114,7 +115,8 @@ class TestTrainDivergence:
         code = cli.main(["train", *args, "--checkpoint", str(ckpt),
                          "--inner-se-steps", "1", "--lr-other", "1e308"])
         assert code == 2
-        assert "stage-1 coefficients went non-finite at step 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: batch 0 at step 1: stage-1 coefficients "
+                                           "went non-finite\n")
         assert_holds_state_before_first_round(ckpt, config, dataset)
 
 
@@ -188,6 +190,15 @@ class TestTrainedCheckpoint:
         save_checkpoint(ckpt, params)
         assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 1
         assert f"checkpoint key {key!r} names no network parameter" in capsys.readouterr().err
+
+    def test_eval_checkpoint_with_a_mis_shaped_key_exits_1(self, tmp_path, capsys):
+        args, ckpt = train_checkpoint(tmp_path)
+        params = load_checkpoint(ckpt)
+        params["encoder.0.W"] = np.zeros((8, 4))
+        save_checkpoint(ckpt, params)
+        assert cli.main(["eval", *args, "--checkpoint", str(ckpt)]) == 1
+        assert "checkpoint key 'encoder.0.W' has shape (8, 4), expected (12, 16)" in \
+            capsys.readouterr().err
 
     def test_export_misshapen_coefficients_exits_1(self, tmp_path, capsys):
         args, ckpt = train_checkpoint(tmp_path)

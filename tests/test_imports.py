@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, every
 exported name exists, only ``Tensor.__init__`` binds a tensor's ``values``,
-and only ``Adam.__init__`` and the trainer's restore guard bind an
-optimizer's ``state``."""
+only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
+``state``, and only the checkpoint file format and the trainer's one loader
+raise ``CheckpointError``."""
 
 import ast
 from pathlib import Path
@@ -53,23 +54,26 @@ def test_every_exported_name_resolves():
     assert [name for name in collabsc.__all__ if not hasattr(collabsc, name)] == []
 
 
+def scoped_nodes(source: str):
+    """Every node of ``source``, with the names of the classes and defs that
+    enclose it."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, scope + (child.name,) if named else scope)
+
+    return visit(ast.parse(source), ())
+
+
 def attribute_bindings(source: str, attr: str,
                        owners: set[tuple[str, ...]]) -> list[tuple[tuple[str, ...], int]]:
     """(enclosing class/def names, line) of every assignment to, augmented
     assignment of or deletion of an attribute named ``attr``, outside the
     scopes ``owners``."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == attr
-                    and isinstance(child.ctx, (ast.Store, ast.Del)) and scope not in owners):
-                found.append((scope, child.lineno))
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, scope + (child.name,) if named else scope)
-
-    visit(ast.parse(source), ())
-    return found
+    return [(scope, node.lineno) for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, (ast.Store, ast.Del)) and scope not in owners]
 
 
 def values_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
@@ -134,3 +138,54 @@ def test_finds_state_bindings_outside_their_owners():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_binds_state_only_in_adam_init_and_the_restore_guard(path):
     assert state_bindings(path.read_text()) == []
+
+
+def raise_sites(source: str, exc: str,
+                owners: set[tuple[str, ...]]) -> list[tuple[tuple[str, ...], int]]:
+    """(enclosing class/def names, line) of every ``raise`` of the exception
+    class named ``exc``, bare or called, by name or as a module attribute,
+    outside the scopes ``owners``."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Raise) and node.exc is not None and scope not in owners:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "id", None) == exc or getattr(raised, "attr", None) == exc:
+                found.append((scope, node.lineno))
+    return found
+
+
+def checkpoint_error_raises(path: Path) -> list[tuple[tuple[str, ...], int]]:
+    """``raise_sites`` of ``CheckpointError`` in ``path``, outside its two homes.
+
+    ``checkpoint.py`` refuses malformed files; ``load_checkpoint_params``
+    refuses keys that do not fit the run. A check of a key anywhere else
+    would be a second loader whose refusals could drift from the first's.
+    """
+    if path.name == "checkpoint.py":
+        return []
+    return raise_sites(path.read_text(), "CheckpointError",
+                       {("CollaborativeTrainer", "load_checkpoint_params")})
+
+
+def test_finds_raises_outside_their_owners():
+    source = ("class CollaborativeTrainer:\n"
+              "    def load_checkpoint_params(self):\n"
+              "        raise CheckpointError('key')\n"
+              "    def load_values(self):\n"
+              "        raise CheckpointError('key')\n"
+              "def check(ckpt):\n"
+              "    try:\n"
+              "        raise ckpt.CheckpointError('key')\n"
+              "    except CheckpointError:\n"
+              "        raise\n"
+              "    raise ValueError('key')\n"
+              "def fail():\n"
+              "    raise CheckpointError\n")
+    assert raise_sites(source, "CheckpointError",
+                       {("CollaborativeTrainer", "load_checkpoint_params")}) == [
+        (("CollaborativeTrainer", "load_values"), 5), (("check",), 8), (("fail",), 13)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_raises_checkpoint_error_only_in_the_format_and_the_loader(path):
+    assert checkpoint_error_raises(path) == []

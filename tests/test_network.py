@@ -5,8 +5,11 @@ import pytest
 
 import collabsc.autodiff as ad
 from collabsc.checkpoint import CheckpointError
+from collabsc.config import ExperimentConfig
+from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.network import ConfigError, LayerSpec, Network, NetworkConfig
 from collabsc.rng import Xorshift64Star
+from collabsc.trainer import CollaborativeTrainer
 
 
 def dense_config(latent=20, k=2, guess=3):
@@ -214,37 +217,49 @@ class TestParameterGroups:
         assert ae | cls == set(net.params)
         assert "classifier.out.W" in cls
 
+    # the network's groups are saved and loaded by the trainer that owns them
+    @staticmethod
+    def trainer():
+        data = generate_synthetic(SyntheticSpec(k=2, d=2, D=8, n_per=20, seed=0))
+        config = ExperimentConfig(network=dense_config(), batch_size=20, epochs=1,
+                                  pretrain_epochs=1, inner_se_steps=1, seed=0)
+        return CollaborativeTrainer(config, data)
+
     def test_snapshot_and_load_round_trip(self):
-        net = Network(dense_config(), (8,), seed=0)
-        snap = net.snapshot()
+        trainer = self.trainer()
+        net = trainer.network
+        snap = trainer.checkpoint_params()
+        assert snap.keys() == net.params.keys()
         for p in net.params.values():
             p.values += 1.0
-        net.load_values(snap)
+        trainer.load_checkpoint_params(snap)
         for name, p in net.params.items():
             np.testing.assert_array_equal(p.values, snap[name])
 
     def test_load_rejects_missing_parameter(self):
-        net = Network(dense_config(), (8,), seed=0)
-        snap = net.snapshot()
+        trainer = self.trainer()
+        snap = trainer.checkpoint_params()
         del snap["classifier.out.W"]
         with pytest.raises(CheckpointError, match="classifier.out.W"):
-            net.load_values(snap)
+            trainer.load_checkpoint_params(snap)
 
     @pytest.mark.parametrize("bad", ["missing", "mis-shaped", "unknown"])
     def test_refused_load_writes_nothing(self, bad):
         # the last parameter is bad, so every other one would be written first
-        net = Network(dense_config(), (8,), seed=0)
-        before = net.snapshot()
+        trainer = self.trainer()
+        net = trainer.network
+        before = trainer.checkpoint_params()
         values = {name: v + 1.0 for name, v in before.items()}
-        last = list(values)[-1]
+        last = list(net.params)[-1]
         if bad == "missing":
             del values[last]
         elif bad == "mis-shaped":
+            del values[last]
             values[last] = np.ones(3)
         else:
             last = "decoder.9.W"  # an extra key after every parameter
             values[last] = np.ones(3)
-        with pytest.raises((CheckpointError, ad.ShapeError), match=last):
-            net.load_values(values)
+        with pytest.raises(CheckpointError, match=last):
+            trainer.load_checkpoint_params(values)
         for name, p in net.params.items():
             np.testing.assert_array_equal(p.values, before[name], err_msg=name)

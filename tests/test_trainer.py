@@ -1,5 +1,7 @@
 """Trainer orchestration: determinism, stage semantics, inference isolation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.optim import Adam
 from collabsc.rng import Xorshift64Star
 from collabsc.trainer import (CollaborativeTrainer, TrainingDivergedError, eval_chunks,
-                              make_batches, metrics_csv, predict, train_log_csv)
+                              make_batches, metrics_csv, predict_dataset, train_log_csv)
 
 from oracles import loop_kmeans
 
@@ -22,6 +24,11 @@ from oracles import loop_kmeans
 # are expected there
 OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                        "ignore:invalid value encountered:RuntimeWarning")
+
+
+def exactly(message):
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
 
 
 def tiny_dataset(seed=0, n_per=20):
@@ -88,7 +95,7 @@ class TestPretrain:
     def test_zero_epochs_leave_parameters_unchanged(self):
         dataset = tiny_dataset()
         trainer = CollaborativeTrainer(tiny_config(pretrain_epochs=0), dataset)
-        before = trainer.network.snapshot()
+        before = trainer.checkpoint_params()
         history = trainer.pretrain()
         assert history == []
         for name, p in trainer.network.params.items():
@@ -115,7 +122,7 @@ class TestPretrain:
         dataset = tiny_dataset()
         trainer = CollaborativeTrainer(
             tiny_config(pretrain_epochs=5, lr_pretrain=1e300), dataset)
-        before = trainer.network.snapshot()
+        before = trainer.checkpoint_params()
         with pytest.raises(TrainingDivergedError, match="inf per point at epoch 1, batch 2"):
             trainer.pretrain()
         for name, p in trainer.network.params.items():
@@ -151,7 +158,8 @@ class TestPretrain:
                                        tiny_dataset())
         poison_last_step(monkeypatch, 2 * len(trainer.batches))
         with pytest.raises(TrainingDivergedError,
-                           match="pretraining epoch 2: parameter decoder.0.b went non-finite"):
+                           match=exactly("pretraining epoch 2: parameter decoder.0.b "
+                                         "went non-finite")):
             trainer.pretrain()
         reference = CollaborativeTrainer(tiny_config(pretrain_epochs=1, batch_size=10),
                                          tiny_dataset())
@@ -184,9 +192,7 @@ class TestTrainBatchDivergence:
     def state(trainer):
         """Parameters, coefficients, and every optimizer's step count and
         moments, all copied (so in-place moment updates would show)."""
-        values = trainer.network.snapshot()
-        for i, coeffs in trainer.coeffs.items():
-            values[f"C{i}"] = coeffs.values.copy()
+        values = trainer.checkpoint_params()
         adams = {"ae": trainer.ae_adam, "cls": trainer.cls_adam}
         adams.update({f"C{i}": adam for i, adam in trainer.coeff_adams.items()})
         for group, adam in adams.items():
@@ -208,8 +214,10 @@ class TestTrainBatchDivergence:
         adam = trainer.ae_adam if group == "autoencoder" else trainer.coeff_adams[1]
         adam.state.lr = 1e300
         before = self.state(trainer)
-        assert np.abs(before["C1"]).max() > 0
-        with pytest.raises(TrainingDivergedError, match="stage-1 subspace loss went non-finite"):
+        assert np.abs(before["selfexpr.batch_1.C"]).max() > 0
+        with pytest.raises(TrainingDivergedError,
+                           match=exactly("batch 1 at step 0: stage-1 subspace loss went "
+                                         "non-finite")):
             trainer.train_batch(1, u=0.7)
         self.assert_state_equals(trainer, before)
 
@@ -254,7 +262,9 @@ class TestTrainBatchDivergence:
         trainer.train_batch(0, u=0.7)
         trainer.coeff_adams[0].state.lr = 1e308
         before = self.state(trainer)
-        with pytest.raises(TrainingDivergedError, match="stage-1 coefficients went non-finite"):
+        with pytest.raises(TrainingDivergedError,
+                           match=exactly("batch 0 at step 0: stage-1 coefficients went "
+                                         "non-finite")):
             trainer.train_batch(0, u=0.7)
         self.assert_state_equals(trainer, before)
 
@@ -292,7 +302,8 @@ class TestTrainBatchDivergence:
         adam.step = poisoned_step
         before = self.state(trainer)
         with pytest.raises(TrainingDivergedError,
-                           match=f"batch 0 at step 0: parameter {name} went non-finite"):
+                           match=exactly(f"batch 0 at step 0: parameter {name} went "
+                                         f"non-finite")):
             trainer.train_batch(0, u=0.7)
         assert len(calls) == steps
         self.assert_state_equals(trainer, before)
@@ -312,7 +323,10 @@ class TestParameterViews:
                 assert np.shares_memory(p.values, adam.buffer), name
         assert trainer.ae_adam.params.keys() | trainer.cls_adam.params.keys() == network.keys()
         for i, coeffs in trainer.coeffs.items():
-            assert trainer.coeff_adams[i].buffer is coeffs.values
+            adam = trainer.coeff_adams[i]
+            assert list(adam.params) == [f"selfexpr.batch_{i}.C"]
+            assert adam.params[f"selfexpr.batch_{i}.C"] is coeffs
+            assert np.shares_memory(coeffs.values, adam.buffer), i
         # one more step on every optimizer moves every live parameter
         live = {**network, **{f"C{i}": c for i, c in trainer.coeffs.items()}}
         before = {name: p.values.copy() for name, p in live.items()}
@@ -374,6 +388,34 @@ class TestParameterViews:
         with pytest.raises(CheckpointError, match=f"{key!r} has a non-zero diagonal"):
             trainer.load_checkpoint_params(params)
         for name, values in trainer.checkpoint_params().items():
+            np.testing.assert_array_equal(values, before[name], err_msg=name)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("classifier.out.b", None, "checkpoint is missing parameter 'classifier.out.b'"),
+        ("classifier.out.b", np.ones(3),
+         "checkpoint key 'classifier.out.b' has shape (3,), expected (2,)"),
+        ("decoder.9.W", np.ones(3), "checkpoint key 'decoder.9.W' names no network parameter"),
+        ("selfexpr.batch_4.C", np.zeros((10, 10)),
+         "checkpoint key 'selfexpr.batch_4.C' names no batch of this partition of 4 batches"),
+        ("selfexpr.batch_3.C", np.zeros((3, 3)),
+         "checkpoint key 'selfexpr.batch_3.C' has shape (3, 3), expected (10, 10)"),
+        ("selfexpr.batch_3.C", np.where(np.eye(10), 0.0, np.nan),
+         "checkpoint key 'selfexpr.batch_3.C' holds NaN or inf values")],
+        ids=["missing", "mis-shaped", "unknown", "C-of-no-batch", "C-mis-shaped",
+             "C-non-finite"])
+    def test_refused_load_writes_nothing(self, key, value, message):
+        # the bad key comes last, so every other one would be written first
+        trainer = self.trainer_with_coefficients()
+        before = trainer.checkpoint_params()
+        params = self.shifted_params(trainer)
+        params.pop(key, None)
+        if value is not None:
+            params[key] = value
+        with pytest.raises(CheckpointError, match=exactly(message)):
+            trainer.load_checkpoint_params(params)
+        after = trainer.checkpoint_params()
+        assert after.keys() == before.keys()
+        for name, values in after.items():
             np.testing.assert_array_equal(values, before[name], err_msg=name)
 
     def test_train_batch_divergence_restore(self, monkeypatch):
@@ -544,17 +586,17 @@ class TestPredict:
     def test_labels_in_range_and_deterministic(self):
         dataset = tiny_dataset()
         result = CollaborativeTrainer(tiny_config(), dataset).fit()
-        labels = predict(result.network, dataset.features)
+        labels = predict_dataset(result.network, dataset.features, result.config.batch_size)
         assert labels.shape == (len(dataset),)
         assert set(labels.tolist()) <= {0, 1}
-        again = predict(result.network, dataset.features)
+        again = predict_dataset(result.network, dataset.features, result.config.batch_size)
         assert (labels == again).all()
 
     def test_duplicated_rows_get_identical_labels(self):
         dataset = tiny_dataset()
         result = CollaborativeTrainer(tiny_config(), dataset).fit()
         x = np.repeat(dataset.features[:3], 2, axis=0)
-        labels = predict(result.network, x)
+        labels = predict_dataset(result.network, x, result.config.batch_size)
         assert labels[0] == labels[1] and labels[2] == labels[3] and labels[4] == labels[5]
 
     def test_inference_never_touches_decoder_or_coefficients(self):
@@ -572,13 +614,13 @@ class TestPredict:
                 p.values = np.full(p.shape, np.nan)
         for coeffs in result.coeffs.values():
             coeffs.values = np.full(coeffs.shape, np.nan)
-        labels = predict(network, dataset.features)
+        labels = predict_dataset(network, dataset.features, result.config.batch_size)
         assert np.isfinite(labels).all()
 
     def test_predict_matches_epoch_end_evaluation(self):
         dataset = tiny_dataset()
         result = CollaborativeTrainer(tiny_config(epochs=1), dataset).fit()
-        labels = predict(result.network, dataset.features)
+        labels = predict_dataset(result.network, dataset.features, result.config.batch_size)
         sizes = np.bincount(labels, minlength=2)
         assert tuple(sizes) == result.metrics_history[-1].sizes
 

@@ -7,7 +7,7 @@ spectral step.
 """
 
 from . import autodiff
-from .affinity import class_affinity, kmeans, subspace_affinity
+from .affinity import kmeans
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config_file, parse_config_text, config_to_text
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_idx
@@ -22,9 +22,8 @@ __all__ = [
     "Adam", "AdamState", "CollaborativeTrainer", "ConfigError", "Dataset", "ExperimentConfig",
     "LayerSpec", "LossBreakdown", "Network", "NetworkConfig", "SyntheticSpec",
     "TrainingDivergedError", "accuracy", "ari", "autodiff", "clamped_count",
-    "class_affinity", "collaboration_rate", "collaborative_loss", "config_to_text", "evaluate",
+    "collaboration_rate", "collaborative_loss", "config_to_text", "evaluate",
     "generate_synthetic", "hungarian", "infer_labels", "kmeans", "load_checkpoint",
     "load_idx", "negative_teacher", "nmi", "parse_config_file", "parse_config_text",
-    "positive_teacher", "save_checkpoint", "subspace_affinity", "subspace_loss",
-    "total_loss",
+    "positive_teacher", "save_checkpoint", "subspace_loss", "total_loss",
 ]

@@ -2,13 +2,13 @@
 
 The classifier affinity is the Gram matrix of l2-normalized prediction rows.
 The subspace affinity is the symmetrized absolute coefficients,
-row-normalized by each row's largest off-diagonal entry. Each has one
-formula, an autodiff tensor: ``class_affinity_tensor`` and
-``subspace_affinity_tensor``. Their numpy forms, ``class_affinity`` and
-``subspace_affinity``, are that formula's values on a constant with the
-diagonal set to 1 (the class form clipped to [0, 1] by ``clip_overshoot``
-first). ``kmeans`` finds the prototypes that warm-start the classifier. No
-spectral step runs anywhere: cluster labels come from the classifier.
+row-normalized by each row's largest off-diagonal entry, with a 0 diagonal.
+Each has one formula, an autodiff tensor: ``class_affinity_tensor`` and
+``subspace_affinity_tensor``. Training and ``export-affinity`` both read
+these; the export clips the class values with ``clip_overshoot`` and sets
+both diagonals to 1 for display. ``kmeans`` finds the prototypes that
+warm-start the classifier. No spectral step runs anywhere: cluster labels
+come from the classifier.
 
 Both k-means and the warm start's readout take cluster means from one sorted
 pass, ``cluster_means``: a stable argsort of the labels, one gather of the
@@ -59,24 +59,7 @@ def clip_overshoot(class_aff: np.ndarray) -> np.ndarray:
     return np.clip(class_aff, 0.0, 1.0)
 
 
-def class_affinity(predictions: np.ndarray) -> np.ndarray:
-    """``class_affinity_tensor`` of a constant, clipped by ``clip_overshoot``,
-    with the diagonal set to 1: entries in [0, 1]."""
-    a = clip_overshoot(class_affinity_tensor(ad.constant(predictions)).values)
-    np.fill_diagonal(a, 1.0)
-    return a
-
-
 DUST_TOLERANCE = 1e-15
-
-
-def _check_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got shape {c.shape}")
-    if np.count_nonzero(np.diag(c)):
-        raise ValueError("coefficient matrix diagonal is not zero; project before use")
-    return c
 
 
 def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
@@ -85,8 +68,9 @@ def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
     (|C| + |C^T|)/2 with each row divided by its largest entry (the
     off-diagonal maximum, as the diagonal of C is zero). Rows whose entries
     are all below 1e-15 scale to zero rather than amplifying numerical dust.
-    The row normalizers are recomputed each forward pass but treated as
-    constants during differentiation, so gradients keep the direction of
+    The result is scale-invariant in C but not symmetric in general: rows
+    own their normalizers. Those are recomputed each forward pass but treated
+    as constants during differentiation, so gradients keep the direction of
     the unnormalized entries.
     """
     sym = ad.scale(ad.add(ad.absolute(coeff_tensor), ad.transpose(ad.absolute(coeff_tensor))), 0.5)
@@ -94,18 +78,6 @@ def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
     scales = np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
     scale_matrix = np.repeat(scales[:, None], coeff_tensor.shape[0], axis=1)
     return ad.multiply(sym, ad.constant(scale_matrix))
-
-
-def subspace_affinity(coeffs: np.ndarray) -> np.ndarray:
-    """``subspace_affinity_tensor`` of a constant, with the diagonal set to 1.
-
-    All-zero rows stay zero off the diagonal. The row normalization makes
-    the result scale-invariant in the coefficients but not symmetric in
-    general (rows own their normalizers).
-    """
-    a = subspace_affinity_tensor(ad.constant(_check_coeffs(coeffs))).values
-    np.fill_diagonal(a, 1.0)
-    return a
 
 
 # ---------------------------------------------------------------------------

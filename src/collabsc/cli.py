@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import affinity_to_csv, affinity_to_pgm, class_affinity, subspace_affinity
+from .affinity import (affinity_to_csv, affinity_to_pgm, class_affinity_tensor, clip_overshoot,
+                       subspace_affinity_tensor)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, complete_u_schedule, parse_config_file, parse_value,
                      scalar_fields)
 from .data import (NONLINEARITIES, Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv,
-                   load_idx, save_dataset_csv)
+                   load_idx, load_labels_csv, save_dataset_csv)
 from .gradcheck import run_gradient_checks
 from .trainer import (CollaborativeTrainer, TrainingDivergedError, evaluate, format_metrics_row,
                       metrics_csv, metrics_header, metrics_row, pretrain_log_csv, train_log_csv)
@@ -204,8 +205,7 @@ def _cmd_eval(args) -> int:
     if args.pred:
         if not args.true:
             raise CliValidationError("eval --pred also needs --true")
-        y_pred = np.loadtxt(args.pred, dtype=np.int64, ndmin=1)
-        y_true = np.loadtxt(args.true, dtype=np.int64, ndmin=1)
+        y_pred, y_true = load_labels_csv(args.pred), load_labels_csv(args.true)
         k = int(max(y_pred.max(), y_true.max())) + 1
         row = metrics_row(0, y_true, y_pred, k)  # checks the labels before anything is printed
         # the metrics table without its epoch column
@@ -226,15 +226,19 @@ def _cmd_export_affinity(args) -> int:
     if not 0 <= args.batch < len(trainer.batches):
         raise CliValidationError(
             f"--batch {args.batch} out of range; the partition has {len(trainer.batches)} batches")
-    if args.batch not in trainer.coeffs:
+    if args.batch not in trainer.coeff_adams:
         raise CliValidationError(
             f"checkpoint has no coefficients for batch {args.batch} "
             f"(selfexpr.batch_{args.batch}.C); export needs a checkpoint written by `train`")
-    subspace = subspace_affinity(trainer.coeffs[args.batch].values)
+    # the formulas training reads, on the C that load_checkpoint_params checked
+    (coeffs,) = trainer.coeff_adams[args.batch].params.values()
+    subspace = subspace_affinity_tensor(coeffs).values
     x = trainer.dataset.features[trainer.batches[args.batch]]
-    predictions = trainer.network.predictions(x).values
-    class_aff = class_affinity(predictions)
+    class_aff = clip_overshoot(class_affinity_tensor(trainer.network.predictions(x)).values)
     for name, matrix in (("subspace", subspace), ("class", class_aff)):
+        # display convention of the export only: each point is fully affine
+        # to itself (training's subspace affinity keeps a 0 diagonal)
+        np.fill_diagonal(matrix, 1.0)
         affinity_to_csv(matrix, f"{args.out}_{name}.csv")
         affinity_to_pgm(matrix, f"{args.out}_{name}.pgm")
     print(f"wrote {args.out}_subspace.csv/.pgm and {args.out}_class.csv/.pgm "

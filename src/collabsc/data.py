@@ -224,20 +224,37 @@ def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
             f.write(f"{int(v)}\n")
 
 
+def _check_holds_data(path, what: str) -> None:
+    """Refuse a file with no data line (only blanks or ``#`` comments), on
+    which ``np.loadtxt`` would warn and return an empty array."""
+    with open(path) as f:
+        if not any(line.partition("#")[0].strip() for line in f):
+            raise ValueError(f"{path}: the {what} file holds no data")
+
+
+def load_labels_csv(path) -> np.ndarray:
+    """Labels CSV, one integer per line. An empty file or a negative label
+    raises ``ValueError`` naming the path (and the label's first row)."""
+    _check_holds_data(path, "labels")
+    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    bad_rows = np.flatnonzero(labels < 0)
+    if bad_rows.size:
+        raise ValueError(f"{path}: row {bad_rows[0] + 1} holds negative label "
+                         f"{labels[bad_rows[0]]}")
+    return labels
+
+
 def load_dataset_csv(features_path, labels_path, feature_shape=None) -> Dataset:
-    """Features CSV (one point per row) plus its labels CSV (one integer per
-    line). A NaN or infinite feature or a negative label raises ``ValueError``
-    naming its first row."""
+    """Features CSV (one point per row) plus its labels CSV (read by
+    ``load_labels_csv``). An empty features file, or a NaN or infinite
+    feature, raises ``ValueError`` naming the path (and the first bad row)."""
+    _check_holds_data(features_path, "features")
     features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
-    labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
     bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{features_path}: row {bad_rows[0] + 1} holds a NaN or infinite "
                          f"feature")
-    bad_rows = np.flatnonzero(labels < 0)
-    if bad_rows.size:
-        raise ValueError(f"{labels_path}: row {bad_rows[0] + 1} holds negative label "
-                         f"{labels[bad_rows[0]]}")
+    labels = load_labels_csv(labels_path)
     if feature_shape is None:
         feature_shape = (features.shape[1],)
     provenance = {"source": "csv", "features_path": str(features_path),

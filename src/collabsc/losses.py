@@ -9,9 +9,10 @@ selected entries toward 0). Each direction is the same term,
 a student. Stage 2 uses it for the positive term (student A_c); stage 3 for
 both terms (students A_c and 1 - A_s). The caller builds each teacher from
 its teacher affinity (``positive_teacher``, ``negative_teacher``): the
-selected pairs (off the diagonal, where both affinities are pinned to 1 and
-carry no signal), their count and their mask weights. A teacher is a
-constant: no gradient flows into it.
+selected pairs, their count and their mask weights. Only pairs off the
+diagonal are selected: a point paired with itself carries no signal (there
+the class affinity is 1 within rounding and the subspace affinity is 0). A
+teacher is a constant: no gradient flows into it.
 
 The entropy in the source formulation is written without a sign, but
 minimizing +sum(p log q) is ill-posed (it drives q to 0); the standard
@@ -103,7 +104,6 @@ class LossBreakdown:
     l_neg: float
     alpha: float
     omega: float
-    lambda_cl: float
     total: float
     count_pos: int
     count_neg: int

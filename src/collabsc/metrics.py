@@ -26,17 +26,13 @@ def _as_labels(y, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _check_same_length(y_true, y_pred):
+def contingency_table(y_true, y_pred) -> np.ndarray:
+    """Counts[i, j] = |{points with true label i and predicted label j}|;
+    the one place the metrics check a pair of label vectors."""
     t = _as_labels(y_true, "y_true")
     p = _as_labels(y_pred, "y_pred")
     if t.shape != p.shape:
         raise ValueError(f"label vectors differ in length: {t.size} vs {p.size}")
-    return t, p
-
-
-def contingency_table(y_true, y_pred) -> np.ndarray:
-    """Counts[i, j] = |{points with true label i and predicted label j}|."""
-    t, p = _check_same_length(y_true, y_pred)
     kt, kp = int(t.max()) + 1, int(p.max()) + 1
     table = np.zeros((kt, kp), dtype=np.int64)
     np.add.at(table, (t, p), 1)
@@ -100,14 +96,13 @@ def hungarian(cost) -> np.ndarray:
 
 def accuracy(y_true, y_pred) -> float:
     """Fraction correct under the best one-to-one cluster-to-label mapping."""
-    t, p = _check_same_length(y_true, y_pred)
-    table = contingency_table(t, p)
+    table = contingency_table(y_true, y_pred)
     side = max(table.shape)
     padded = np.zeros((side, side), dtype=np.float64)
     padded[:table.shape[0], :table.shape[1]] = table
     assign = hungarian(-padded)
     matched = sum(padded[i, assign[i]] for i in range(side))
-    return float(matched) / t.size
+    return float(matched) / int(table.sum())
 
 
 def nmi(y_true, y_pred) -> float:
@@ -116,9 +111,8 @@ def nmi(y_true, y_pred) -> float:
     Natural logs; a degenerate single-cluster partition has zero entropy and
     the result is defined as 0.
     """
-    t, p = _check_same_length(y_true, y_pred)
-    table = contingency_table(t, p)
-    n = t.size
+    table = contingency_table(y_true, y_pred)
+    n = int(table.sum())
     row = table.sum(axis=1)
     col = table.sum(axis=0)
     mi = 0.0
@@ -143,14 +137,14 @@ def _pairs(x: int) -> int:
 
 def ari(y_true, y_pred) -> float:
     """Adjusted Rand index via pair counting with expected-index correction."""
-    t, p = _check_same_length(y_true, y_pred)
-    if t.size < 2:
+    table = contingency_table(y_true, y_pred)
+    n = int(table.sum())
+    if n < 2:
         raise ValueError("ari needs at least 2 points")
-    table = contingency_table(t, p)
     index = sum(_pairs(int(nij)) for nij in table.reshape(-1))
     a = sum(_pairs(int(x)) for x in table.sum(axis=1))
     b = sum(_pairs(int(x)) for x in table.sum(axis=0))
-    total = _pairs(t.size)
+    total = _pairs(n)
     expected = a * b / total
     max_index = (a + b) / 2.0
     denom = max_index - expected

@@ -16,9 +16,10 @@ Each class affinity, stage 2's and stage 3's, is ``class_affinity_tensor`` of
 that step's predictions, so every step checks the prediction rows in full.
 
 The batch partition is shuffled once from the seed and then fixed. Each
-batch keeps its own coefficient matrix C, a plain n x n parameter of the
-trainer that mixes the batch's latent rows Z as C^T Z, with its optimizer
-moments across epochs: the only state keyed by batch identity.
+batch keeps its own coefficient matrix C, an n x n parameter that mixes the
+batch's latent rows Z as C^T Z: the one parameter of that batch's optimizer,
+which keeps it and its moments across epochs, the only state keyed by batch
+identity.
 
 One guard, ``_restoring``, owns a pretraining epoch's or a batch round's
 state: it saves each stepped group's buffer and Adam state, refuses a
@@ -135,14 +136,14 @@ def evaluate(network: Network, dataset: Dataset, epoch: int, batch_size: int) ->
 
 
 class CollaborativeTrainer:
-    """Holds one training run: the network, its optimizers, each batch's
-    coefficient matrix ``coeffs[i]`` with its optimizer ``coeff_adams[i]``
-    (both created on the batch's first visit), and the run's logs.
+    """Holds one training run: the network, its optimizers, and the run's logs.
 
     The optimizers ``ae_adam``, ``cls_adam`` and ``coeff_adams`` are the
-    run's one parameter registry: each steps one ``flat_parameters`` group,
+    run's one parameter store: each steps one ``flat_parameters`` group,
     and ``checkpoint_params``, ``load_checkpoint_params`` and
-    ``_zero_grads`` walk them.
+    ``_zero_grads`` walk them. Batch i's coefficient matrix C is the one
+    parameter of ``coeff_adams[i]``, ``selfexpr.batch_<i>.C``; both are
+    created on the batch's first visit.
 
     ``fit`` appends one ``LossBreakdown`` per batch step to ``train_log``,
     one ``MetricsRow`` per evaluation to ``metrics_history`` and, unless it
@@ -156,7 +157,6 @@ class CollaborativeTrainer:
         self.network = Network(config.network, dataset.feature_shape, seed=config.seed)
         self.batches = make_batches(len(dataset), config.batch_size,
                                     Xorshift64Star(mix_seed(config.seed, 2)))
-        self.coeffs: dict[int, ad.Tensor] = {}
         self.coeff_adams: dict[int, Adam] = {}
         self.ae_adam = Adam(self.network.groups["autoencoder"], lr=config.lr_ae)
         self.cls_adam = Adam(self.network.groups["classifier"], lr=config.lr_other)
@@ -175,12 +175,11 @@ class CollaborativeTrainer:
         """The optimizer of batch ``batch_index``'s coefficient matrix, named
         ``selfexpr.batch_<i>.C``; both are created, C zero, on the batch's
         first visit."""
-        if batch_index not in self.coeffs:
+        if batch_index not in self.coeff_adams:
             side = int(self.batches[batch_index].size)
             name = f"selfexpr.batch_{batch_index}.C"
-            adam = Adam(flat_parameters({name: np.zeros((side, side))}), lr=self.config.lr_other)
-            self.coeffs[batch_index] = adam.params[name]
-            self.coeff_adams[batch_index] = adam
+            self.coeff_adams[batch_index] = Adam(
+                flat_parameters({name: np.zeros((side, side))}), lr=self.config.lr_other)
         return self.coeff_adams[batch_index]
 
     def checkpoint_params(self) -> dict[str, np.ndarray]:
@@ -364,8 +363,8 @@ class CollaborativeTrainer:
     def _train_batch_stages(self, where: str, batch_index: int, u: float) -> LossBreakdown:
         cfg = self.config
         x = ad.constant(self.dataset.features[self.batches[batch_index]])
-        coeffs = self.coeffs[batch_index]
         coeff_adam = self.coeff_adams[batch_index]
+        (coeffs,) = coeff_adam.params.values()
 
         # stage 1: subspace objective over autoencoder + coefficients
         for _ in range(cfg.inner_se_steps):
@@ -410,7 +409,6 @@ class CollaborativeTrainer:
             l_neg=l_neg_t.item(),
             alpha=alpha,
             omega=omega_t.item(),
-            lambda_cl=cfg.lambda_cl,
             total=total_t.item(),
             count_pos=teacher.count,
             count_neg=neg_teacher.count,
@@ -428,7 +426,7 @@ class CollaborativeTrainer:
         cfg = self.config
         if not skip_pretrain:
             self.pretrain_log += self.pretrain()
-        if cfg.warm_start_classifier and cfg.epochs > 0 and not self.coeffs:
+        if cfg.warm_start_classifier and cfg.epochs > 0 and not self.coeff_adams:
             self.warm_start_classifier()
         for epoch in range(1, cfg.epochs + 1):
             u = cfg.u_schedule[0] if epoch == 1 else cfg.u_schedule[1]

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collabsc.autodiff as ad
-from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity,
-                               class_affinity_tensor, clip_overshoot, cluster_means, kmeans,
-                               subspace_affinity)
+from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity_tensor,
+                               clip_overshoot, cluster_means, kmeans, subspace_affinity_tensor)
 from collabsc.data import SyntheticSpec, generate_synthetic
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
@@ -23,35 +22,43 @@ def random_predictions(n, k, seed):
     return s / np.sqrt((s * s).sum(axis=1, keepdims=True))
 
 
+def class_values(predictions):
+    """``class_affinity_tensor``'s values on constant prediction rows."""
+    return class_affinity_tensor(ad.constant(predictions)).values
+
+
+def subspace_values(coeffs):
+    """``subspace_affinity_tensor``'s values on a constant C."""
+    return subspace_affinity_tensor(ad.constant(coeffs)).values
+
+
 class TestClassAffinity:
     def test_distinct_one_hots(self):
-        nu = np.eye(3)
-        a = class_affinity(nu)
-        np.testing.assert_array_equal(a, np.eye(3))
+        np.testing.assert_array_equal(class_values(np.eye(3)), np.eye(3))
 
     def test_identical_uniform_rows(self):
-        nu = np.full((2, 4), 0.5)
-        a = class_affinity(nu)
+        a = class_values(np.full((2, 4), 0.5))
         assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_known_dot_product(self):
         nu = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        a = class_affinity(nu)
+        a = class_values(nu)
         assert a[0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_rejects_unnormalized_rows(self):
         with pytest.raises(ValueError, match="normalized"):
-            class_affinity(np.array([[0.5, 0.5], [1.0, 0.0]]))
+            class_values(np.array([[0.5, 0.5], [1.0, 0.0]]))
 
     def test_rejects_nan_predictions(self):
         nu = np.eye(3)
         nu[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            class_affinity(nu)
+            class_values(nu)
 
     def test_gram_is_positive_semidefinite_with_unit_diagonal(self):
-        a = class_affinity(random_predictions(12, 5, seed=3))
-        assert (np.diag(a) == 1.0).all()
+        # the diagonal is 1 up to rounding, which clip_overshoot tolerates
+        a = clip_overshoot(class_values(random_predictions(12, 5, seed=3)))
+        np.testing.assert_allclose(np.diag(a), 1.0, rtol=0, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh((a + a.T) / 2)
         assert eigenvalues.min() > -1e-10
         assert a.min() >= 0.0 and a.max() <= 1.0
@@ -59,19 +66,21 @@ class TestClassAffinity:
 
 class TestClassAffinityTensor:
     def test_clipped_unit_diagonal_copy_equals_numpy_form_bitwise(self):
-        # the trainer's negative teacher reads the clipped tensor values;
-        # with the diagonal set to 1 they are class_affinity bit for bit
+        # the trainer's negative teacher reads the clipped parameter values;
+        # with the diagonal set to 1 they are bit for bit the numpy form the
+        # export writes: clip_overshoot of the constant build, unit diagonal
         for trial, (n, k) in enumerate([(6, 3), (12, 5), (9, 2), (20, 7), (3, 1)]):
             p = random_predictions(n, k, seed=30 + trial)
             p[1] = p[0]  # a repeated row rounds its Gram entry near 1
             values = np.clip(class_affinity_tensor(ad.parameter(p)).values, 0.0, 1.0)
             np.fill_diagonal(values, 1.0)
-            np.testing.assert_array_equal(values, class_affinity(p))
+            exported = clip_overshoot(class_values(p))
+            np.fill_diagonal(exported, 1.0)
+            np.testing.assert_array_equal(values, exported)
 
     def test_values_are_the_gram_of_the_rows(self):
         p = random_predictions(8, 4, seed=5)
-        np.testing.assert_allclose(class_affinity_tensor(ad.constant(p)).values, p @ p.T,
-                                   atol=1e-15)
+        np.testing.assert_allclose(class_values(p), p @ p.T, atol=1e-15)
 
     def test_gradient_flows_into_predictions(self):
         p = ad.parameter(random_predictions(5, 3, seed=6))
@@ -87,10 +96,10 @@ class TestClassAffinityTensor:
         (np.array([[np.inf, 0.0], [1.0, 0.0]]), "normalized"),
         (np.ones(3), "2-d")])
     def test_refuses_what_class_affinity_refuses(self, rows, message):
-        for build in (lambda: class_affinity_tensor(ad.constant(rows)),
-                      lambda: class_affinity(rows)):
+        # constant and parameter rows are checked alike
+        for make in (ad.constant, ad.parameter):
             with pytest.raises(ValueError, match=message):
-                build()
+                class_affinity_tensor(make(rows))
 
 
 class TestClipOvershoot:
@@ -111,45 +120,47 @@ class TestClipOvershoot:
 
 
 class TestSubspaceAffinity:
-    def test_zero_coefficients_give_identity(self):
-        np.testing.assert_array_equal(subspace_affinity(np.zeros((3, 3))), np.eye(3))
+    def test_zero_coefficients_give_zeros(self):
+        np.testing.assert_array_equal(subspace_values(np.zeros((3, 3))), np.zeros((3, 3)))
 
     def test_two_by_two_hand_case(self):
         coeffs = np.array([[0.0, 0.5], [-0.25, 0.0]])
-        a = subspace_affinity(coeffs)
-        np.testing.assert_allclose(a, np.ones((2, 2)))
+        np.testing.assert_allclose(subspace_values(coeffs), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_row_normalization_hand_case(self):
         coeffs = np.array([[0.0, 0.4, 0.2],
                            [0.4, 0.0, 0.0],
                            [0.2, 0.0, 0.0]])
-        a = subspace_affinity(coeffs)
-        np.testing.assert_allclose(a[0], [1.0, 1.0, 0.5])
+        a = subspace_values(coeffs)
+        np.testing.assert_allclose(a[0], [0.0, 1.0, 0.5])
+        # rows own their normalizers: row 2's largest entry is its only one
+        np.testing.assert_allclose(a[:, 0], [0.0, 1.0, 1.0])
 
     def test_scale_invariance(self):
         rng = Xorshift64Star(5)
         coeffs = rng.normals((6, 6))
         np.fill_diagonal(coeffs, 0.0)
-        a = subspace_affinity(coeffs)
-        b = subspace_affinity(coeffs * 37.5)
+        a = subspace_values(coeffs)
+        b = subspace_values(coeffs * 37.5)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_transpose_invariance(self):
         rng = Xorshift64Star(6)
         coeffs = rng.normals((5, 5))
         np.fill_diagonal(coeffs, 0.0)
-        np.testing.assert_allclose(subspace_affinity(coeffs),
-                                   subspace_affinity(coeffs.T), atol=1e-15)
+        np.testing.assert_allclose(subspace_values(coeffs), subspace_values(coeffs.T),
+                                   atol=1e-15)
 
     def test_dust_rows_stay_zero(self):
         coeffs = np.zeros((3, 3))
         coeffs[0, 1] = coeffs[1, 0] = 1e-20  # below the dust tolerance
-        a = subspace_affinity(coeffs)
-        np.testing.assert_array_equal(a, np.eye(3))
+        np.testing.assert_array_equal(subspace_values(coeffs), np.zeros((3, 3)))
 
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            subspace_affinity(np.eye(2))
+    def test_a_row_just_above_the_dust_tolerance_is_normalized(self):
+        coeffs = np.zeros((3, 3))
+        coeffs[0, 1] = coeffs[1, 0] = 1e-14
+        np.testing.assert_array_equal(subspace_values(coeffs),
+                                      [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestRidgeSelfExpression:
@@ -229,7 +240,7 @@ class TestOraclePipeline:
         ds = generate_synthetic(spec)
         raw = unscale(ds)  # the union-of-subspaces model lives in unscaled coordinates
         coeffs = ridge_self_expression(raw, 10.0)
-        affinity = subspace_affinity(coeffs)
+        affinity = subspace_values(coeffs)
         labels = spectral_cluster((affinity + affinity.T) / 2, 3, seed=0)
         assert accuracy(ds.labels_for_evaluation(), labels) == 1.0
 
@@ -242,7 +253,7 @@ class TestOraclePipeline:
             blocks.append(rng.normals((n_per, d)) @ basis.T)
         points = np.concatenate(blocks)
         coeffs = ridge_self_expression(points, 10.0)
-        affinity = subspace_affinity(coeffs)
+        affinity = subspace_values(coeffs)
         mask = np.zeros_like(affinity, dtype=bool)
         for c in range(k):
             mask[c * n_per:(c + 1) * n_per, c * n_per:(c + 1) * n_per] = True

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collabsc.autodiff as ad
 import collabsc.trainer as trainer_module
 from collabsc import cli
-from collabsc.affinity import subspace_affinity
+from collabsc.affinity import class_affinity_tensor, clip_overshoot, subspace_affinity_tensor
 from collabsc.checkpoint import load_checkpoint, save_checkpoint
-from collabsc.config import config_to_text
+from collabsc.config import config_to_text, parse_config_file
 from collabsc.data import load_dataset_csv, write_idx_images, write_idx_labels
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.trainer import CollaborativeTrainer, pretrain_log_csv
@@ -153,12 +154,21 @@ class TestTrainedCheckpoint:
                          "--out", str(out)]) == 0
         assert f"wrote {out}_subspace.csv/.pgm and {out}_class.csv/.pgm" in \
             capsys.readouterr().out
-        coeffs = load_checkpoint(ckpt)["selfexpr.batch_2.C"]
-        np.testing.assert_array_equal(np.loadtxt(f"{out}_subspace.csv", delimiter=","),
-                                      subspace_affinity(coeffs))
+        # off the diagonal, the values of the formulas training reads; on it, 1
+        params = load_checkpoint(ckpt)
+        trainer = CollaborativeTrainer(
+            parse_config_file(args[args.index("--config") + 1]),
+            load_dataset_csv(args[args.index("--data") + 1], args[args.index("--labels") + 1]))
+        trainer.load_checkpoint_params(params)
+        x = trainer.dataset.features[trainer.batches[2]]
+        expected = {
+            "subspace": subspace_affinity_tensor(ad.constant(params["selfexpr.batch_2.C"])).values,
+            "class": clip_overshoot(class_affinity_tensor(trainer.network.predictions(x)).values)}
+        off = ~np.eye(10, dtype=bool)
         for name in ("subspace", "class"):
             a = np.loadtxt(f"{out}_{name}.csv", delimiter=",")
             assert a.shape == (10, 10) and (np.diag(a) == 1.0).all()
+            np.testing.assert_array_equal(a[off], expected[name][off])
             pixels = np.clip(np.rint(255.0 * a), 0, 255).astype(np.uint8)
             assert Path(f"{out}_{name}.pgm").read_bytes() == b"P5\n10 10\n255\n" + pixels.tobytes()
 
@@ -354,17 +364,25 @@ class TestInputValidation:
         assert "kmeans needs finite points" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("flag, bad_value, message", [
         ("--data", "nan", "row 5 holds a NaN or infinite feature"),
-        ("--labels", "-1", "row 5 holds negative label -1")], ids=["feature", "label"])
+        ("--labels", "-1", "row 5 holds negative label -1"),
+        ("--data", None, "the features file holds no data"),
+        ("--labels", None, "the labels file holds no data")],
+        ids=["feature", "label", "empty-features", "empty-labels"])
     def test_bad_csv_row_exits_1_and_writes_nothing(self, tmp_path, capsys, command, flag,
                                                     bad_value, message):
+        # bad_value None empties the file: refused before numpy warns of it
         args, ckpt = train_checkpoint(tmp_path)
         path = Path(args[args.index(flag) + 1])
         rows = path.read_text().splitlines()
-        rows[4] = ",".join([bad_value, *rows[4].split(",")[1:]])
-        path.write_text("\n".join(rows) + "\n")
+        if bad_value is None:
+            rows = []
+        else:
+            rows[4] = ",".join([bad_value, *rows[4].split(",")[1:]])
+        path.write_text("".join(row + "\n" for row in rows))
         out = tmp_path / "out"
         extra = {"train": ["--checkpoint", str(out), "--train-log", f"{out}.csv",
                            "--metrics-log", f"{out}.metrics"],
@@ -373,7 +391,7 @@ class TestInputValidation:
         capsys.readouterr()
         assert cli.main([command, *args, *extra]) == 1
         captured = capsys.readouterr()
-        assert message in captured.err and path.name in captured.err
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == files
 
@@ -394,9 +412,13 @@ class TestCommandPaths:
         assert cli.main(["eval", "--pred", str(pred)]) == 1
         assert "--true" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pred_text, true_text", [
         ("0\n1\n2\n", "0\n1\n2\n0\n"),  # 3 predictions for 4 labels
         ("0\n1\n2\n", "0\n-1\n2\n"),  # a negative label
+        pytest.param("", "0\n1\n", id="empty-pred"),
+        pytest.param("0\n1\n", "", id="empty-true"),
+        pytest.param("0\n1\n", "\n# no labels\n  \n", id="comments-only-true"),
     ])
     def test_eval_pred_bad_labels_exit_1_and_print_nothing(self, tmp_path, capsys,
                                                              pred_text, true_text):
@@ -407,6 +429,9 @@ class TestCommandPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        for path, text in ((pred, pred_text), (true, true_text)):
+            if "0" not in text:  # a file without labels (each case's labels hold a 0)
+                assert captured.err == f"error: {path}: the labels file holds no data\n"
 
     def test_export_affinity_of_a_pretrain_checkpoint_exits_1(self, tmp_path, capsys):
         _, _, args = write_inputs(tmp_path, batch_size=10)

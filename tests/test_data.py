@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from collabsc.data import (SyntheticSpec, generate_synthetic, load_dataset_csv, load_idx,
-                           save_dataset_csv, write_idx_images, write_idx_labels)
+                           load_labels_csv, save_dataset_csv, write_idx_images,
+                           write_idx_labels)
 
 from oracles import unscale
 
@@ -175,6 +176,29 @@ class TestCsv:
         lpath.write_text("\n".join(labels) + "\n")
         with pytest.raises(ValueError, match="row 4 holds negative label -1"):
             load_dataset_csv(fpath, lpath)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("empty, text", [("features", ""), ("labels", ""),
+                                             ("features", "\n"), ("labels", "# none\n\n")])
+    def test_empty_file_rejected_with_its_path(self, tmp_path, empty, text):
+        # refused before np.loadtxt can warn that the input holds no data
+        ds = generate_synthetic(SyntheticSpec(k=2, d=2, D=6, n_per=5, seed=2))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        save_dataset_csv(ds, fpath, lpath)
+        path = fpath if empty == "features" else lpath
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_dataset_csv(fpath, lpath)
+        assert str(raised.value) == f"{path}: the {empty} file holds no data"
+
+    def test_label_reader_reads_one_integer_per_line(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("2\n0\n1\n")
+        labels = load_labels_csv(path)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [2, 0, 1])
+        path.write_text("3\n")
+        np.testing.assert_array_equal(load_labels_csv(path), [3])  # one line is 1-d too
 
 
 class TestLabelBarrier:

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, every
 exported name exists, only ``Tensor.__init__`` binds a tensor's ``values``,
 only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
-``state``, and only the checkpoint file format and the trainer's one loader
-raise ``CheckpointError``."""
+``state``, only the checkpoint file format and the trainer's one loader
+raise ``CheckpointError``, and every autodiff op kind is in ``OP_KINDS``,
+the registry that ``collabsc gradcheck`` walks."""
 
 import ast
 from pathlib import Path
@@ -189,3 +190,36 @@ def test_finds_raises_outside_their_owners():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_raises_checkpoint_error_only_in_the_format_and_the_loader(path):
     assert checkpoint_error_raises(path) == []
+
+
+def made_kinds(source: str) -> set[str]:
+    """The kind of every ``_make(...)`` call in ``source``: its third
+    positional argument or its ``kind=`` keyword, which must be a string
+    literal; any other expression is reported by its line."""
+    kinds = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make":
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            kind = node.args[2] if len(node.args) > 2 else keywords.get("kind")
+            literal = isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+            kinds.add(kind.value if literal else f"<no literal kind at line {node.lineno}>")
+    return kinds
+
+
+def test_finds_every_made_kind():
+    source = ("def f(a):\n"
+              "    return _make(a, (a,), 'relu', None)\n"
+              "def g(a):\n"
+              "    return _make(a, (a,), kind='abs', backward_fn=None)\n"
+              "def h(a, k):\n"
+              "    return _make(a, (a,), k, None)\n"
+              "def i(a):\n"
+              "    return make(a, (a,), 'log', None), _make(a, (a,), 'relu', None)\n")
+    assert made_kinds(source) == {"relu", "abs", "<no literal kind at line 6>"}
+
+
+def test_every_op_kind_is_under_gradcheck():
+    # an op missing from OP_KINDS would be skipped by `collabsc gradcheck`
+    from collabsc import autodiff
+
+    assert made_kinds((SRC / "autodiff.py").read_text()) == set(autodiff.OP_KINDS)

@@ -1,4 +1,4 @@
-"""The two affinities that drive training, the warm start's k-means, and exports.
+"""The two affinities that drive training, the warm start's k-means, and the PGM export.
 
 The classifier affinity is the Gram matrix of l2-normalized prediction rows.
 The subspace affinity is the symmetrized absolute coefficients,
@@ -174,15 +174,8 @@ def _kmeans_pp_init(x, k, rng, sq_norms):
 
 
 # ---------------------------------------------------------------------------
-# exports
+# PGM export
 # ---------------------------------------------------------------------------
-
-def affinity_to_csv(a: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        for row in np.asarray(a, dtype=np.float64):
-            f.write(",".join(repr(float(v)) for v in row))
-            f.write("\n")
-
 
 def affinity_to_pgm(a: np.ndarray, path) -> None:
     """8-bit binary PGM heatmap, pixel = round(255 * value)."""

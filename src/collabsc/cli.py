@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import (affinity_to_csv, affinity_to_pgm, class_affinity_tensor, clip_overshoot,
+from .affinity import (affinity_to_pgm, class_affinity_tensor, clip_overshoot,
                        subspace_affinity_tensor)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, complete_u_schedule, parse_config_file, parse_value,
                      scalar_fields)
 from .data import (NONLINEARITIES, Dataset, SyntheticSpec, generate_synthetic, load_dataset_csv,
-                   load_idx, load_labels_csv, save_dataset_csv)
+                   load_idx, load_labels_csv, save_dataset_csv, write_matrix_csv)
 from .gradcheck import run_gradient_checks
 from .trainer import (CollaborativeTrainer, TrainingDivergedError, evaluate, format_metrics_row,
                       metrics_csv, metrics_header, metrics_row, pretrain_log_csv, train_log_csv)
@@ -239,7 +239,7 @@ def _cmd_export_affinity(args) -> int:
         # display convention of the export only: each point is fully affine
         # to itself (training's subspace affinity keeps a 0 diagonal)
         np.fill_diagonal(matrix, 1.0)
-        affinity_to_csv(matrix, f"{args.out}_{name}.csv")
+        write_matrix_csv(matrix, f"{args.out}_{name}.csv")
         affinity_to_pgm(matrix, f"{args.out}_{name}.pgm")
     print(f"wrote {args.out}_subspace.csv/.pgm and {args.out}_class.csv/.pgm "
           f"for batch {args.batch} ({x.shape[0]} points)")

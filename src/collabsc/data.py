@@ -1,4 +1,4 @@
-"""Datasets: synthetic union-of-subspaces generation and IDX image loading.
+"""Datasets: synthetic union-of-subspaces generation, IDX images and CSV files.
 
 Ground-truth labels ride along for evaluation only; the training path reads
 features exclusively and the label accessor is named to make any other use
@@ -68,7 +68,9 @@ class SyntheticSpec:
 
 
 class Dataset:
-    """Feature matrix in [0, 1] plus evaluation-only labels and provenance."""
+    """Feature matrix plus evaluation-only labels and provenance. Features lie
+    in [0, 1] as ``generate_synthetic`` and ``load_idx`` build them; those of
+    ``load_dataset_csv`` are any finite values."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, feature_shape: tuple,
                  provenance: dict):
@@ -144,50 +146,46 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # IDX binary format
 # ---------------------------------------------------------------------------
 
-def _read_be_u32(data: bytes, off: int, path, what: str) -> int:
-    if off + 4 > len(data):
-        raise ValueError(f"{path}: truncated {what} at offset {off}")
-    return struct.unpack_from(">I", data, off)[0]
+def _read_idx(path, magic: int, kind: str, fields: tuple[str, ...]):
+    """The sizes and uint8 payload of IDX file ``path``: ``magic``, one
+    big-endian u32 per name in ``fields``, then their product of bytes. A
+    wrong magic, a header cut short (named by field and offset) or a payload
+    of another length raises ``ValueError`` naming the path."""
+    with open(path, "rb") as f:
+        data = f.read()
+    names = ("magic", *fields)
+    header = struct.unpack_from(f">{min(len(data) // 4, len(names))}I", data)
+    if header and header[0] != magic:
+        raise ValueError(f"{path}: bad magic 0x{header[0]:08x} at offset 0, "
+                         f"expected 0x{magic:08x} ({kind})")
+    if len(header) < len(names):
+        raise ValueError(f"{path}: truncated {names[len(header)]} at offset {4 * len(header)}")
+    sizes, start = header[1:], 4 * len(names)
+    expected = start + math.prod(sizes)
+    if len(data) != expected:
+        raise ValueError(f"{path}: payload ends at offset {len(data)}, expected {expected}")
+    return sizes, np.frombuffer(data, dtype=np.uint8, offset=start)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an images/labels IDX pair; pixels are scaled by 1/255."""
-    with open(images_path, "rb") as f:
-        img_data = f.read()
-    magic = _read_be_u32(img_data, 0, images_path, "magic")
-    if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(
-            f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x} (images)")
-    n = _read_be_u32(img_data, 4, images_path, "count")
-    rows = _read_be_u32(img_data, 8, images_path, "rows")
-    cols = _read_be_u32(img_data, 12, images_path, "cols")
-    expected = 16 + n * rows * cols
-    if len(img_data) != expected:
-        raise ValueError(
-            f"{images_path}: payload ends at offset {len(img_data)}, expected {expected}")
-    pixels = np.frombuffer(img_data, dtype=np.uint8, count=n * rows * cols, offset=16)
-
-    with open(labels_path, "rb") as f:
-        lab_data = f.read()
-    magic = _read_be_u32(lab_data, 0, labels_path, "magic")
-    if magic != IDX_LABELS_MAGIC:
-        raise ValueError(
-            f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x} (labels)")
-    n_lab = _read_be_u32(lab_data, 4, labels_path, "count")
-    if len(lab_data) != 8 + n_lab:
-        raise ValueError(
-            f"{labels_path}: payload ends at offset {len(lab_data)}, expected {8 + n_lab}")
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "images",
+                                        ("count", "rows", "cols"))
+    (n_lab,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels", ("count",))
     if n_lab != n:
         raise ValueError(
             f"count mismatch: {images_path} has {n} images but {labels_path} has {n_lab} labels")
-    labels = np.frombuffer(lab_data, dtype=np.uint8, count=n_lab, offset=8).astype(np.int64)
-
     features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
     provenance = {"source": "idx", "images_path": str(images_path),
                   "labels_path": str(labels_path)}
-    return Dataset(features, labels, (1, rows, cols), provenance)
+    return Dataset(features, labels.astype(np.int64), (1, rows, cols), provenance)
+
+
+def _write_idx(path, magic: int, payload: np.ndarray) -> None:
+    """``magic``, each dimension of the uint8 array ``payload``, its bytes."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + payload.ndim}I", magic, *payload.shape))
+        f.write(payload.tobytes())
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -195,48 +193,54 @@ def write_idx_images(path, images: np.ndarray) -> None:
     arr = np.asarray(images)
     if arr.ndim != 3 or arr.dtype != np.uint8:
         raise ValueError(f"expected (n, rows, cols) uint8 images, got {arr.shape} {arr.dtype}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, arr.shape[0], arr.shape[1], arr.shape[2]))
-        f.write(arr.tobytes())
+    _write_idx(path, IDX_IMAGES_MAGIC, arr)
 
 
 def write_idx_labels(path, labels) -> None:
     arr = np.asarray(labels)
-    if arr.ndim != 1 or (arr < 0).any() or (arr > 255).any():
+    # stated positively, so NaN fails it
+    if arr.ndim != 1 or not ((arr >= 0) & (arr <= 255) & (arr == np.round(arr))).all():
         raise ValueError("labels must be 1-d integers in [0, 255]")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, arr.size))
-        f.write(arr.astype(np.uint8).tobytes())
+    _write_idx(path, IDX_LABELS_MAGIC, arr.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
-    """One row per point, features only; labels go to a separate CSV."""
-    with open(features_path, "w") as f:
-        for row in dataset.features:
+def write_matrix_csv(matrix: np.ndarray, path) -> None:
+    """One line per row of a float matrix: each value's ``repr``, comma-separated."""
+    with open(path, "w") as f:
+        for row in np.asarray(matrix, dtype=np.float64):
             f.write(",".join(repr(float(v)) for v in row))
             f.write("\n")
+
+
+def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
+    """One row per point, features only; labels go to a separate CSV."""
+    write_matrix_csv(dataset.features, features_path)
     with open(labels_path, "w") as f:
         for v in dataset._labels:
             f.write(f"{int(v)}\n")
 
 
-def _check_holds_data(path, what: str) -> None:
-    """Refuse a file with no data line (only blanks or ``#`` comments), on
-    which ``np.loadtxt`` would warn and return an empty array."""
+def _load_csv(path, what: str, dtype, ndmin: int, delimiter=None) -> np.ndarray:
+    """``np.loadtxt`` of the ``what`` file ``path``. A file with only blanks or
+    ``#`` comments (on which ``np.loadtxt`` would warn) or a line it cannot
+    parse raises ``ValueError`` naming the path."""
     with open(path) as f:
         if not any(line.partition("#")[0].strip() for line in f):
             raise ValueError(f"{path}: the {what} file holds no data")
+    try:
+        return np.loadtxt(path, delimiter=delimiter, dtype=dtype, ndmin=ndmin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """Labels CSV, one integer per line. An empty file or a negative label
-    raises ``ValueError`` naming the path (and the label's first row)."""
-    _check_holds_data(path, "labels")
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    """Labels CSV, one integer per line. An empty or unparsable file or a
+    negative label raises ``ValueError`` naming the path (and its row)."""
+    labels = _load_csv(path, "labels", np.int64, ndmin=1)
     bad_rows = np.flatnonzero(labels < 0)
     if bad_rows.size:
         raise ValueError(f"{path}: row {bad_rows[0] + 1} holds negative label "
@@ -246,10 +250,9 @@ def load_labels_csv(path) -> np.ndarray:
 
 def load_dataset_csv(features_path, labels_path, feature_shape=None) -> Dataset:
     """Features CSV (one point per row) plus its labels CSV (read by
-    ``load_labels_csv``). An empty features file, or a NaN or infinite
-    feature, raises ``ValueError`` naming the path (and the first bad row)."""
-    _check_holds_data(features_path, "features")
-    features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
+    ``load_labels_csv``). An empty or unparsable features file, or a NaN or
+    infinite feature, raises ``ValueError`` naming the path (and the first bad row)."""
+    features = _load_csv(features_path, "features", np.float64, ndmin=2, delimiter=",")
     bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{features_path}: row {bad_rows[0] + 1} holds a NaN or infinite "

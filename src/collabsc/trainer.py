@@ -200,8 +200,7 @@ class CollaborativeTrainer:
         for C have a zero diagonal; and no network parameter may be missing.
         A ``CheckpointError`` names the first key that fails.
         """
-        network = {name: p for adam in (self.ae_adam, self.cls_adam)
-                   for name, p in adam.params.items()}
+        network = self.network.params
         checked = {}  # name -> (batch index, or None for a network key; values)
         for name, values in params.items():
             values = np.asarray(values, dtype=np.float64)

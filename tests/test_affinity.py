@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collabsc.autodiff as ad
-from collabsc.affinity import (affinity_to_csv, affinity_to_pgm, class_affinity_tensor,
-                               clip_overshoot, cluster_means, kmeans, subspace_affinity_tensor)
-from collabsc.data import SyntheticSpec, generate_synthetic
+from collabsc.affinity import (affinity_to_pgm, class_affinity_tensor, clip_overshoot,
+                               cluster_means, kmeans, subspace_affinity_tensor)
+from collabsc.data import SyntheticSpec, generate_synthetic, write_matrix_csv
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
 
@@ -344,7 +344,7 @@ class TestExports:
     def test_csv_round_trip(self, tmp_path):
         a = np.array([[1.0, 0.25], [0.25, 1.0]])
         path = tmp_path / "a.csv"
-        affinity_to_csv(a, path)
+        write_matrix_csv(a, path)
         loaded = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(loaded, a)
 

@@ -395,6 +395,34 @@ class TestInputValidation:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == files
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["eval-pred", "train"])
+    def test_unparsable_csv_line_exits_1_naming_its_file(self, tmp_path, capsys, command):
+        if command == "eval-pred":  # a label that is not an integer
+            pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+            pred.write_text("0\n1.5\n")
+            true.write_text("0\n1\n")
+            argv, path = ["eval", "--pred", str(pred), "--true", str(true)], pred
+            loadtxt_args = {"dtype": np.int64}
+        else:  # a features row with one column fewer
+            _, _, args = write_inputs(tmp_path)
+            path = Path(args[args.index("--data") + 1])
+            rows = path.read_text().splitlines()
+            rows[1] = rows[1].rpartition(",")[0]
+            path.write_text("".join(row + "\n" for row in rows))
+            out = tmp_path / "out"
+            argv = ["train", *args, "--checkpoint", str(out), "--train-log", f"{out}.csv"]
+            loadtxt_args = {"delimiter": ",", "dtype": np.float64}
+        with pytest.raises(ValueError) as numpy_error:  # numpy's own words
+            np.loadtxt(path, **loadtxt_args)
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {numpy_error.value}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
+
 
 class TestCommandPaths:
     def test_eval_pred_true_prints_the_metrics_line(self, tmp_path, capsys):

@@ -137,6 +137,34 @@ class TestIdx:
         with pytest.raises(ValueError, match="offset"):
             load_idx(ipath, lpath)
 
+    @pytest.mark.parametrize("which, keep, message", [
+        ("images", 10, "truncated rows at offset 8"),
+        ("images", 2, "truncated magic at offset 0"),
+        ("labels", 6, "truncated count at offset 4")])
+    def test_truncated_header_names_field_and_offset(self, tmp_path, which, keep, message):
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, np.zeros((2, 2, 2), dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(2, dtype=np.int64))
+        path = ipath if which == "images" else lpath
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError) as raised:
+            load_idx(ipath, lpath)
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[1.5, 2.7], [0.0, np.nan], [-1, 2], [0, 256], [[0, 1]]])
+    def test_labels_writer_refuses_values_it_cannot_store(self, tmp_path, labels):
+        path = tmp_path / "l.idx"
+        with pytest.raises(ValueError, match=r"^labels must be 1-d integers in \[0, 255\]$"):
+            write_idx_labels(path, np.array(labels))
+        assert not path.exists()
+
+    def test_labels_writer_takes_integral_floats(self, tmp_path):
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, np.zeros((2, 1, 1), dtype=np.uint8))
+        write_idx_labels(lpath, np.array([3.0, 255.0]))
+        assert list(load_idx(ipath, lpath).labels_for_evaluation()) == [3, 255]
+
     def test_count_mismatch_rejected(self, tmp_path):
         ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
         write_idx_images(ipath, np.zeros((2, 2, 2), dtype=np.uint8))
@@ -190,6 +218,23 @@ class TestCsv:
         with pytest.raises(ValueError) as raised:
             load_dataset_csv(fpath, lpath)
         assert str(raised.value) == f"{path}: the {empty} file holds no data"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["features", "labels"])
+    def test_unparsable_line_rejected_with_its_path(self, tmp_path, bad):
+        ds = generate_synthetic(SyntheticSpec(k=2, d=2, D=6, n_per=5, seed=2))
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        save_dataset_csv(ds, fpath, lpath)
+        path = fpath if bad == "features" else lpath
+        rows = path.read_text().splitlines()
+        rows[1] = rows[1].rpartition(",")[0] if bad == "features" else "1.5"
+        path.write_text("".join(row + "\n" for row in rows))
+        with pytest.raises(ValueError) as numpy_error:  # numpy's own words
+            np.loadtxt(path, delimiter="," if bad == "features" else None,
+                       dtype=np.float64 if bad == "features" else np.int64)
+        with pytest.raises(ValueError) as raised:
+            load_dataset_csv(fpath, lpath)
+        assert str(raised.value) == f"{path}: {numpy_error.value}"
 
     def test_label_reader_reads_one_integer_per_line(self, tmp_path):
         path = tmp_path / "l.csv"

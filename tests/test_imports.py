@@ -2,8 +2,9 @@
 exported name exists, only ``Tensor.__init__`` binds a tensor's ``values``,
 only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
 ``state``, only the checkpoint file format and the trainer's one loader
-raise ``CheckpointError``, and every autodiff op kind is in ``OP_KINDS``,
-the registry that ``collabsc gradcheck`` walks."""
+raise ``CheckpointError``, only the one CSV loader and the two binary
+readers parse files, and every autodiff op kind is in ``OP_KINDS``, the
+registry that ``collabsc gradcheck`` walks."""
 
 import ast
 from pathlib import Path
@@ -190,6 +191,49 @@ def test_finds_raises_outside_their_owners():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_raises_checkpoint_error_only_in_the_format_and_the_loader(path):
     assert checkpoint_error_raises(path) == []
+
+
+def call_sites(source: str, func: str,
+               owners: set[tuple[str, ...]]) -> list[tuple[tuple[str, ...], int]]:
+    """(enclosing class/def names, line) of every call of a function named
+    ``func``, by name or as a module attribute, outside the scopes
+    ``owners`` and the defs nested in them."""
+    return [(scope, node.lineno) for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Call)
+            and func in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and not any(scope[:len(owner)] == owner for owner in owners)]
+
+
+# each file-parsing call, and the one reader per module allowed to make it:
+# a reader of its own would refuse bad input without the path that
+# ``data._load_csv``, ``data._read_idx`` and ``load_checkpoint`` name
+PARSERS = {"loadtxt": {"data": {("_load_csv",)}},
+           "unpack_from": {"data": {("_read_idx",)}, "checkpoint": {("load_checkpoint",)}}}
+
+
+def test_finds_calls_outside_their_owners():
+    source = ("import numpy as np\n"
+              "from struct import unpack_from\n"
+              "def _load_csv(path):\n"
+              "    return np.loadtxt(path)\n"
+              "def load_checkpoint(data):\n"
+              "    def read(off):\n"
+              "        return unpack_from('<I', data, off)\n"
+              "    return read(0)\n"
+              "class Reader:\n"
+              "    def labels(self, path):\n"
+              "        return np.loadtxt(path, dtype=int)\n"
+              "rows = np.loadtxt('x.csv')\n")
+    assert call_sites(source, "loadtxt", {("_load_csv",)}) == [(("Reader", "labels"), 11),
+                                                              ((), 12)]
+    assert call_sites(source, "unpack_from", {("load_checkpoint",)}) == []
+    assert call_sites(source, "unpack_from", set()) == [(("load_checkpoint", "read"), 7)]
+
+
+@pytest.mark.parametrize("func", sorted(PARSERS))
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_parses_files_only_in_their_one_reader(path, func):
+    assert call_sites(path.read_text(), func, PARSERS[func].get(path.stem, set())) == []
 
 
 def made_kinds(source: str) -> set[str]:

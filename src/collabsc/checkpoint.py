@@ -26,13 +26,12 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict) -> None:
-    """``params`` maps name -> Tensor or ndarray."""
+    """``params`` maps name -> ndarray."""
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IQ", VERSION, len(params)))
         for name in sorted(params):
-            arr = params[name]
-            values = np.asarray(getattr(arr, "values", arr), dtype=np.float64)
+            values = np.asarray(params[name], dtype=np.float64)
             name_bytes = name.encode("utf-8")
             f.write(struct.pack("<Q", len(name_bytes)))
             f.write(name_bytes)

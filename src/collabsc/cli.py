@@ -234,7 +234,8 @@ def _cmd_export_affinity(args) -> int:
     (coeffs,) = trainer.coeff_adams[args.batch].params.values()
     subspace = subspace_affinity_tensor(coeffs).values
     x = trainer.dataset.features[trainer.batches[args.batch]]
-    class_aff = clip_overshoot(class_affinity_tensor(trainer.network.predictions(x)).values)
+    frozen = trainer.network.frozen()
+    class_aff = clip_overshoot(class_affinity_tensor(frozen.classify(frozen.encode(x))).values)
     for name, matrix in (("subspace", subspace), ("class", class_aff)):
         # display convention of the export only: each point is fully affine
         # to itself (training's subspace affinity keeps a 0 diagonal)

@@ -238,9 +238,14 @@ def _load_csv(path, what: str, dtype, ndmin: int, delimiter=None) -> np.ndarray:
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """Labels CSV, one integer per line. An empty or unparsable file or a
-    negative label raises ``ValueError`` naming the path (and its row)."""
-    labels = _load_csv(path, "labels", np.int64, ndmin=1)
+    """Labels CSV, one integer per line. An empty or unparsable file, a line
+    with more than one value or a negative label raises ``ValueError``
+    naming the path (and its row)."""
+    labels = _load_csv(path, "labels", np.int64, ndmin=2)
+    if labels.shape[1] != 1:
+        raise ValueError(f"{path}: expected one label per line, got {labels.shape[1]} values "
+                         f"on a line")
+    labels = labels[:, 0]
     bad_rows = np.flatnonzero(labels < 0)
     if bad_rows.size:
         raise ValueError(f"{path}: row {bad_rows[0] + 1} holds negative label "

@@ -1,13 +1,18 @@
 """Network assembly: encoder, decoder, classifier.
 
-Layer specs become plans against a concrete input shape: each plan names a
-layer and records its per-sample input and output shapes. The decoder is
+Every layer is a plan: a layer spec placed against a concrete input shape,
+with a name and its per-sample input and output shapes. The decoder is
 always the encoder's mirror, plan for plan: decoder layer i runs encoder
 layer L-1-i's shapes backwards (a conv becomes a conv-transpose, a dense
-layer stays dense) and only its last layer is linear. One runner drives
-every stack. Batches are rows everywhere. There is deliberately no batch
-normalization anywhere: normalizing activations across the batch would
-corrupt the subspace structure the latent space is supposed to carry.
+layer stays dense) and only its last layer is linear. The classifier is the
+head's plans plus a linear dense output plan, ``classifier.out``, with one
+unit per cluster. One initializer sets every plan's weights (He before a
+relu, Glorot for a linear layer), and one runner drives every stack. A
+forward-only pass runs on ``Network.frozen()``, the same network with
+constant views of its parameters. Batches are rows everywhere. There is
+deliberately no batch normalization anywhere: normalizing activations
+across the batch would corrupt the subspace structure the latent space is
+supposed to carry.
 
 The self-expressive step between encoder and decoder has no layer here: its
 only weights, each batch's coefficient matrix, belong to the trainer.
@@ -15,6 +20,7 @@ only weights, each batch's coefficient matrix, belong to the trainer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,15 +126,35 @@ def _plans(prefix: str, specs, in_shape: tuple) -> list[_LayerPlan]:
     return plans
 
 
-class Network:
-    """Encoder/decoder/classifier parameters and forward passes.
+def _init(plan: _LayerPlan, rng) -> dict[str, np.ndarray]:
+    """A plan's weights and zero biases: He init before a relu, Glorot for a
+    linear layer. Dense kernels are (in, out), conv kernels (out, in, f, f)
+    and conv-transpose kernels (in, out, f, f)."""
+    spec, out_c = plan.spec, plan.spec.channels_or_units
+    if spec.kind == "dense":
+        fan_in, fan_out = int(np.prod(plan.in_shape)), out_c
+        shape = (fan_in, fan_out)
+    else:
+        in_c, f = plan.in_shape[0], spec.kernel_size
+        fan_in, fan_out = in_c * f * f, out_c * f * f
+        shape = (out_c, in_c, f, f) if spec.kind == "conv" else (in_c, out_c, f, f)
+    std = np.sqrt(2.0 / fan_in) if spec.activation == "relu" else np.sqrt(
+        2.0 / (fan_in + fan_out))
+    return {f"{plan.name}.W": rng.normals(shape) * std, f"{plan.name}.b": np.zeros(out_c)}
 
-    Owned by a single trainer; all forward methods are pure functions of the
-    current parameters and their input. ``groups`` holds the two optimizer
-    groups, ``autoencoder`` and ``classifier``, each the ``(buffer, params)``
-    pair ``optim.flat_parameters`` builds; ``params`` names every parameter
-    of both. The trainer's optimizers step, save and load them, so code that
-    sets parameter values writes into their arrays, never rebinds them.
+
+class Network:
+    """Encoder/decoder/classifier plans, their parameters and forward passes.
+
+    Owned by a single trainer; all forward methods are pure functions of
+    ``params`` and their input. ``groups`` holds the two optimizer groups,
+    each the ``(buffer, params)`` pair ``optim.flat_parameters`` builds from
+    its plans: ``autoencoder`` from the encoder and decoder plans,
+    ``classifier`` from the classifier plans. ``params`` names every
+    parameter of both. The trainer's optimizers step, save and load them, so
+    code that sets parameter values writes into their arrays, never rebinds
+    them. ``frozen()`` gives the forward-only view: the same plans on
+    constant views of the same arrays, so its passes build no backward tape.
     """
 
     def __init__(self, config: NetworkConfig, input_shape: tuple, seed: int = 0):
@@ -159,58 +185,30 @@ class Network:
                        f"decoder.{i}", e.out_shape, e.in_shape)
             for i, e in enumerate(reversed(self.encoder_plans))]
 
-        # classifier: head layers on encoder features, then a dense output
-        # layer projecting to num_clusters logits
-        self.classifier_plans = _plans("classifier", config.classifier_head,
+        # classifier: head layers on encoder features, then a linear dense
+        # output layer projecting to num_clusters logits
+        out = LayerSpec("dense", config.num_clusters, activation="none")
+        self.classifier_plans = _plans("classifier", config.classifier_head + (out,),
                                        self.latent_feature_shape)
-        self.classifier_out_in_dim = int(np.prod(
-            (self.classifier_plans or self.encoder_plans)[-1].out_shape))
+        self.classifier_plans[-1].name = "classifier.out"
 
-        initial: dict[str, np.ndarray] = {}
-        for plan in self.encoder_plans + self.decoder_plans + self.classifier_plans:
-            self._init_layer(initial, plan, rng)
-        self._init_dense(initial, "classifier.out", self.classifier_out_in_dim,
-                         config.num_clusters, "none", rng)
-        classifier = {k: initial.pop(k) for k in list(initial) if k.startswith("classifier.")}
-        # each group's flat buffer and its parameters, views into it
-        self.groups = {"autoencoder": flat_parameters(initial),
-                       "classifier": flat_parameters(classifier)}
+        # each group's flat buffer and its parameters, views into it; the
+        # draws run encoder, decoder, head, output
+        self.groups = {
+            name: flat_parameters({k: v for plan in plans for k, v in _init(plan, rng).items()})
+            for name, plans in (("autoencoder", self.encoder_plans + self.decoder_plans),
+                                ("classifier", self.classifier_plans))}
         self.params: dict[str, ad.Tensor] = {
             name: p for _, group in self.groups.values() for name, p in group.items()}
-
-    def _init_dense(self, initial, name, fan_in, fan_out, activation, rng):
-        std = np.sqrt(2.0 / fan_in) if activation == "relu" else np.sqrt(2.0 / (fan_in + fan_out))
-        initial[f"{name}.W"] = rng.normals((fan_in, fan_out)) * std
-        initial[f"{name}.b"] = np.zeros(fan_out)
-
-    def _init_layer(self, initial, plan: _LayerPlan, rng):
-        spec = plan.spec
-        if spec.kind == "dense":
-            self._init_dense(initial, plan.name, int(np.prod(plan.in_shape)),
-                             spec.channels_or_units, spec.activation, rng)
-            return
-        f = spec.kernel_size
-        in_c = plan.in_shape[0]
-        out_c = spec.channels_or_units
-        fan_in = in_c * f * f
-        std = np.sqrt(2.0 / fan_in) if spec.activation == "relu" else np.sqrt(
-            2.0 / (fan_in + out_c * f * f))
-        if spec.kind == "conv":
-            w_shape = (out_c, in_c, f, f)
-        else:
-            w_shape = (in_c, out_c, f, f)
-        initial[f"{plan.name}.W"] = rng.normals(w_shape) * std
-        initial[f"{plan.name}.b"] = np.zeros(out_c)
 
     # ------------------------------------------------------------------
     # forward passes
     # ------------------------------------------------------------------
 
-    def _apply(self, plan: _LayerPlan, x: ad.Tensor, params=None) -> ad.Tensor:
+    def _apply(self, plan: _LayerPlan, x: ad.Tensor) -> ad.Tensor:
         spec = plan.spec
         n = x.shape[0]
-        params = self.params if params is None else params
-        w, b = params[f"{plan.name}.W"], params[f"{plan.name}.b"]
+        w, b = self.params[f"{plan.name}.W"], self.params[f"{plan.name}.b"]
         if spec.kind == "dense":
             if x.ndim == 4:
                 x = ad.reshape(x, (n, int(np.prod(x.shape[1:]))))
@@ -236,20 +234,21 @@ class Network:
             raise ad.ShapeError(f"batches need at least 2 rows, got {t.shape[0]}")
         return t
 
-    def frozen_params(self) -> dict[str, ad.Tensor]:
-        """Constant views of the parameters (no copy).
+    def frozen(self) -> Network:
+        """This network with constant views of its parameters (no copy).
 
-        Forward passes given these build no backward tape. The views see
-        later in-place optimizer steps, so take them right before use.
+        Forward passes on the view build no backward tape. The views see
+        later in-place optimizer steps, so take the view right before use.
         """
-        return {name: ad.constant(p.values) for name, p in self.params.items()}
+        view = copy.copy(self)
+        view.params = {name: ad.constant(p.values) for name, p in self.params.items()}
+        return view
 
-    def _run(self, plans: list[_LayerPlan], t: ad.Tensor, out_dim: int,
-             params=None) -> ad.Tensor:
-        """Rows through ``plans``, returned as (n, out_dim) rows."""
+    def _run(self, plans: list[_LayerPlan], t: ad.Tensor) -> ad.Tensor:
+        """Rows through ``plans``, returned as (n, features) rows."""
         for plan in plans:
-            t = self._apply(plan, t, params=params)
-        return t if t.ndim == 2 else ad.reshape(t, (t.shape[0], out_dim))
+            t = self._apply(plan, t)
+        return t if t.ndim == 2 else ad.reshape(t, (t.shape[0], int(np.prod(t.shape[1:]))))
 
     def _check_latent(self, latent: ad.Tensor) -> ad.Tensor:
         if latent.ndim != 2 or latent.shape[1] != self.latent_dim:
@@ -257,40 +256,23 @@ class Network:
                 f"expected (n, {self.latent_dim}) latent rows, got {latent.shape}")
         return latent
 
-    def encode(self, x, params=None) -> ad.Tensor:
-        """Input rows to latent rows (n, latent_dim).
-
-        ``params`` (default: the trainable parameters) may be
-        ``frozen_params()`` for a forward-only pass.
-        """
-        return self._run(self.encoder_plans, self._as_input(x), self.latent_dim, params)
+    def encode(self, x) -> ad.Tensor:
+        """Input rows to latent rows (n, latent_dim)."""
+        return self._run(self.encoder_plans, self._as_input(x))
 
     def decode(self, latent: ad.Tensor) -> ad.Tensor:
         """Latent rows back to input-shaped rows (n, input_dim)."""
-        return self._run(self.decoder_plans, self._check_latent(latent), self.input_dim)
+        return self._run(self.decoder_plans, self._check_latent(latent))
 
-    def classifier_features(self, latent: ad.Tensor, params=None) -> ad.Tensor:
+    def classifier_features(self, latent: ad.Tensor) -> ad.Tensor:
         """Latent rows through the classifier head: the output layer's input rows."""
-        return self._run(self.classifier_plans, self._check_latent(latent),
-                         self.classifier_out_in_dim, params)
+        return self._run(self.classifier_plans[:-1], self._check_latent(latent))
 
-    def classify(self, latent: ad.Tensor, params=None) -> ad.Tensor:
-        """Latent rows to prediction rows: softmax then row l2 normalization.
+    def classify(self, latent: ad.Tensor) -> ad.Tensor:
+        """Latent rows to prediction rows: every classifier plan, then softmax
+        and row l2 normalization.
 
-        Every entry is positive and every row has unit l2 norm. ``params``
-        as for ``encode``.
+        Every entry is positive and every row has unit l2 norm.
         """
-        params = self.params if params is None else params
-        t = self.classifier_features(latent, params=params)
-        logits = ad.add(ad.matmul(t, params["classifier.out.W"]), params["classifier.out.b"])
+        logits = self._run(self.classifier_plans, self._check_latent(latent))
         return ad.l2_normalize_rows(ad.softmax_rows(logits))
-
-    def predictions(self, x, params=None) -> ad.Tensor:
-        """Inference path: encode then classify; decoder and coefficients untouched.
-
-        Forward only: it runs on ``params`` (default: fresh
-        ``frozen_params()``, which callers predicting many chunks build once),
-        so the result is a constant with no backward tape.
-        """
-        params = self.frozen_params() if params is None else params
-        return self.classify(self.encode(x, params=params), params=params)

@@ -109,10 +109,11 @@ class MetricsRow:
 
 
 def predict_dataset(network: Network, features: np.ndarray, batch_size: int) -> np.ndarray:
-    """Inference path, chunk by chunk: encode, classify, row argmax. Never
+    """Inference path, chunk by chunk: encode, classify, row argmax, all on
+    one frozen view of the network, so no pass builds a backward tape. Never
     touches the decoder or any coefficient matrix."""
-    params = network.frozen_params()
-    parts = [infer_labels(network.predictions(features[chunk], params=params).values)
+    frozen = network.frozen()
+    parts = [infer_labels(frozen.classify(frozen.encode(features[chunk])).values)
              for chunk in eval_chunks(features.shape[0], batch_size)]
     return np.concatenate(parts)
 
@@ -334,11 +335,9 @@ class CollaborativeTrainer:
         labels and no spectral step; fully determined by the seed.
         """
         features = self.dataset.features
-        frozen = self.network.frozen_params()
+        frozen = self.network.frozen()
         feats = np.concatenate([
-            self.network.classifier_features(
-                self.network.encode(ad.constant(features[chunk]), params=frozen),
-                params=frozen).values
+            frozen.classifier_features(frozen.encode(features[chunk])).values
             for chunk in eval_chunks(features.shape[0], self.config.batch_size)])
         k = self.config.network.num_clusters
         labels = kmeans(feats, k, seed=mix_seed(self.config.seed, 3))
@@ -377,7 +376,7 @@ class CollaborativeTrainer:
 
         # stage 2: classifier-only steps on the positive term (the negative term
         # would add a constant); stage 3 reuses the teacher
-        latent_frozen = self.network.encode(x, params=self.network.frozen_params())
+        latent_frozen = self.network.frozen().encode(x)
         teacher = positive_teacher(subspace_aff_t.values, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
             nu = self.network.classify(latent_frozen)

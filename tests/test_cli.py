@@ -161,9 +161,11 @@ class TestTrainedCheckpoint:
             load_dataset_csv(args[args.index("--data") + 1], args[args.index("--labels") + 1]))
         trainer.load_checkpoint_params(params)
         x = trainer.dataset.features[trainer.batches[2]]
+        frozen = trainer.network.frozen()
         expected = {
             "subspace": subspace_affinity_tensor(ad.constant(params["selfexpr.batch_2.C"])).values,
-            "class": clip_overshoot(class_affinity_tensor(trainer.network.predictions(x)).values)}
+            "class": clip_overshoot(class_affinity_tensor(
+                frozen.classify(frozen.encode(x))).values)}
         off = ~np.eye(10, dtype=bool)
         for name in ("subspace", "class"):
             a = np.loadtxt(f"{out}_{name}.csv", delimiter=",")
@@ -420,6 +422,34 @@ class TestInputValidation:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: {numpy_error.value}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("text", ["0 1\n", "0 1\n1 0\n"], ids=["one-line", "two-line"])
+    def test_eval_pred_with_several_labels_on_a_line_exits_1_naming_its_file(
+            self, tmp_path, capsys, text):
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        pred.write_text(text)
+        true.write_text("0\n1\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--true", str(true)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: {pred}: expected one label per line, got 2 values on a line\n"
+        assert captured.out == ""
+
+    def test_train_with_two_column_labels_exits_1_naming_its_file(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path)
+        path = Path(args[args.index("--labels") + 1])
+        path.write_text("".join(f"{row} {row}\n" for row in path.read_text().split()))
+        out = tmp_path / "out"
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(["train", *args, "--checkpoint", str(out),
+                         "--train-log", f"{out}.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: {path}: expected one label per line, got 2 values on a line\n"
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == files
 

@@ -245,6 +245,14 @@ class TestCsv:
         path.write_text("3\n")
         np.testing.assert_array_equal(load_labels_csv(path), [3])  # one line is 1-d too
 
+    @pytest.mark.parametrize("text", ["0 1\n", "0 1\n1 0\n"], ids=["one-line", "two-line"])
+    def test_label_reader_refuses_several_values_on_a_line(self, tmp_path, text):
+        path = tmp_path / "l.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_labels_csv(path)
+        assert str(raised.value) == f"{path}: expected one label per line, got 2 values on a line"
+
 
 class TestLabelBarrier:
     SRC = Path(__file__).resolve().parents[1] / "src" / "collabsc"

@@ -1,10 +1,11 @@
 """Source hygiene: every module-level import in the package is used, every
 exported name exists, only ``Tensor.__init__`` binds a tensor's ``values``,
 only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
-``state``, only the checkpoint file format and the trainer's one loader
-raise ``CheckpointError``, only the one CSV loader and the two binary
-readers parse files, and every autodiff op kind is in ``OP_KINDS``, the
-registry that ``collabsc gradcheck`` walks."""
+``state``, only ``Network.__init__``, ``Network.frozen`` and
+``Adam.__init__`` bind a ``params`` map, only the checkpoint file format
+and the trainer's one loader raise ``CheckpointError``, only the one CSV
+loader and the two binary readers parse files, and every autodiff op kind
+is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,43 @@ def test_finds_state_bindings_outside_their_owners():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_package_binds_state_only_in_adam_init_and_the_restore_guard(path):
     assert state_bindings(path.read_text()) == []
+
+
+def params_bindings(source: str) -> list[tuple[tuple[str, ...], int]]:
+    """``attribute_bindings`` of ``params`` outside ``Network.__init__``,
+    ``Network.frozen`` and ``Adam.__init__``.
+
+    A network's forward passes read ``self.params``: the trainable views
+    its constructor builds, or the constant views of a frozen copy. Any
+    other binding would make a pass read parameters that no optimizer steps.
+    """
+    return attribute_bindings(source, "params", {("Network", "__init__"),
+                                                 ("Network", "frozen"),
+                                                 ("Adam", "__init__")})
+
+
+def test_finds_params_bindings_outside_their_owners():
+    source = ("class Network:\n"
+              "    def __init__(self, p):\n"
+              "        self.params: dict = p\n"
+              "    def frozen(self, view, p):\n"
+              "        view.params = p\n"
+              "    def swap(self, p):\n"
+              "        self.params[\"w\"] = p\n"
+              "        self.params = p\n"
+              "class Adam:\n"
+              "    def __init__(self, p):\n"
+              "        self.params = dict(p)\n"
+              "def run(net, p):\n"
+              "    net.params, x = p, 1\n"
+              "    del net.params\n")
+    assert params_bindings(source) == [(("Network", "swap"), 8), (("run",), 13),
+                                       (("run",), 14)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_binds_params_only_in_the_network_and_adam_constructors_and_frozen(path):
+    assert params_bindings(path.read_text()) == []
 
 
 def raise_sites(source: str, exc: str,

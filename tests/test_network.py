@@ -1,5 +1,7 @@
 """Network assembly: shape closure, classifier output law, decoder mirror."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def dense_config(latent=20, k=2, guess=3):
         encoder=(LayerSpec("dense", 32), LayerSpec("dense", latent, activation="none")),
         classifier_head=(LayerSpec("dense", 16),),
         num_clusters=k, intrinsic_dim_guess=guess)
+
+
+def conv_dense_head_config():
+    # the conv case of test_log_bytes: conv encoder, dense head
+    return NetworkConfig(
+        encoder=(LayerSpec("conv", 3, kernel_size=3, stride=2),
+                 LayerSpec("conv", 4, kernel_size=3, stride=2, activation="none")),
+        classifier_head=(LayerSpec("dense", 6),), num_clusters=2, intrinsic_dim_guess=2)
 
 
 def conv_config():
@@ -90,7 +100,8 @@ class TestForward:
     def test_classifier_rows_unit_norm_positive(self):
         net = Network(dense_config(k=4), (8,), seed=5)
         x = Xorshift64Star(4).normals((6, 8))
-        nu = net.predictions(x).values
+        frozen = net.frozen()
+        nu = frozen.classify(frozen.encode(x)).values
         assert nu.shape == (6, 4)
         assert (nu > 0).all()
         np.testing.assert_allclose(np.sqrt((nu * nu).sum(axis=1)), 1.0, atol=1e-12)
@@ -100,14 +111,16 @@ class TestForward:
         for name in ("classifier.0.W", "classifier.0.b", "classifier.out.W",
                      "classifier.out.b"):
             net.params[name].values[:] = 0.0
-        nu = net.predictions(np.ones((2, 8))).values
+        frozen = net.frozen()
+        nu = frozen.classify(frozen.encode(np.ones((2, 8)))).values
         np.testing.assert_allclose(nu, 1.0 / np.sqrt(10), atol=1e-12)
 
     def test_saturated_logit_gives_one_hot(self):
         net = Network(dense_config(k=3), (8,), seed=0)
         net.params["classifier.out.W"].values[:] = 0.0
         net.params["classifier.out.b"].values[:] = [1000.0, 0.0, 0.0]
-        nu = net.predictions(np.ones((2, 8))).values
+        frozen = net.frozen()
+        nu = frozen.classify(frozen.encode(np.ones((2, 8)))).values
         np.testing.assert_allclose(nu[:, 0], 1.0, atol=1e-12)
         assert nu[:, 1].max() < 1e-12
 
@@ -127,27 +140,67 @@ class TestForward:
 
 class TestForwardOnly:
     @pytest.mark.parametrize("which", ["dense", "conv"])
-    def test_predictions_build_no_tape_and_match_the_taped_pass(self, which):
+    def test_frozen_view_builds_no_tape_and_matches_the_taped_pass(self, which):
         if which == "dense":
             net, x = Network(dense_config(), (8,), seed=2), Xorshift64Star(5).normals((5, 8))
         else:
             net = Network(conv_config(), (1, 28, 28), seed=2)
             x = Xorshift64Star(5).normals((3, 784))
-        out = net.predictions(x)
+        frozen = net.frozen()
+        out = frozen.classify(frozen.encode(x))
         assert not out.requires_grad and out._backward_fn is None
         taped = net.classify(net.encode(x))
         assert taped.requires_grad and taped._backward_fn is not None
         assert np.array_equal(out.values, taped.values)
-        reused = net.predictions(x, params=net.frozen_params())
+        reused = frozen.classify(frozen.encode(x))
         assert not reused.requires_grad and np.array_equal(reused.values, taped.values)
 
-    def test_frozen_params_are_constant_views(self):
+    def test_frozen_view_params_are_constant_views(self):
         net = Network(dense_config(), (8,), seed=2)
-        frozen = net.frozen_params()
-        assert frozen.keys() == net.params.keys()
+        frozen = net.frozen()
+        assert frozen.params.keys() == net.params.keys()
         for name, p in net.params.items():
-            assert not frozen[name].requires_grad
-            assert frozen[name].values is p.values
+            assert not frozen.params[name].requires_grad
+            assert frozen.params[name].values is p.values
+        # the view leaves the network's own parameters trainable
+        assert all(p.requires_grad for p in net.params.values())
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestInitPins:
+    # sha256 of each group's flat buffer and of classify(encode(x)) for a
+    # fresh network (seed 11) on 4 rows of Xorshift64Star(12) normals. The
+    # train-log pins cover no conv-head network; these hold every
+    # initializer draw and forward op of all three to their bytes. Captured
+    # on the BLAS build named in test_log_bytes.
+    CASES = {
+        "dense": (dense_config, (8,), {
+            "autoencoder": "2864abfff7f9c1aaf7621c37d12321c88f42445f02ba0ad9ffb968930d5e6fa3",
+            "classifier": "04d3f37df916ed499918bfb9686af84a8b846bf0d26ef485d4420e34be7ca6e7",
+            "classify": "0620f3f86688bbd794c1a9bd036a2796017d8b7c72b454ad2699bf3b7338c9e6"}),
+        "conv": (conv_dense_head_config, (1, 8, 8), {
+            "autoencoder": "81dfe4d5b67106c76d958bf869dc1d999483dbe9443d3eed37939d377b5ae273",
+            "classifier": "f6f1af2fb967f6d9752ed037aec2daa5c5aa383812078915ba3011c878d156b0",
+            "classify": "dfcb1242fd7667aac81b45523cf79bb0fd229eb8cd16cd0c87b07d48158b725d"}),
+        "conv-head": (conv_config, (1, 28, 28), {
+            "autoencoder": "d8b796099f0bbc356df8703e5c9d70551b58a3a769e418c9ff0ec2d221efc3e8",
+            "classifier": "81598549a56979eb03391eca7791e713e9dfa3bbef85c5ee36957c7bbfea83c6",
+            "classify": "d87a80bbe94e53696cc3c82a594e857acf7cce85749c4f4a5f3e314734a8ffb1"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fresh_parameters_and_predictions_pinned(self, case):
+        config, shape, expected = self.CASES[case]
+        net = Network(config(), shape, seed=11)
+        x = Xorshift64Star(12).normals((4, int(np.prod(shape))))
+        got = {name: sha256(buffer) for name, (buffer, _) in net.groups.items()}
+        got["classify"] = sha256(net.classify(net.encode(x)).values)
+        assert got == expected
+        assert list(net.groups["classifier"][1]) == [
+            "classifier.0.W", "classifier.0.b", "classifier.out.W", "classifier.out.b"]
 
 
 class TestDecoderMirror:

@@ -251,8 +251,7 @@ class TestTrainBatchDivergence:
             steps.append(None)
             classifier_step()
 
-        trainer.network.classify = lambda latent, params=None: ad.scale(
-            classify(latent, params=params), 1.5)
+        trainer.network.classify = lambda latent: ad.scale(classify(latent), 1.5)
         trainer.cls_adam.step = counted_step
         before = self.state(trainer)
         with pytest.raises(TrainingDivergedError, match="not l2-normalized") as info:

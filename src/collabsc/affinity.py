@@ -122,7 +122,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
             empty = counts == 0
             if empty.any():  # re-seed empty clusters at the farthest point
                 centers[empty] = x[d2.min(axis=1).argmax()]
-        inertia = float(np.maximum(_sq_distances(x, sq_norms, centers).min(axis=1), 0.0).sum())
+        else:  # the centers moved after the last d2
+            d2 = _sq_distances(x, sq_norms, centers)
+        inertia = float(np.maximum(d2.min(axis=1), 0.0).sum())
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
     if best_labels is None:
@@ -160,17 +162,29 @@ def _kmeans_pp_init(x, k, rng, sq_norms):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.below(n)]
-    d2 = np.maximum(sq_norms - 2.0 * (x @ centers[0]) + (centers[0] * centers[0]).sum(), 0.0)
+    d2, near, cumulative = np.empty(n), np.empty(n), np.empty(n)
+    _center_sq_distances(x, sq_norms, centers[0], d2)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[c] = x[rng.below(n)]
         else:
             r = rng.uniform() * total
-            centers[c] = x[min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)]
-        d2 = np.minimum(
-            d2, np.maximum(sq_norms - 2.0 * (x @ centers[c]) + (centers[c] * centers[c]).sum(), 0.0))
+            np.cumsum(d2, out=cumulative)
+            centers[c] = x[min(int(np.searchsorted(cumulative, r, side="right")), n - 1)]
+        _center_sq_distances(x, sq_norms, centers[c], near)
+        np.minimum(d2, near, out=d2)
     return centers
+
+
+def _center_sq_distances(x, sq_norms, center, out):
+    """Squared distances to one center, ``max(|x|^2 - 2 x.c + |c|^2, 0)``,
+    built in ``out``; each entry is rounded as in that expression."""
+    np.matmul(x, center, out=out)
+    out *= -2.0
+    out += sq_norms
+    out += (center * center).sum()
+    np.maximum(out, 0.0, out=out)
 
 
 # ---------------------------------------------------------------------------

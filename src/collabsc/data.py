@@ -256,13 +256,18 @@ def load_labels_csv(path) -> np.ndarray:
 def load_dataset_csv(features_path, labels_path, feature_shape=None) -> Dataset:
     """Features CSV (one point per row) plus its labels CSV (read by
     ``load_labels_csv``). An empty or unparsable features file, or a NaN or
-    infinite feature, raises ``ValueError`` naming the path (and the first bad row)."""
+    infinite feature, raises ``ValueError`` naming the path (and the first bad row);
+    so does a labels file whose line count is not the features' row count,
+    naming both paths and both counts."""
     features = _load_csv(features_path, "features", np.float64, ndmin=2, delimiter=",")
     bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad_rows.size:
         raise ValueError(f"{features_path}: row {bad_rows[0] + 1} holds a NaN or infinite "
                          f"feature")
     labels = load_labels_csv(labels_path)
+    if labels.size != features.shape[0]:
+        raise ValueError(f"{features_path} has {features.shape[0]} rows but {labels_path} "
+                         f"has {labels.size} labels")
     if feature_shape is None:
         feature_shape = (features.shape[1],)
     provenance = {"source": "csv", "features_path": str(features_path),

@@ -99,7 +99,7 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
         return ad.grad_check(lambda: _weighted(ad.log(x, floor), w), [x], EPS)
     if kind == "scalar-multiply":
         x = ad.parameter(rng.normals((3, 4)))
-        c = rng.normal()
+        c = rng.normals(())
         w = rng.normals((3, 4))
         return ad.grad_check(lambda: _weighted(ad.scale(x, c), w), [x], EPS)
     if kind == "transpose":

@@ -2,7 +2,7 @@
 
 Most of these are deliberately naive: exhaustive enumeration and direct
 formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
-k-means' centroid update and of the Adam step. The last section holds a
+k-means' centroid update, of the Adam step and of the normal draw. The last section holds a
 reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
 collaborative training replaces, used to check the synthetic generator and
@@ -315,6 +315,34 @@ def loop_adam_step(params: dict, state) -> None:
         m_hat = s.m[name] / bc1
         v_hat = s.v[name] / bc2
         p.values -= s.lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+# ---------------------------------------------------------------------------
+# normals, one Box-Muller draw at a time
+# ---------------------------------------------------------------------------
+# The scalar draw that ``Xorshift64Star.normals`` replaced with jumped state
+# blocks and array arithmetic, kept as it was. The block path must return
+# every value, and leave the state and the spare, bit for bit like this one.
+
+def loop_normals(rng: Xorshift64Star, shape) -> np.ndarray:
+    """``shape`` standard normals from ``rng``, one Box-Muller value at a
+    time: the spare first, then r cos(theta) of a fresh pair, whose
+    r sin(theta) becomes the spare."""
+    n = int(np.prod(shape))
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        if rng._spare_normal is not None:
+            out[i] = rng._spare_normal
+            rng._spare_normal = None
+            continue
+        # u1 in (0, 1] so the log is finite
+        u1 = ((rng.next_u64() >> 11) + 1) * (2.0 ** -53)
+        u2 = rng.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        rng._spare_normal = r * math.sin(theta)
+        out[i] = r * math.cos(theta)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

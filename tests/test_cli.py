@@ -453,6 +453,22 @@ class TestInputValidation:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == files
 
+    def test_train_with_a_short_labels_file_exits_1_naming_both_files(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path)
+        features = Path(args[args.index("--data") + 1])
+        labels = Path(args[args.index("--labels") + 1])
+        rows = len(features.read_text().splitlines())
+        labels.write_text("".join(line + "\n" for line in labels.read_text().split()[:3]))
+        out = tmp_path / "out"
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(["train", *args, "--checkpoint", str(out),
+                         "--train-log", f"{out}.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {features} has {rows} rows but {labels} has 3 labels\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
+
 
 class TestCommandPaths:
     def test_eval_pred_true_prints_the_metrics_line(self, tmp_path, capsys):

@@ -236,6 +236,18 @@ class TestCsv:
             load_dataset_csv(fpath, lpath)
         assert str(raised.value) == f"{path}: {numpy_error.value}"
 
+    @pytest.mark.parametrize("features_text, labels_text", [
+        ("1,2\n3,4\n5,6\n", "0\n1\n"), ("1,2\n3,4\n", "0\n1\n0\n")],
+        ids=["fewer-labels", "more-labels"])
+    def test_row_count_mismatch_names_both_files(self, tmp_path, features_text, labels_text):
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        fpath.write_text(features_text)
+        lpath.write_text(labels_text)
+        rows, labels = features_text.count("\n"), labels_text.count("\n")
+        with pytest.raises(ValueError) as raised:
+            load_dataset_csv(fpath, lpath)
+        assert str(raised.value) == f"{fpath} has {rows} rows but {lpath} has {labels} labels"
+
     def test_label_reader_reads_one_integer_per_line(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("2\n0\n1\n")

@@ -4,8 +4,9 @@ only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
 ``state``, only ``Network.__init__``, ``Network.frozen`` and
 ``Adam.__init__`` bind a ``params`` map, only the checkpoint file format
 and the trainer's one loader raise ``CheckpointError``, only the one CSV
-loader and the two binary readers parse files, and every autodiff op kind
-is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks."""
+loader and the two binary readers parse files, every autodiff op kind
+is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks, and the
+generator takes ``log``, ``cos`` and ``sin`` from ``math`` only."""
 
 import ast
 from pathlib import Path
@@ -305,3 +306,38 @@ def test_every_op_kind_is_under_gradcheck():
     from collabsc import autodiff
 
     assert made_kinds((SRC / "autodiff.py").read_text()) == set(autodiff.OP_KINDS)
+
+
+def non_math_transcendentals(source: str) -> list[tuple[str, int]]:
+    """(spelling, line) of every reference to a function named ``log``,
+    ``cos`` or ``sin`` that is not ``math.log``, ``math.cos`` or
+    ``math.sin``: a module attribute, a bare name or an imported alias."""
+    names = {"log", "cos", "sin"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            owner = ast.unparse(node.value)
+            if owner != "math":
+                found.append((f"{owner}.{node.attr}", node.lineno))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names:
+            found.append((f"import {node.name}", node.lineno))
+    return found
+
+
+def test_finds_transcendentals_off_math():
+    source = ("import math\n"
+              "import numpy as np\n"
+              "from numpy import cos\n"
+              "def draw(u, t, logs):\n"
+              "    a = list(map(math.log, u)), math.cos(t), math.sin(t), logs\n"
+              "    return np.log(u), cos(t), np.emath.sin(t)\n")
+    assert non_math_transcendentals(source) == [
+        ("import cos", 3), ("np.log", 6), ("cos", 6), ("np.emath.sin", 6)]
+
+
+def test_rng_takes_its_transcendentals_from_math():
+    # numpy's vectorized log, cos and sin pick a SIMD kernel by CPU and may
+    # round differently from math, which would tie every draw to the host
+    assert non_math_transcendentals((SRC / "rng.py").read_text()) == []

@@ -76,7 +76,7 @@ def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
     sym = ad.scale(ad.add(ad.absolute(coeff_tensor), ad.transpose(ad.absolute(coeff_tensor))), 0.5)
     row_max = sym.values.max(axis=1)
     scales = np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
-    scale_matrix = np.repeat(scales[:, None], coeff_tensor.shape[0], axis=1)
+    scale_matrix = np.broadcast_to(scales[:, None], sym.shape)  # a read-only view
     return ad.multiply(sym, ad.constant(scale_matrix))
 
 

@@ -11,6 +11,16 @@ sorts the DAG and walks it in exact reverse order, accumulating gradients
 into every tensor that (transitively) requires them. Op closures skip the
 gradient of a constant parent, and ``backward`` releases each op output's
 gradient once its parents have it, so only leaf gradients outlive the call.
+
+A node keeps only what its backward reads. Its closure holds an operand's
+values only when the other operand's gradient reads them, and anything a
+backward can rebuild cheaply from its parents (the sign of ``abs``, the
+clamped input of ``log``) is rebuilt there rather than kept from forward
+time. A constant, and a gradient an op hands on, may be a read-only
+broadcast view (the sum's gradient, a row-scale matrix, the ones of
+1 - A): consumers only read them. Nothing writes into a value between a
+node's forward and its backward; ``matmul``, ``multiply``, ``abs`` and
+``log`` read their operands' live arrays in backward instead of copies.
 Convolutions keep the patch matrix of their forward pass for the kernel
 gradient instead of rebuilding it.
 
@@ -156,13 +166,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    av, bv = a.values, b.values
-    a_grad, b_grad = a.requires_grad, b.requires_grad
+    # each operand's values are kept only for the other operand's gradient
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
 
     def bwd(g):
-        return (g @ bv.T if a_grad else None), (av.T @ g if b_grad else None)
+        return (None if bv is None else g @ bv.T), (None if av is None else av.T @ g)
 
-    return _make(av @ bv, (a, b), "matmul", bwd)
+    return _make(a.values @ b.values, (a, b), "matmul", bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -195,13 +206,14 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product of same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"elementwise-multiply: shapes differ, {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-    a_grad, b_grad = a.requires_grad, b.requires_grad
+    # each operand's values are kept only for the other operand's gradient
+    av = a.values if b.requires_grad else None
+    bv = b.values if a.requires_grad else None
 
     def bwd(g):
-        return (g * bv if a_grad else None), (g * av if b_grad else None)
+        return (None if bv is None else g * bv), (None if av is None else g * av)
 
-    return _make(av * bv, (a, b), "elementwise-multiply", bwd)
+    return _make(a.values * b.values, (a, b), "elementwise-multiply", bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -268,10 +280,11 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def tensor_sum(x: Tensor) -> Tensor:
+    """Sum of all entries, a scalar; its gradient is a read-only broadcast view."""
     shape = x.shape
 
     def bwd(g):
-        return (np.full(shape, float(g)),)
+        return (np.broadcast_to(np.float64(g), shape),)
 
     return _make(np.asarray(x.values.sum()), (x,), "sum", bwd)
 
@@ -291,8 +304,10 @@ def log(x: Tensor, floor: float) -> Tensor:
 
     Entries at or below the floor are clamped to it and get zero gradient
     (the subgradient of the max); the others get g / x. The gradient is
-    formed as (g / clamped) * keep, with keep the 0/1 float mask of entries
-    above the floor. NaN input raises.
+    formed as (g / clamped) * above, with above the bool mask of entries
+    above the floor, which multiplies as 0.0 or 1.0. The node keeps only
+    that mask; backward rebuilds the clamped input from its parent. NaN
+    input raises.
     """
     floor = float(floor)
     if not floor > 0.0:
@@ -301,13 +316,16 @@ def log(x: Tensor, floor: float) -> Tensor:
     if np.isnan(xv).any():
         raise AutodiffError("log: NaN input")
     above = xv > floor
-    clamped = np.where(above, xv, floor)
-    keep = above.astype(np.float64)
+    out = np.where(above, xv, floor)
+    np.log(out, out=out)
 
     def bwd(g):
-        return ((g / clamped) * keep,)
+        grad = np.where(above, xv, floor)
+        np.divide(g, grad, out=grad)
+        np.multiply(grad, above, out=grad)
+        return (grad,)
 
-    return _make(np.log(clamped), (x,), "log", bwd)
+    return _make(out, (x,), "log", bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -329,12 +347,14 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.values)  # subgradient 0 at exactly 0
+    xv = x.values
 
     def bwd(g):
-        return (g * sign,)
+        grad = np.sign(xv, out=np.empty_like(xv))  # subgradient 0 at exactly 0
+        np.multiply(g, grad, out=grad)
+        return (grad,)
 
-    return _make(np.abs(x.values), (x,), "abs", bwd)
+    return _make(np.abs(xv), (x,), "abs", bwd)
 
 
 # ---------------------------------------------------------------------------

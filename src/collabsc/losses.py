@@ -54,9 +54,12 @@ def _checked_affinity(name: str, affinity: np.ndarray) -> np.ndarray:
 
 
 def _teacher(confident: np.ndarray, weight) -> Teacher:
-    selected = confident & ~np.eye(confident.shape[0], dtype=bool)
-    return Teacher(selected=selected, weights=selected.astype(np.float64) * weight,
-                   count=int(selected.sum()))
+    """The teacher of a fresh mask ``confident``, which becomes its
+    ``selected`` once its diagonal is cleared; the bool mask multiplies
+    ``weight`` as 0.0 or 1.0 without a float copy of itself."""
+    np.fill_diagonal(confident, False)
+    return Teacher(selected=confident, weights=np.multiply(confident, weight),
+                   count=int(confident.sum()))
 
 
 def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True) -> Teacher:

@@ -6,6 +6,12 @@ array operations over the whole buffer rather than one per parameter, and a
 group's state is that buffer plus one ``m`` and one ``v``. Code that sets a
 parameter's values writes into its array; rebinding ``values`` would detach
 the parameter from the buffer its optimizer steps.
+
+A step updates ``m`` and ``v`` in place and builds the update in two
+buffer-sized temporaries. It rounds each operation of the plain Adam
+expressions in their order, so its bits equal theirs. It writes only into
+the optimizer's own arrays and the buffer, never into a gradient: a
+gradient may be a read-only broadcast view.
 """
 
 from __future__ import annotations
@@ -92,19 +98,34 @@ class Adam:
         return self._grads
 
     def step(self) -> None:
+        """m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2 in place, then
+        buffer -= lr (m / bc1) / (sqrt(v / bc2) + eps); ``g`` may be the
+        scalar 0.0 of a lone parameter without a gradient."""
         g = self._gradient()
         s = self.state
         s.step += 1
         bc1 = 1.0 - BETA1 ** s.step
         bc2 = 1.0 - BETA2 ** s.step
-        s.m = BETA1 * s.m + (1.0 - BETA1) * g
-        s.v = BETA2 * s.v + (1.0 - BETA2) * np.square(g)
-        self._stepped -= s.lr * (s.m / bc1) / (np.sqrt(s.v / bc2) + EPS)
+        m, v, t = s.m, s.v, np.empty(s.m.shape)
+        np.multiply(BETA1, m, out=m)
+        np.multiply(1.0 - BETA1, g, out=t)
+        m += t
+        np.multiply(BETA2, v, out=v)
+        np.square(g, out=t)
+        np.multiply(1.0 - BETA2, t, out=t)
+        v += t
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += EPS
+        update = np.divide(m, bc1)
+        np.multiply(s.lr, update, out=update)
+        update /= t
+        self._stepped -= update
 
     def state_copy(self) -> AdamState:
         """A copy of the state for restoring into ``self.state`` later.
 
-        ``step`` binds fresh moment arrays instead of writing into them, so
-        a shallow copy is enough; no array is copied.
+        ``step`` writes into ``m`` and ``v``, so both are copied; a shallow
+        copy would change with every later step.
         """
-        return replace(self.state)
+        return replace(self.state, m=self.state.m.copy(), v=self.state.v.copy())

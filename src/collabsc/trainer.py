@@ -364,10 +364,11 @@ class CollaborativeTrainer:
         coeff_adam = self.coeff_adams[batch_index]
         (coeffs,) = coeff_adam.params.values()
 
-        # stage 1: subspace objective over autoencoder + coefficients
+        # stage 1: subspace objective over autoencoder + coefficients; no name
+        # binds a step's loss, so each step's graph is freed once it has stepped
         for _ in range(cfg.inner_se_steps):
-            l_sub_t = self._subspace_pass(x, coeffs)[1]
-            self._descend(f"{where}: stage-1 subspace loss", l_sub_t, self.ae_adam, coeff_adam)
+            self._descend(f"{where}: stage-1 subspace loss", self._subspace_pass(x, coeffs)[1],
+                          self.ae_adam, coeff_adam)
             np.fill_diagonal(coeffs.values, 0.0)
         self._check_finite(f"{where}: stage-1 coefficients", coeffs)
         # C stays put until stage 3's step: stage 2 teaches from this affinity
@@ -375,13 +376,14 @@ class CollaborativeTrainer:
         subspace_aff_t = subspace_affinity_tensor(coeffs)
 
         # stage 2: classifier-only steps on the positive term (the negative term
-        # would add a constant); stage 3 reuses the teacher
+        # would add a constant); stage 3 reuses the teacher. As in stage 1, a
+        # step's graph is freed before the next step builds its own.
         latent_frozen = self.network.frozen().encode(x)
         teacher = positive_teacher(subspace_aff_t.values, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
-            nu = self.network.classify(latent_frozen)
-            l_pos_t = collaborative_loss(teacher, class_affinity_tensor(nu))
-            self._descend(f"{where}: stage-2 collaborative loss", l_pos_t, self.cls_adam)
+            self._descend(f"{where}: stage-2 collaborative loss",
+                          collaborative_loss(teacher, class_affinity_tensor(
+                              self.network.classify(latent_frozen))), self.cls_adam)
 
         # stage 3: one joint step on the full objective
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
@@ -389,7 +391,8 @@ class CollaborativeTrainer:
         l_pos_t = collaborative_loss(teacher, class_aff_t)
         neg_teacher = negative_teacher(clip_overshoot(class_aff_t.values), cfg.l,
                                        soft_mask=cfg.soft_mask)
-        dissimilarity_t = ad.subtract(ad.constant(np.ones(subspace_aff_t.shape)), subspace_aff_t)
+        ones = np.broadcast_to(1.0, subspace_aff_t.shape)  # a read-only view
+        dissimilarity_t = ad.subtract(ad.constant(ones), subspace_aff_t)
         l_neg_t = collaborative_loss(neg_teacher, dissimilarity_t)
         alpha = collaboration_rate(teacher.count, neg_teacher.count)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))

@@ -2,7 +2,8 @@
 
 Most of these are deliberately naive: exhaustive enumeration and direct
 formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
-k-means' centroid update, of the Adam step and of the normal draw. The last section holds a
+k-means' centroid update, of the Adam step and of the normal draw, and
+the array-keeping forms of the log, abs and sum ops. The last section holds a
 reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
 collaborative training replaces, used to check the synthetic generator and
@@ -226,6 +227,33 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
                 g.sum(axis=(0, 2, 3)))
 
     return out, bwd
+
+
+# ---------------------------------------------------------------------------
+# log, abs and sum, keeping every array their backward reads
+# ---------------------------------------------------------------------------
+# The forms ``collabsc.autodiff`` replaced when its nodes stopped keeping
+# what backward can rebuild or view: log kept its clamped input and a float
+# copy of its mask, abs its sign, and sum built a full gradient array. Each
+# op's value and gradient must keep these bits.
+
+def reference_log(x, floor, g):
+    """Value of log(max(x, floor)), and its gradient for upstream ``g``."""
+    above = x > floor
+    clamped = np.where(above, x, floor)
+    keep = above.astype(np.float64)
+    return np.log(clamped), (g / clamped) * keep
+
+
+def reference_abs(x, g):
+    """Value of |x|, and its gradient for upstream ``g``."""
+    sign = np.sign(x)
+    return np.abs(x), g * sign
+
+
+def reference_sum(x, g):
+    """Value of the sum of ``x``, and its gradient for upstream ``g``."""
+    return np.asarray(x.sum()), np.full(x.shape, float(g))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import collabsc.autodiff as ad
 from collabsc.gradcheck import run_gradient_checks
 from collabsc.rng import Xorshift64Star
 
-from oracles import (central_difference_gradient, reference_col2im, reference_conv2d,
-                     reference_conv2d_transpose)
+from oracles import (central_difference_gradient, reference_abs, reference_col2im,
+                     reference_conv2d, reference_conv2d_transpose, reference_log, reference_sum)
 
 
 class TestForwardSemantics:
@@ -228,6 +228,72 @@ class TestBackwardSemantics:
         for op in (ad.matmul(a, b), ad.multiply(a, ad.transpose(b))):
             da, db = op._backward_fn(rng.normals(op.shape))
             assert da is None and db is not None
+
+
+LOG_FLOORS = (1e-12, 5e-324, 1.0, 1e300)
+# signed zeros, every floor, neighbours of the loss's floor, subnormals,
+# infinities and huge values (NaN input to log is refused, see
+# test_log_rejects_nan)
+SPECIAL_ENTRIES = (-0.0, 0.0, *LOG_FLOORS, *(-f for f in LOG_FLOORS),
+                   np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 1e-320, -2.5e-310,
+                   np.inf, -np.inf, 1e300, -1e300)
+entries = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(allow_nan=False))
+
+
+def assert_same_bits(actual, expected):
+    """The same bytes, NaN payloads included, in the same shape and layout."""
+    expected = np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+    assert actual.strides == expected.strides
+
+
+def arrays_of(shape):
+    size = int(np.prod(shape))
+    return st.lists(entries, min_size=size, max_size=size).map(
+        lambda values: np.array(values, dtype=np.float64).reshape(shape))
+
+
+class TestKeptArrays:
+    """log, abs and sum keep, or rebuild, only what their backward reads;
+    each value and gradient keeps the bits of the forms that kept every
+    array (``tests/oracles.py``)."""
+
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 100)
+    @given(data=st.data(), shape=st.lists(st.integers(1, 5), max_size=3).map(tuple),
+           floor=st.sampled_from(LOG_FLOORS))
+    def test_log_abs_and_sum_match_their_array_keeping_forms(self, data, shape, floor):
+        x, g = data.draw(arrays_of(shape)), data.draw(arrays_of(shape))
+        g_sum = np.asarray(data.draw(entries))
+        with np.errstate(all="ignore"):  # inf - inf, 0 * inf and the like are meant
+            cases = ((ad.log(ad.parameter(x), floor), reference_log(x, floor, g)),
+                     (ad.absolute(ad.parameter(x)), reference_abs(x, g)))
+            for out, (value, grad) in cases:
+                assert_same_bits(out.values, value)
+                (dx,) = out._backward_fn(g)
+                assert_same_bits(dx, grad)
+            out = ad.tensor_sum(ad.parameter(x))
+            value, grad = reference_sum(x, g_sum)
+            assert_same_bits(out.values, value)
+            (dx,) = out._backward_fn(g_sum)
+        # a read-only broadcast view of the one upstream value
+        assert not dx.flags.writeable
+        assert_same_bits(dx.copy(), grad)
+
+    def test_nodes_keep_no_array_their_backward_does_not_read(self):
+        # abs keeps no sign and log no float mask or clamped copy: their
+        # closures hold the input's own array and, for log, one bool mask
+        x = ad.parameter(np.array([[-2.0, 0.0], [1e-13, 3.0]]))
+        for out in (ad.absolute(x), ad.log(x, 1e-12)):
+            kept = [c.cell_contents for c in out._backward_fn.__closure__]
+            arrays = [a for a in kept if isinstance(a, np.ndarray)]
+            assert any(a is x.values for a in arrays)
+            assert [a.dtype for a in arrays if a is not x.values] in ([], [np.bool_])
+        # a constant operand's partner is not kept for the constant's gradient
+        w = ad.constant(np.ones((2, 2)))
+        for out in (ad.multiply(w, x), ad.matmul(w, x)):
+            kept = [c.cell_contents for c in out._backward_fn.__closure__]
+            assert not any(a is x.values for a in kept if isinstance(a, np.ndarray))
 
 
 class TestConvSemantics:

@@ -5,8 +5,9 @@ only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
 ``Adam.__init__`` bind a ``params`` map, only the checkpoint file format
 and the trainer's one loader raise ``CheckpointError``, only the one CSV
 loader and the two binary readers parse files, every autodiff op kind
-is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks, and the
-generator takes ``log``, ``cos`` and ``sin`` from ``math`` only."""
+is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks, the
+generator takes ``log``, ``cos`` and ``sin`` from ``math`` only, and the
+training path fills no array with one repeated value or row."""
 
 import ast
 from pathlib import Path
@@ -341,3 +342,43 @@ def test_rng_takes_its_transcendentals_from_math():
     # numpy's vectorized log, cos and sin pick a SIMD kernel by CPU and may
     # round differently from math, which would tie every draw to the host
     assert non_math_transcendentals((SRC / "rng.py").read_text()) == []
+
+
+def filled_arrays(source: str) -> list[tuple[str, tuple[str, ...], int]]:
+    """(name, enclosing class/def names, line) of every call of a function
+    or method named ``ones``, ``full`` or ``repeat``, except the 0-d loss
+    seed ``ones(())`` in ``backward``."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        if name not in ("ones", "full", "repeat"):
+            continue
+        shape = node.args[0] if node.args else None
+        zero_d = isinstance(shape, ast.Tuple) and not shape.elts
+        if not (name == "ones" and zero_d and scope == ("backward",)):
+            found.append((name, scope, node.lineno))
+    return found
+
+
+def test_finds_filled_arrays():
+    source = ("import numpy as np\n"
+              "from numpy import full\n"
+              "def backward(loss):\n"
+              "    loss.grad = np.ones((), dtype=np.float64)\n"
+              "    return np.ones((2,)), np.ones(3)\n"
+              "def bwd(g, shape, s):\n"
+              "    return np.ones(()), full(shape, g), s.repeat(3, axis=1)\n"
+              "scales = np.repeat(np.zeros(2)[:, None], 2, axis=1)\n")
+    assert filled_arrays(source) == [("ones", ("backward",), 5), ("ones", ("backward",), 5),
+                                     ("ones", ("bwd",), 7), ("full", ("bwd",), 7),
+                                     ("repeat", ("bwd",), 7), ("repeat", (), 8)]
+
+
+@pytest.mark.parametrize("module", ["autodiff", "affinity", "losses", "trainer"])
+def test_training_path_fills_no_array(module):
+    # a matrix of one repeated value or row (the ones of 1 - A, a row-scale
+    # matrix, the sum's gradient) is a read-only broadcast view on this path:
+    # as a filled array it would hold an n x n block of memory per node
+    assert filled_arrays((SRC / f"{module}.py").read_text()) == []

@@ -131,6 +131,48 @@ def test_flat_step_matches_the_loop_oracle(shapes, coeff_side, lr, seed):
         assert p.values.tobytes() == oracle_params[name].values.tobytes(), name
 
 
+def moment_bytes(state):
+    return state.step, state.m.tobytes(), state.v.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [[(3, 3)], [(2,), (2, 3)]], ids=["lone", "group"])
+def test_state_copy_is_unchanged_by_later_steps(shapes):
+    # step writes into m and v, so the copy must own its moments
+    rng = Xorshift64Star(11)
+    group = flat_parameters({f"p{i}": rng.normals(shape) for i, shape in enumerate(shapes)})
+    adam = Adam(group, lr=0.1)
+    for p in group[1].values():
+        p.grad = rng.normals(p.shape)
+    adam.step()
+    saved = adam.state_copy()
+    before = moment_bytes(saved)
+    for _ in range(3):
+        adam.step()
+    assert moment_bytes(saved) == before
+    assert moment_bytes(adam.state) != before
+
+
+@pytest.mark.parametrize("shapes", [[(3, 3)], [(2,), (2, 3)]], ids=["lone", "group"])
+def test_steps_read_a_read_only_gradient_without_writing_it(shapes):
+    # a gradient may be a read-only broadcast view (the sum op's), which
+    # raises if the step writes into it; the step reads it as the oracle does
+    rng = Xorshift64Star(12)
+    initial = {f"p{i}": rng.normals(shape) for i, shape in enumerate(shapes)}
+    group = flat_parameters(initial)
+    oracle_params = {name: ad.parameter(v) for name, v in initial.items()}
+    oracle = SimpleNamespace(lr=0.1, step=0,
+                             m={name: np.zeros(p.shape) for name, p in oracle_params.items()},
+                             v={name: np.zeros(p.shape) for name, p in oracle_params.items()})
+    adam = Adam(group, lr=0.1)
+    for value in (0.5, -2.0):
+        for p, q in zip(group[1].values(), oracle_params.values()):
+            p.grad = q.grad = np.broadcast_to(value, p.shape)
+        adam.step()
+        loop_adam_step(oracle_params, oracle)
+    for name, p in group[1].items():
+        assert p.values.tobytes() == oracle_params[name].values.tobytes(), name
+
+
 def test_descends_a_quadratic():
     group, p = lone_group(np.array([3.0, -2.0]))
     adam = Adam(group, lr=0.05)

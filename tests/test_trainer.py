@@ -1,6 +1,8 @@
 """Trainer orchestration: determinism, stage semantics, inference isolation."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +292,24 @@ class TestTrainBatchDivergence:
         assert isinstance(info.value.__cause__, ValueError)
         self.assert_state_equals(trainer, before)
 
+    def test_failed_value_check_puts_back_each_groups_exact_moments(self, monkeypatch):
+        # every optimizer has stepped its moments in place when stage 3's
+        # check fails; the guard's copies put back their bytes and step counts
+        trainer = self.trainer_after_one_good_round()
+
+        def failing_negative_teacher(*args, **kwargs):
+            raise ValueError("class affinity entries must lie in [0, 1]")
+
+        def moments():
+            return [(adam.state.step, adam.state.m.tobytes(), adam.state.v.tobytes())
+                    for adam in (trainer.ae_adam, trainer.cls_adam, trainer.coeff_adams[1])]
+
+        monkeypatch.setattr(trainer_module, "negative_teacher", failing_negative_teacher)
+        before = moments()
+        with pytest.raises(TrainingDivergedError, match="failed a value check"):
+            trainer.train_batch(1, u=0.7)
+        assert moments() == before
+
     @pytest.mark.parametrize("name", ["classifier.out.b", "selfexpr.batch_0.C"])
     def test_non_finite_joint_step_restores_batch_start(self, name):
         # stage 3 is the last step of either optimizer; it leaves a NaN off
@@ -515,6 +535,34 @@ class TestTrainBatch:
                 assert b[name] is None
             else:
                 np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestMemoryBudget:
+    # One round's traced peak on an already visited 256-point batch, in n x n
+    # float64 arrays, measured at 20.41 (27.17 when nodes kept arrays their
+    # backward never reads and a stage's graph outlived it); the bound leaves
+    # under 10% slack. The peak repeats to about 0.05% across processes.
+    ROUND_PEAK_ARRAYS = 22.0
+
+    def test_a_batch_round_peaks_within_its_budget(self):
+        trainer = CollaborativeTrainer(tiny_config(batch_size=256, pretrain_epochs=0, epochs=1),
+                                       tiny_dataset(n_per=128))
+        trainer.train_batch(0, u=0.7)  # the first visit creates C and its moments
+        n = trainer.batches[0].size
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trainer.train_batch(0, u=0.7)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert n == 256
+        assert peak / (n * n * 8) <= self.ROUND_PEAK_ARRAYS
 
 
 class TestOneAffinityPerRound:

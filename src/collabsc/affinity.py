@@ -4,11 +4,12 @@ The classifier affinity is the Gram matrix of l2-normalized prediction rows.
 The subspace affinity is the symmetrized absolute coefficients,
 row-normalized by each row's largest off-diagonal entry, with a 0 diagonal.
 Each has one formula, an autodiff tensor: ``class_affinity_tensor`` and
-``subspace_affinity_tensor``. Training and ``export-affinity`` both read
-these; the export clips the class values with ``clip_overshoot`` and sets
-both diagonals to 1 for display. ``kmeans`` finds the prototypes that
-warm-start the classifier. No spectral step runs anywhere: cluster labels
-come from the classifier.
+``subspace_affinity_tensor``, the latter one ``subspace-affinity`` node
+that keeps none of its n x n intermediates. Training and
+``export-affinity`` both read these; the export clips the class values with
+``clip_overshoot`` and sets both diagonals to 1 for display. ``kmeans``
+finds the prototypes that warm-start the classifier. No spectral step runs
+anywhere: cluster labels come from the classifier.
 
 Both k-means and the warm start's readout take cluster means from one sorted
 pass, ``cluster_means``: a stable argsort of the labels, one gather of the
@@ -71,13 +72,16 @@ def subspace_affinity_tensor(coeff_tensor: ad.Tensor) -> ad.Tensor:
     The result is scale-invariant in C but not symmetric in general: rows
     own their normalizers. Those are recomputed each forward pass but treated
     as constants during differentiation, so gradients keep the direction of
-    the unnormalized entries.
+    the unnormalized entries. One ``subspace-affinity`` autodiff node, which
+    keeps only the row scales for backward.
     """
-    sym = ad.scale(ad.add(ad.absolute(coeff_tensor), ad.transpose(ad.absolute(coeff_tensor))), 0.5)
-    row_max = sym.values.max(axis=1)
-    scales = np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
-    scale_matrix = np.broadcast_to(scales[:, None], sym.shape)  # a read-only view
-    return ad.multiply(sym, ad.constant(scale_matrix))
+    return ad.subspace_affinity(coeff_tensor, _row_scales)
+
+
+def _row_scales(sym: np.ndarray) -> np.ndarray:
+    """1 / each row's largest entry, or 0 for a row under ``DUST_TOLERANCE``."""
+    row_max = sym.max(axis=1)
+    return np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The operator set is exactly what the clustering networks need: dense and
 strided-convolution linear algebra, row softmax and row l2 normalization,
-and the reductions used by the losses. There is no broadcasting beyond the
+the reductions used by the losses, and one node each for the subspace
+affinity and the collaborative term. There is no broadcasting beyond the
 row-vector bias add, no mixed precision, and no graph rewriting.
 
 A forward pass builds an implicit DAG: every op output records its parent
@@ -14,15 +15,18 @@ gradient once its parents have it, so only leaf gradients outlive the call.
 
 A node keeps only what its backward reads. Its closure holds an operand's
 values only when the other operand's gradient reads them, and anything a
-backward can rebuild cheaply from its parents (the sign of ``abs``, the
-clamped input of ``log``) is rebuilt there rather than kept from forward
-time. A constant, and a gradient an op hands on, may be a read-only
-broadcast view (the sum's gradient, a row-scale matrix, the ones of
-1 - A): consumers only read them. Nothing writes into a value between a
-node's forward and its backward; ``matmul``, ``multiply``, ``abs`` and
-``log`` read their operands' live arrays in backward instead of copies.
-Convolutions keep the patch matrix of their forward pass for the kernel
-gradient instead of rebuilding it.
+backward can rebuild cheaply from its parents (the sign of C in
+``subspace-affinity``, the clamped student in ``collaborative``) is rebuilt
+there rather than kept from forward time. Each of the two n x n formulas
+of collaborative training is one node for this reason: as a chain of
+elementwise ops it would keep every intermediate n x n value, although no
+backward reads them. A constant, and a gradient an op hands on, may be a
+read-only broadcast view (the sum's gradient, the ones of 1 - A): consumers
+only read them. Nothing writes into a value between a node's forward and
+its backward; ``matmul``, ``multiply``, ``subspace-affinity`` and
+``collaborative`` read their operands' live arrays in backward instead of
+copies. Convolutions keep the patch matrix of their forward pass for the
+kernel gradient instead of rebuilding it.
 
 The strided conv ops move data by index: im2col gathers each image's
 patches through flat offsets built once per layer geometry. On the col2im
@@ -299,35 +303,6 @@ def frobenius_sq(x: Tensor) -> Tensor:
     return _make(np.asarray((xv * xv).sum()), (x,), "frobenius-norm-squared", bwd)
 
 
-def log(x: Tensor, floor: float) -> Tensor:
-    """Elementwise log(max(x, floor)), with ``floor > 0``.
-
-    Entries at or below the floor are clamped to it and get zero gradient
-    (the subgradient of the max); the others get g / x. The gradient is
-    formed as (g / clamped) * above, with above the bool mask of entries
-    above the floor, which multiplies as 0.0 or 1.0. The node keeps only
-    that mask; backward rebuilds the clamped input from its parent. NaN
-    input raises.
-    """
-    floor = float(floor)
-    if not floor > 0.0:
-        raise AutodiffError(f"log: the floor must be positive, got {floor}")
-    xv = x.values
-    if np.isnan(xv).any():
-        raise AutodiffError("log: NaN input")
-    above = xv > floor
-    out = np.where(above, xv, floor)
-    np.log(out, out=out)
-
-    def bwd(g):
-        grad = np.where(above, xv, floor)
-        np.divide(g, grad, out=grad)
-        np.multiply(grad, above, out=grad)
-        return (grad,)
-
-    return _make(out, (x,), "log", bwd)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -346,15 +321,79 @@ def transpose(x: Tensor) -> Tensor:
     return _make(x.values.T.copy(), (x,), "transpose", bwd)
 
 
-def absolute(x: Tensor) -> Tensor:
-    xv = x.values
+# ---------------------------------------------------------------------------
+# the two n x n formulas of collaborative training, one node each
+# ---------------------------------------------------------------------------
+
+def subspace_affinity(c: Tensor, row_scales) -> Tensor:
+    """Row-scaled symmetrized magnitudes ``0.5 * (|C| + |C|^T) * scales[:, None]``.
+
+    ``row_scales`` maps the symmetrized magnitudes to one scale per row;
+    the scales are constants for differentiation. C is listed twice as a
+    parent, for |C| and for |C|^T, and the node keeps only the scales:
+    backward rebuilds sign(C) from C's values and, with
+    ``g2 = 0.5 * (g * scales)``, hands C ``g2 * sign(C)`` first and
+    ``g2.T * sign(C)`` second (subgradient 0 at exactly 0). That order is
+    part of the bit contract: ``backward`` adds the two to C's gradient in
+    it, and the other order rounds that gradient differently. Value and
+    gradients equal, bit for bit, those of the composition of abs,
+    transpose, add, scale and multiply ops (the test oracle
+    ``reference_subspace_affinity``).
+    """
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ShapeError(f"subspace-affinity: expected a square matrix, got shape {c.shape}")
+    cv = c.values
+    sym = np.abs(cv)
+    sym = sym + sym.T
+    np.multiply(0.5, sym, out=sym)
+    scales = row_scales(sym)[:, None]
+    np.multiply(sym, scales, out=sym)
 
     def bwd(g):
-        grad = np.sign(xv, out=np.empty_like(xv))  # subgradient 0 at exactly 0
-        np.multiply(g, grad, out=grad)
+        g2 = g * scales
+        np.multiply(0.5, g2, out=g2)
+        sign = np.sign(cv)
+        first = g2 * sign
+        np.multiply(g2.T, sign, out=sign)
+        return first, sign
+
+    return _make(sym, (c, c), "subspace-affinity", bwd)
+
+
+def collaborative(student: Tensor, weights: np.ndarray, floor: float, factor: float) -> Tensor:
+    """``factor * sum(weights * log(max(student, floor)))``, a scalar, with ``floor > 0``.
+
+    ``weights`` is a constant array of the student's shape. Entries at or
+    below the floor are clamped to it and get zero gradient (the
+    subgradient of the max). The gradient is formed as
+    ``((factor * g) * weights) / clamped * above``, with ``above`` the bool
+    mask of entries above the floor, which multiplies as 0.0 or 1.0. The
+    node keeps only that mask; backward rebuilds the clamped input from its
+    parent and reads the caller's weights. NaN input raises. Value and
+    gradient equal, bit for bit, those of the composition of a clamped log,
+    multiply, sum and scale ops (the test oracle ``reference_collaborative``).
+    """
+    floor, factor = float(floor), float(factor)
+    if not floor > 0.0:
+        raise AutodiffError(f"collaborative: the floor must be positive, got {floor}")
+    sv = student.values
+    if np.shape(weights) != sv.shape:
+        raise ShapeError(f"collaborative: weights shape {np.shape(weights)} != student shape "
+                         f"{sv.shape}")
+    if np.isnan(sv).any():
+        raise AutodiffError("collaborative: NaN input")
+    above = sv > floor
+    terms = np.where(above, sv, floor)
+    np.log(terms, out=terms)
+    np.multiply(weights, terms, out=terms)
+
+    def bwd(g):
+        grad = np.where(above, sv, floor)
+        np.divide(np.float64(factor * g) * weights, grad, out=grad)
+        np.multiply(grad, above, out=grad)
         return (grad,)
 
-    return _make(np.abs(xv), (x,), "abs", bwd)
+    return _make(np.asarray(factor * terms.sum()), (student,), "collaborative", bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +628,10 @@ OP_KINDS = {
     "reshape": reshape,
     "sum": tensor_sum,
     "frobenius-norm-squared": frobenius_sq,
-    "log": log,
     "scalar-multiply": scale,
     "transpose": transpose,
-    "abs": absolute,
+    "subspace-affinity": subspace_affinity,
+    "collaborative": collaborative,
 }
 
 

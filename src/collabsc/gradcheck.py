@@ -2,8 +2,10 @@
 
 Each op kind gets seeded random instances; the scalar loss is a fixed
 random-weighted sum of the op output, so transposition and indexing errors
-cannot cancel. Kinked ops (relu, abs, the clamped log) are sampled with
-every coordinate at least 10*eps away from the kink.
+cannot cancel. Kinked ops (relu, the |C| of the subspace affinity, the
+clamped log of the collaborative term) are sampled with every coordinate at
+least 10*eps away from the kink. The subspace affinity's row scales are
+constants for differentiation, so its case fixes them.
 """
 
 from __future__ import annotations
@@ -91,12 +93,6 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
     if kind == "frobenius-norm-squared":
         x = ad.parameter(rng.normals((3, 4)))
         return ad.grad_check(lambda: ad.frobenius_sq(x), [x], EPS)
-    if kind == "log":
-        # entries on both sides of the floor, each at least 10*eps from it
-        floor = 1.0
-        x = ad.parameter(floor + _away_from_zero(0.5 * rng.normals((3, 4))))
-        w = rng.normals((3, 4))
-        return ad.grad_check(lambda: _weighted(ad.log(x, floor), w), [x], EPS)
     if kind == "scalar-multiply":
         x = ad.parameter(rng.normals((3, 4)))
         c = rng.normals(())
@@ -106,10 +102,21 @@ def _check_case(kind: str, rng: Xorshift64Star) -> float:
         x = ad.parameter(rng.normals((3, 4)))
         w = rng.normals((4, 3))
         return ad.grad_check(lambda: _weighted(ad.transpose(x), w), [x], EPS)
-    if kind == "abs":
-        x = ad.parameter(_away_from_zero(rng.normals((3, 4))))
+    if kind == "subspace-affinity":
+        # the node treats its row scales as constants, so the case fixes them;
+        # every entry of C is at least 10*eps from the kink of |C|
+        c = ad.parameter(_away_from_zero(rng.normals((4, 4))))
+        scales = 0.5 + np.abs(rng.normals((4,)))
+        w = rng.normals((4, 4))
+        return ad.grad_check(lambda: _weighted(ad.subspace_affinity(c, lambda sym: scales), w),
+                             [c], EPS)
+    if kind == "collaborative":
+        # entries on both sides of the floor, each at least 10*eps from it
+        floor = 1.0
+        x = ad.parameter(floor + _away_from_zero(0.5 * rng.normals((3, 4))))
         w = rng.normals((3, 4))
-        return ad.grad_check(lambda: _weighted(ad.absolute(x), w), [x], EPS)
+        factor = rng.normals(())
+        return ad.grad_check(lambda: ad.collaborative(x, w, floor, factor), [x], EPS)
     raise ValueError(f"no gradient-check case for op kind {kind!r}")
 
 

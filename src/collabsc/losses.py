@@ -9,7 +9,9 @@ selected entries toward 0). Each direction is the same term,
 a student. Stage 2 uses it for the positive term (student A_c); stage 3 for
 both terms (students A_c and 1 - A_s). The caller builds each teacher from
 its teacher affinity (``positive_teacher``, ``negative_teacher``): the
-selected pairs, their count and their mask weights. Only pairs off the
+selected pairs, their count and their mask weights. The term is one
+``collaborative`` autodiff node, so the n x n log and product of its
+forward pass, which no backward reads, are not kept. Only pairs off the
 diagonal are selected: a point paired with itself carries no signal (there
 the class affinity is 1 within rounding and the subspace affinity is 0). A
 teacher is a constant: no gradient flows into it.
@@ -81,13 +83,12 @@ def collaboration_rate(count_pos: int, count_neg: int) -> float:
 
 def collaborative_loss(teacher: Teacher, student: ad.Tensor) -> ad.Tensor:
     """-sum(w * log(max(student, 1e-12))) / count over the teacher's
-    selected pairs, with w its mask weights; a constant 0 when it selects
-    none."""
+    selected pairs, with w its mask weights: one ``collaborative`` autodiff
+    node, which keeps only the bool mask of entries above the floor. A
+    constant 0 when the teacher selects none."""
     if teacher.count == 0:
         return ad.constant(np.asarray(0.0))
-    log_student = ad.log(student, LOG_CLAMP)
-    return ad.scale(ad.tensor_sum(ad.multiply(ad.constant(teacher.weights), log_student)),
-                    -1.0 / teacher.count)
+    return ad.collaborative(student, teacher.weights, LOG_CLAMP, -1.0 / teacher.count)
 
 
 def clamped_count(teacher: Teacher, student: ad.Tensor) -> int:

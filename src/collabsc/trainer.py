@@ -265,13 +265,16 @@ class CollaborativeTrainer:
             raise TrainingDivergedError(f"{what} went non-finite")
 
     def _descend(self, what: str, loss: ad.Tensor, *adams: Adam) -> None:
-        """One descent step: check ``loss`` is finite, backpropagate it into
-        zeroed gradients, then step ``adams`` in the order given."""
+        """One descent step: check ``loss`` is finite, backpropagate it, then
+        step ``adams`` in the order given. Every gradient is released when
+        the step ends, or fails, so none outlives it (C's is n x n)."""
         self._check_finite(what, loss)
-        self._zero_grads()
-        ad.backward(loss)
-        for adam in adams:
-            adam.step()
+        try:
+            ad.backward(loss)
+            for adam in adams:
+                adam.step()
+        finally:
+            self._zero_grads()
 
     def _subspace_pass(self, x: ad.Tensor, coeffs: ad.Tensor):
         """Encode, self-express (latent rows mixed as C^T Z), decode: the

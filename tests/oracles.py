@@ -3,7 +3,8 @@
 Most of these are deliberately naive: exhaustive enumeration and direct
 formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
 k-means' centroid update, of the Adam step and of the normal draw, and
-the array-keeping forms of the log, abs and sum ops. The last section holds a
+the array-keeping forms of the subspace affinity, the collaborative term and
+the sum op. The last section holds a
 reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
 collaborative training replaces, used to check the synthetic generator and
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from collabsc.affinity import KMEANS_MAX_ITER, KMEANS_RESTARTS, kmeans
+from collabsc.affinity import DUST_TOLERANCE, KMEANS_MAX_ITER, KMEANS_RESTARTS, kmeans
 from collabsc.autodiff import ShapeError
 from collabsc.optim import BETA1, BETA2, EPS
 from collabsc.rng import Xorshift64Star
@@ -230,25 +231,37 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
 
 
 # ---------------------------------------------------------------------------
-# log, abs and sum, keeping every array their backward reads
+# the subspace affinity, the collaborative term and sum, keeping every array
 # ---------------------------------------------------------------------------
-# The forms ``collabsc.autodiff`` replaced when its nodes stopped keeping
-# what backward can rebuild or view: log kept its clamped input and a float
-# copy of its mask, abs its sign, and sum built a full gradient array. Each
-# op's value and gradient must keep these bits.
+# The forms ``collabsc.autodiff`` replaced with leaner nodes. The subspace
+# affinity and the collaborative term were chains of elementwise ops that
+# kept every intermediate n x n array (abs, transpose, add, scale and
+# multiply; log, multiply, sum and scale), the log kept its clamped input and
+# a float copy of its mask, abs its sign, and sum built a full gradient
+# array. Each node's value and gradient must keep these bits.
 
-def reference_log(x, floor, g):
-    """Value of log(max(x, floor)), and its gradient for upstream ``g``."""
+def reference_subspace_affinity(c, g):
+    """Value of (|C| + |C|^T) / 2 with its rows scaled as
+    ``collabsc.affinity`` scales them, and the two gradients it hands C for
+    upstream ``g``, in the order the chain's backward added them."""
+    sym = 0.5 * (np.abs(c) + np.abs(c).T.copy())
+    row_max = sym.max(axis=1)
+    scales = np.where(row_max > DUST_TOLERANCE, 1.0 / np.where(row_max > 0, row_max, 1.0), 0.0)
+    scale_matrix = np.broadcast_to(scales[:, None], sym.shape)
+    g2 = 0.5 * (g * scale_matrix)
+    sign = np.sign(c)
+    return sym * scale_matrix, (g2 * sign, g2.T * sign)
+
+
+def reference_collaborative(x, w, floor, factor, g):
+    """Value of factor * sum(w * log(max(x, floor))), and its gradient for
+    upstream ``g``."""
     above = x > floor
     clamped = np.where(above, x, floor)
     keep = above.astype(np.float64)
-    return np.log(clamped), (g / clamped) * keep
-
-
-def reference_abs(x, g):
-    """Value of |x|, and its gradient for upstream ``g``."""
-    sign = np.sign(x)
-    return np.abs(x), g * sign
+    value = np.asarray(factor * np.asarray((w * np.log(clamped)).sum()))
+    upstream = np.broadcast_to(np.float64(factor * g), x.shape) * w
+    return value, (upstream / clamped) * keep
 
 
 def reference_sum(x, g):

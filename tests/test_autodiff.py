@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import collabsc.autodiff as ad
+from collabsc.affinity import DUST_TOLERANCE, subspace_affinity_tensor
 from collabsc.gradcheck import run_gradient_checks
 from collabsc.rng import Xorshift64Star
 
-from oracles import (central_difference_gradient, reference_abs, reference_col2im,
-                     reference_conv2d, reference_conv2d_transpose, reference_log, reference_sum)
+from oracles import (central_difference_gradient, reference_col2im, reference_collaborative,
+                     reference_conv2d, reference_conv2d_transpose, reference_subspace_affinity,
+                     reference_sum)
 
 
 class TestForwardSemantics:
@@ -65,14 +67,15 @@ class TestForwardSemantics:
         np.testing.assert_array_equal(y, np.zeros((1, 3)))
 
     def test_log_rejects_nonpositive(self):
-        # a non-positive floor; inputs at or below a positive floor are clamped
+        # the collaborative term's log floor must be positive; inputs at or
+        # below a positive floor are clamped
         for floor in (0.0, -1e-12, np.nan):
             with pytest.raises(ad.AutodiffError, match="floor must be positive"):
-                ad.log(ad.constant(np.array([1.0, 2.0])), floor)
+                ad.collaborative(ad.constant(np.array([1.0, 2.0])), np.ones(2), floor, -1.0)
 
     def test_log_rejects_nan(self):
         with pytest.raises(ad.AutodiffError, match="NaN"):
-            ad.log(ad.constant(np.array([1.0, np.nan])), 1e-12)
+            ad.collaborative(ad.constant(np.array([1.0, np.nan])), np.ones(2), 1e-12, -1.0)
 
     def test_log_clamp_matches_the_masked_tape_bit_for_bit(self):
         # log(x * keep + floor * (1 - keep)), differentiated through the mask
@@ -82,13 +85,21 @@ class TestForwardSemantics:
         keep = (xv > floor).astype(np.float64)
         clamped = xv * keep + floor * (1.0 - keep)
         x = ad.parameter(xv)
-        out = ad.log(x, floor)
-        np.testing.assert_array_equal(out.values, np.log(clamped))
-        ad.backward(ad.tensor_sum(ad.multiply(out, ad.constant(g))))
+        out = ad.collaborative(x, g, floor, 1.0)
+        np.testing.assert_array_equal(out.values, (g * np.log(clamped)).sum())
+        ad.backward(out)
         expected = (g / clamped) * keep
         np.testing.assert_array_equal(x.grad, expected)
         assert (np.signbit(x.grad) == np.signbit(expected)).all()
         assert np.signbit(x.grad[0, 1])  # -2.0 / floor * 0 is -0.0
+
+    def test_collaborative_rejects_mismatched_weights(self):
+        with pytest.raises(ad.ShapeError, match="weights shape"):
+            ad.collaborative(ad.parameter(np.ones((2, 3))), np.ones((3, 2)), 1e-12, -1.0)
+
+    def test_subspace_affinity_rejects_a_non_square_operand(self):
+        with pytest.raises(ad.ShapeError, match="square"):
+            ad.subspace_affinity(ad.parameter(np.ones((2, 3))), lambda sym: np.ones(2))
 
     def test_forward_determinism(self):
         rng = Xorshift64Star(5)
@@ -232,12 +243,16 @@ class TestBackwardSemantics:
 
 LOG_FLOORS = (1e-12, 5e-324, 1.0, 1e300)
 # signed zeros, every floor, neighbours of the loss's floor, subnormals,
-# infinities and huge values (NaN input to log is refused, see
-# test_log_rejects_nan)
+# infinities and huge values (NaN input to the collaborative term is
+# refused, see test_log_rejects_nan)
 SPECIAL_ENTRIES = (-0.0, 0.0, *LOG_FLOORS, *(-f for f in LOG_FLOORS),
                    np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 1e-320, -2.5e-310,
                    np.inf, -np.inf, 1e300, -1e300)
 entries = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(allow_nan=False))
+# entries of a row the subspace affinity scales to zero: every |C| in it, and
+# its symmetric partner, at or under the dust tolerance
+DUST_ENTRIES = (0.0, -0.0, DUST_TOLERANCE, -DUST_TOLERANCE, np.nextafter(DUST_TOLERANCE, 0.0),
+                3e-16, -7e-16, 1e-320, -5e-324)
 
 
 def assert_same_bits(actual, expected):
@@ -248,52 +263,87 @@ def assert_same_bits(actual, expected):
     assert actual.strides == expected.strides
 
 
-def arrays_of(shape):
+def arrays_of(shape, values=entries):
     size = int(np.prod(shape))
-    return st.lists(entries, min_size=size, max_size=size).map(
-        lambda values: np.array(values, dtype=np.float64).reshape(shape))
+    return st.lists(values, min_size=size, max_size=size).map(
+        lambda drawn: np.array(drawn, dtype=np.float64).reshape(shape))
+
+
+def kept_arrays(node):
+    """The arrays a node's backward closure holds."""
+    kept = [c.cell_contents for c in node._backward_fn.__closure__]
+    return [a for a in kept if isinstance(a, np.ndarray)]
 
 
 class TestKeptArrays:
-    """log, abs and sum keep, or rebuild, only what their backward reads;
-    each value and gradient keeps the bits of the forms that kept every
-    array (``tests/oracles.py``)."""
+    """The subspace-affinity, collaborative and sum nodes keep, or rebuild,
+    only what their backward reads; each value and gradient keeps the bits
+    of the forms that kept every array (``tests/oracles.py``)."""
 
     @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 100)
     @given(data=st.data(), shape=st.lists(st.integers(1, 5), max_size=3).map(tuple),
            floor=st.sampled_from(LOG_FLOORS))
-    def test_log_abs_and_sum_match_their_array_keeping_forms(self, data, shape, floor):
-        x, g = data.draw(arrays_of(shape)), data.draw(arrays_of(shape))
-        g_sum = np.asarray(data.draw(entries))
+    def test_collaborative_and_sum_match_their_array_keeping_forms(self, data, shape, floor):
+        x, w = data.draw(arrays_of(shape)), data.draw(arrays_of(shape))
+        factor, g = data.draw(entries), np.asarray(data.draw(entries))
         with np.errstate(all="ignore"):  # inf - inf, 0 * inf and the like are meant
-            cases = ((ad.log(ad.parameter(x), floor), reference_log(x, floor, g)),
-                     (ad.absolute(ad.parameter(x)), reference_abs(x, g)))
-            for out, (value, grad) in cases:
-                assert_same_bits(out.values, value)
-                (dx,) = out._backward_fn(g)
-                assert_same_bits(dx, grad)
-            out = ad.tensor_sum(ad.parameter(x))
-            value, grad = reference_sum(x, g_sum)
+            out = ad.collaborative(ad.parameter(x), w, floor, factor)
+            value, grad = reference_collaborative(x, w, floor, factor, g)
             assert_same_bits(out.values, value)
-            (dx,) = out._backward_fn(g_sum)
+            (dx,) = out._backward_fn(g)
+            assert_same_bits(dx, grad)
+            out = ad.tensor_sum(ad.parameter(x))
+            value, grad = reference_sum(x, g)
+            assert_same_bits(out.values, value)
+            (dx,) = out._backward_fn(g)
         # a read-only broadcast view of the one upstream value
         assert not dx.flags.writeable
         assert_same_bits(dx.copy(), grad)
 
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 100)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_subspace_affinity_matches_its_array_keeping_form(self, data, n):
+        c, g = data.draw(arrays_of((n, n))), data.draw(arrays_of((n, n)))
+        for i in data.draw(st.sets(st.integers(0, n - 1))):  # rows under the dust tolerance
+            c[i] = data.draw(arrays_of((n,), st.sampled_from(DUST_ENTRIES)))
+            c[:, i] = data.draw(arrays_of((n,), st.sampled_from(DUST_ENTRIES)))
+        with np.errstate(all="ignore"):  # inf * 0 and the like are meant
+            out = subspace_affinity_tensor(ad.parameter(c))
+            value, grads = reference_subspace_affinity(c, g)
+            assert_same_bits(out.values, value)
+            for actual, expected in zip(out._backward_fn(g), grads, strict=True):
+                assert_same_bits(actual, expected)
+
+    def test_subspace_affinity_adds_the_untransposed_gradient_first(self):
+        # backward adds the node's two contributions to C's gradient in one
+        # order: a gradient C already holds, then g2 * sign(C), then
+        # g2.T * sign(C); the other order rounds differently and moves the
+        # train-log pins
+        rng = Xorshift64Star(3)
+        c, g, held = rng.normals((6, 6)), rng.normals((6, 6)), rng.normals((6, 6))
+        np.fill_diagonal(c, 0.0)
+        coeffs = ad.parameter(c)
+        coeffs.grad = held.copy()
+        ad.backward(ad.tensor_sum(ad.multiply(subspace_affinity_tensor(coeffs), ad.constant(g))))
+        _, (first, second) = reference_subspace_affinity(c, g)
+        assert_same_bits(coeffs.grad, (held + first) + second)
+        assert coeffs.grad.tobytes() != ((held + second) + first).tobytes()
+
     def test_nodes_keep_no_array_their_backward_does_not_read(self):
-        # abs keeps no sign and log no float mask or clamped copy: their
-        # closures hold the input's own array and, for log, one bool mask
-        x = ad.parameter(np.array([[-2.0, 0.0], [1e-13, 3.0]]))
-        for out in (ad.absolute(x), ad.log(x, 1e-12)):
-            kept = [c.cell_contents for c in out._backward_fn.__closure__]
-            arrays = [a for a in kept if isinstance(a, np.ndarray)]
-            assert any(a is x.values for a in arrays)
-            assert [a.dtype for a in arrays if a is not x.values] in ([], [np.bool_])
+        # the fused nodes keep no float n x n array but their inputs' own:
+        # the subspace affinity its row scales, the collaborative term one
+        # bool mask
+        c = ad.parameter(np.array([[0.0, -2.0, 1e-13], [3.0, 0.0, 0.5], [-1.0, 4.0, 0.0]]))
+        w = np.array([[0.0, 0.9, 0.0], [0.8, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        for out, inputs in ((subspace_affinity_tensor(c), (c.values,)),
+                            (ad.collaborative(c, w, 1e-12, -0.25), (c.values, w))):
+            for a in kept_arrays(out):
+                if not any(a is v for v in inputs):
+                    assert a.dtype == np.bool_ or a.size < c.size, out.op_kind
         # a constant operand's partner is not kept for the constant's gradient
-        w = ad.constant(np.ones((2, 2)))
-        for out in (ad.multiply(w, x), ad.matmul(w, x)):
-            kept = [c.cell_contents for c in out._backward_fn.__closure__]
-            assert not any(a is x.values for a in kept if isinstance(a, np.ndarray))
+        ones = ad.constant(np.ones((3, 3)))
+        for out in (ad.multiply(ones, c), ad.matmul(ones, c)):
+            assert not any(a is c.values for a in kept_arrays(out))
 
 
 class TestConvSemantics:

@@ -539,10 +539,12 @@ class TestTrainBatch:
 
 class TestMemoryBudget:
     # One round's traced peak on an already visited 256-point batch, in n x n
-    # float64 arrays, measured at 20.41 (27.17 when nodes kept arrays their
-    # backward never reads and a stage's graph outlived it); the bound leaves
-    # under 10% slack. The peak repeats to about 0.05% across processes.
-    ROUND_PEAK_ARRAYS = 22.0
+    # float64 arrays, measured at 13.41 (20.41 when the subspace affinity and
+    # the collaborative term were chains of elementwise nodes and the last
+    # step's gradients outlived the round; 27.17 when nodes also kept arrays
+    # their backward never reads and a stage's graph outlived it); the bound
+    # leaves under 10% slack. The peak repeats to about 0.05% across processes.
+    ROUND_PEAK_ARRAYS = 14.5
 
     def test_a_batch_round_peaks_within_its_budget(self):
         trainer = CollaborativeTrainer(tiny_config(batch_size=256, pretrain_epochs=0, epochs=1),
@@ -563,6 +565,78 @@ class TestMemoryBudget:
                 tracemalloc.stop()
         assert n == 256
         assert peak / (n * n * 8) <= self.ROUND_PEAK_ARRAYS
+
+
+class TestGraphShape:
+    # tracked nodes per op kind in tiny_config's passes: a subspace pass
+    # encodes and decodes through two dense layers each (relu on the first),
+    # mixes C^T Z and builds the three subspace terms; a classifier step
+    # classifies, builds the class affinity and the positive term
+    SUBSPACE_PASS = {"matmul": 5, "add": 6, "relu": 2, "transpose": 1,
+                     "frobenius-norm-squared": 3, "subtract": 2, "scalar-multiply": 2}
+    CLASSIFIER_STEP = {"matmul": 2, "add": 1, "softmax-rows": 1, "l2-normalize-rows": 1,
+                       "transpose": 1, "collaborative": 1}
+    # once a round: the subspace affinity; stage 3's negative term on
+    # 1 - A_s, weighted by alpha, and the total weighted by lambda_cl
+    ROUND = {"subspace-affinity": 1, "collaborative": 1, "subtract": 1, "scalar-multiply": 2,
+             "add": 2}
+
+    @pytest.mark.parametrize("inner_se_steps, classifier_steps", [(1, 1), (3, 2)])
+    def test_a_round_builds_the_expected_nodes(self, monkeypatch, inner_se_steps,
+                                               classifier_steps):
+        # stage 1 and stage 3 each run subspace passes, stages 2 and 3 each
+        # run classifier steps; a new node or a fusion changes these counts
+        trainer = CollaborativeTrainer(
+            tiny_config(batch_size=10, inner_se_steps=inner_se_steps,
+                        classifier_steps=classifier_steps), tiny_dataset())
+        trainer.pretrain()
+        trainer.warm_start_classifier()  # so the negative teacher selects pairs
+        made, built = ad._make, {}
+
+        def counting(values, parents, kind, backward_fn):
+            out = made(values, parents, kind, backward_fn)
+            if out.requires_grad:
+                built[kind] = built.get(kind, 0) + 1
+            return out
+
+        monkeypatch.setattr(ad, "_make", counting)
+        breakdown = trainer.train_batch(0, u=0.7)
+        assert breakdown.count_pos > 0 and breakdown.count_neg > 0
+        expected = dict(self.ROUND)
+        for per_pass, passes in ((self.SUBSPACE_PASS, inner_se_steps + 1),
+                                 (self.CLASSIFIER_STEP, classifier_steps + 1)):
+            for kind, count in per_pass.items():
+                expected[kind] = expected.get(kind, 0) + passes * count
+        assert built == expected
+
+
+class TestReleasedGradients:
+    def test_no_parameter_holds_a_gradient_after_a_step(self):
+        # C's n x n gradient would otherwise outlive the round, held through
+        # evaluation and the next batch's set-up
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10), tiny_dataset())
+        trainer.pretrain()
+        assert all(p.grad is None for p in trainer.network.params.values())
+        trainer.train_batch(0, u=0.7)
+        for adam in trainer._adams():
+            for name, p in adam.params.items():
+                assert p.grad is None, name
+
+    def test_no_parameter_holds_a_gradient_after_a_failed_step(self, monkeypatch):
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10), tiny_dataset())
+        trainer.pretrain()
+        step = Adam.step
+
+        def failing_step(adam):
+            step(adam)
+            raise ValueError("step refused")
+
+        monkeypatch.setattr(Adam, "step", failing_step)
+        with pytest.raises(TrainingDivergedError, match="step refused"):
+            trainer.train_batch(0, u=0.7)
+        for adam in trainer._adams():
+            for name, p in adam.params.items():
+                assert p.grad is None, name
 
 
 class TestOneAffinityPerRound:

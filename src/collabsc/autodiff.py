@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The operator set is exactly what the clustering networks need: dense and
-strided-convolution linear algebra, row softmax and row l2 normalization,
-the reductions used by the losses, and one node each for the subspace
-affinity and the collaborative term. There is no broadcasting beyond the
-row-vector bias add, no mixed precision, and no graph rewriting.
+The operator set is exactly what the clustering networks run: matmul, add,
+subtract, scale, transpose and reshape; strided convolution and its adjoint;
+relu, row softmax and row l2 normalization; the squared Frobenius norm of
+the reconstruction and self-expression losses; and one node each for the
+subspace affinity and the collaborative term. There is no broadcasting
+beyond the row-vector bias add, no mixed precision, and no graph rewriting.
+``collabsc.gradcheck.CASES`` lists the op kinds.
 
 A forward pass builds an implicit DAG: every op output records its parent
 tensors and a closure computing parent gradients. ``backward`` topologically
@@ -20,10 +22,9 @@ backward can rebuild cheaply from its parents (the sign of C in
 there rather than kept from forward time. Each of the two n x n formulas
 of collaborative training is one node for this reason: as a chain of
 elementwise ops it would keep every intermediate n x n value, although no
-backward reads them. A constant, and a gradient an op hands on, may be a
-read-only broadcast view (the sum's gradient, the ones of 1 - A): consumers
-only read them. Nothing writes into a value between a node's forward and
-its backward; ``matmul``, ``multiply``, ``subspace-affinity`` and
+backward reads them. A constant may be a read-only broadcast view (the
+ones of 1 - A): consumers only read it. Nothing writes into a value between
+a node's forward and its backward; ``matmul``, ``subspace-affinity`` and
 ``collaborative`` read their operands' live arrays in backward instead of
 copies. Convolutions keep the patch matrix of their forward pass for the
 kernel gradient instead of rebuilding it.
@@ -206,20 +207,6 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values - b.values, (a, b), "subtract", bwd)
 
 
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise-multiply: shapes differ, {a.shape} vs {b.shape}")
-    # each operand's values are kept only for the other operand's gradient
-    av = a.values if b.requires_grad else None
-    bv = b.values if a.requires_grad else None
-
-    def bwd(g):
-        return (None if bv is None else g * bv), (None if av is None else g * av)
-
-    return _make(a.values * b.values, (a, b), "elementwise-multiply", bwd)
-
-
 def relu(x: Tensor) -> Tensor:
     """x where x > 0, else +0.0 (also for -0.0, NaN and -inf), in x's memory layout.
 
@@ -283,16 +270,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(x.values.reshape(shape), (x,), "reshape", bwd)
 
 
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, a scalar; its gradient is a read-only broadcast view."""
-    shape = x.shape
-
-    def bwd(g):
-        return (np.broadcast_to(np.float64(g), shape),)
-
-    return _make(np.asarray(x.values.sum()), (x,), "sum", bwd)
-
-
 def frobenius_sq(x: Tensor) -> Tensor:
     """Sum of squared entries (squared Frobenius norm), a scalar."""
     xv = x.values
@@ -336,8 +313,8 @@ def subspace_affinity(c: Tensor, row_scales) -> Tensor:
     ``g2.T * sign(C)`` second (subgradient 0 at exactly 0). That order is
     part of the bit contract: ``backward`` adds the two to C's gradient in
     it, and the other order rounds that gradient differently. Value and
-    gradients equal, bit for bit, those of the composition of abs,
-    transpose, add, scale and multiply ops (the test oracle
+    gradients equal, bit for bit, those of the elementwise chain it
+    replaced: abs, transpose, add, scale and a product (the test oracle
     ``reference_subspace_affinity``).
     """
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -370,8 +347,9 @@ def collaborative(student: Tensor, weights: np.ndarray, floor: float, factor: fl
     mask of entries above the floor, which multiplies as 0.0 or 1.0. The
     node keeps only that mask; backward rebuilds the clamped input from its
     parent and reads the caller's weights. NaN input raises. Value and
-    gradient equal, bit for bit, those of the composition of a clamped log,
-    multiply, sum and scale ops (the test oracle ``reference_collaborative``).
+    gradient equal, bit for bit, those of the chain it replaced: a clamped
+    log, a product, a sum and a scale (the test oracle
+    ``reference_collaborative``).
     """
     floor, factor = float(floor), float(factor)
     if not floor > 0.0:
@@ -612,28 +590,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 
 
 # ---------------------------------------------------------------------------
-# op registry and gradient checking
+# gradient checking
 # ---------------------------------------------------------------------------
-
-OP_KINDS = {
-    "matmul": matmul,
-    "add": add,
-    "subtract": subtract,
-    "elementwise-multiply": multiply,
-    "relu": relu,
-    "softmax-rows": softmax_rows,
-    "l2-normalize-rows": l2_normalize_rows,
-    "conv2d-strided": conv2d,
-    "conv2d-transpose-strided": conv2d_transpose,
-    "reshape": reshape,
-    "sum": tensor_sum,
-    "frobenius-norm-squared": frobenius_sq,
-    "scalar-multiply": scale,
-    "transpose": transpose,
-    "subspace-affinity": subspace_affinity,
-    "collaborative": collaborative,
-}
-
 
 def zero_grads(params) -> None:
     for p in (params.values() if isinstance(params, dict) else params):

@@ -177,8 +177,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
+    """The config in file ``path``; a ``ConfigError`` naming the path if it
+    does not decode or parse."""
     with open(path) as f:
-        return parse_config_text(f.read())
+        try:
+            return parse_config_text(f.read())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _record_lines(record, prefix: str = "") -> list[str]:

@@ -226,12 +226,12 @@ def save_dataset_csv(dataset: Dataset, features_path, labels_path) -> None:
 
 def _load_csv(path, what: str, dtype, ndmin: int, delimiter=None) -> np.ndarray:
     """``np.loadtxt`` of the ``what`` file ``path``. A file with only blanks or
-    ``#`` comments (on which ``np.loadtxt`` would warn) or a line it cannot
-    parse raises ``ValueError`` naming the path."""
-    with open(path) as f:
-        if not any(line.partition("#")[0].strip() for line in f):
-            raise ValueError(f"{path}: the {what} file holds no data")
+    ``#`` comments (on which ``np.loadtxt`` would warn), bytes that do not
+    decode, or a line it cannot parse raises ``ValueError`` naming the path."""
     try:
+        with open(path) as f:
+            if not any(line.partition("#")[0].strip() for line in f):
+                raise ValueError(f"the {what} file holds no data")
         return np.loadtxt(path, delimiter=delimiter, dtype=dtype, ndmin=ndmin)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

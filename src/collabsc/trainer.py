@@ -28,7 +28,6 @@ parameter the block leaves non-finite, and on failure puts the saved back.
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -202,19 +201,18 @@ class CollaborativeTrainer:
         A ``CheckpointError`` names the first key that fails.
         """
         network = self.network.params
+        coeff_keys = {f"selfexpr.batch_{i}.C": i for i in range(len(self.batches))}
         checked = {}  # name -> (batch index, or None for a network key; values)
         for name, values in params.items():
             values = np.asarray(values, dtype=np.float64)
-            batch = None
+            batch = coeff_keys.get(name)
             if name in network:
                 shape = network[name].shape
-            elif name.startswith("selfexpr."):
-                match = re.fullmatch(r"selfexpr\.batch_([0-9]+)\.C", name)
-                batch = int(match.group(1)) if match else -1
-                if not 0 <= batch < len(self.batches):
-                    raise CheckpointError(f"checkpoint key {name!r} names no batch of this "
-                                          f"partition of {len(self.batches)} batches")
+            elif batch is not None:
                 shape = (int(self.batches[batch].size),) * 2
+            elif name.startswith("selfexpr."):
+                raise CheckpointError(f"checkpoint key {name!r} names no batch of this "
+                                      f"partition of {len(self.batches)} batches")
             else:
                 raise CheckpointError(f"checkpoint key {name!r} names no network parameter")
             if values.shape != shape:

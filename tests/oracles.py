@@ -3,8 +3,8 @@
 Most of these are deliberately naive: exhaustive enumeration and direct
 formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
 k-means' centroid update, of the Adam step and of the normal draw, and
-the array-keeping forms of the subspace affinity, the collaborative term and
-the sum op. The last section holds a
+the array-keeping forms of the subspace affinity and the collaborative term.
+The last section holds a
 reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
 collaborative training replaces, used to check the synthetic generator and
@@ -231,14 +231,14 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
 
 
 # ---------------------------------------------------------------------------
-# the subspace affinity, the collaborative term and sum, keeping every array
+# the subspace affinity and the collaborative term, keeping every array
 # ---------------------------------------------------------------------------
 # The forms ``collabsc.autodiff`` replaced with leaner nodes. The subspace
 # affinity and the collaborative term were chains of elementwise ops that
 # kept every intermediate n x n array (abs, transpose, add, scale and
 # multiply; log, multiply, sum and scale), the log kept its clamped input and
-# a float copy of its mask, abs its sign, and sum built a full gradient
-# array. Each node's value and gradient must keep these bits.
+# a float copy of its mask, and abs its sign. Each node's value and gradient
+# must keep these bits.
 
 def reference_subspace_affinity(c, g):
     """Value of (|C| + |C|^T) / 2 with its rows scaled as
@@ -262,11 +262,6 @@ def reference_collaborative(x, w, floor, factor, g):
     value = np.asarray(factor * np.asarray((w * np.log(clamped)).sum()))
     upstream = np.broadcast_to(np.float64(factor * g), x.shape) * w
     return value, (upstream / clamped) * keep
-
-
-def reference_sum(x, g):
-    """Value of the sum of ``x``, and its gradient for upstream ``g``."""
-    return np.asarray(x.sum()), np.full(x.shape, float(g))
 
 
 # ---------------------------------------------------------------------------

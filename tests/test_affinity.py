@@ -8,6 +8,7 @@ import collabsc.autodiff as ad
 from collabsc.affinity import (affinity_to_pgm, class_affinity_tensor, clip_overshoot,
                                cluster_means, kmeans, subspace_affinity_tensor)
 from collabsc.data import SyntheticSpec, generate_synthetic, write_matrix_csv
+from collabsc.gradcheck import weighted_sum
 from collabsc.metrics import accuracy
 from collabsc.rng import Xorshift64Star
 
@@ -84,7 +85,7 @@ class TestClassAffinityTensor:
 
     def test_gradient_flows_into_predictions(self):
         p = ad.parameter(random_predictions(5, 3, seed=6))
-        ad.backward(ad.tensor_sum(class_affinity_tensor(p)))
+        ad.backward(weighted_sum(class_affinity_tensor(p), np.ones((5, 5))))
         # d sum(P P^T) / dP = 2 * (column sums of P) in every row
         np.testing.assert_allclose(p.grad, np.tile(2.0 * p.values.sum(axis=0), (5, 1)),
                                    rtol=1e-14)

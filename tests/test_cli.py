@@ -174,16 +174,20 @@ class TestTrainedCheckpoint:
             pixels = np.clip(np.rint(255.0 * a), 0, 255).astype(np.uint8)
             assert Path(f"{out}_{name}.pgm").read_bytes() == b"P5\n10 10\n255\n" + pixels.tobytes()
 
-    @pytest.mark.parametrize("key", ["selfexpr.batch_99.C", "selfexpr.batch_-1.C"])
+    # batch 3's C is selfexpr.batch_3.C: selfexpr.batch_03.C names no batch
+    @pytest.mark.parametrize("key", ["selfexpr.batch_99.C", "selfexpr.batch_-1.C",
+                                     "selfexpr.batch_03.C"])
     def test_init_checkpoint_key_of_no_batch_exits_1(self, tmp_path, capsys, key):
         args, ckpt = train_checkpoint(tmp_path)
         params = load_checkpoint(ckpt)
         params[key] = np.zeros((10, 10))
         save_checkpoint(ckpt, params)
+        capsys.readouterr()
         code = cli.main(["train", *args, "--init-checkpoint", str(ckpt),
                          "--checkpoint", str(tmp_path / "resumed.ckpt")])
         assert code == 1
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: checkpoint key {key!r} names no batch of this partition of 4 batches\n"
 
     def test_eval_checkpoint_missing_a_parameter_exits_1(self, tmp_path, capsys):
         args, ckpt = train_checkpoint(tmp_path)
@@ -452,6 +456,39 @@ class TestInputValidation:
             f"error: {path}: expected one label per line, got 2 values on a line\n"
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("flag", ["--data", "--labels", "--config"])
+    def test_undecodable_input_exits_1_naming_its_file(self, tmp_path, capsys, flag):
+        _, _, args = write_inputs(tmp_path)
+        path = Path(args[args.index(flag) + 1])
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(UnicodeDecodeError) as decode_error:  # the codec's own words
+            path.read_text()
+        out = tmp_path / "out"
+        files = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(["train", *args, "--checkpoint", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {decode_error.value}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_bad_config_value_exits_1_naming_its_file(self, tmp_path, capsys):
+        _, _, args = write_inputs(tmp_path)
+        path = Path(args[args.index("--config") + 1])
+        text = path.read_text()
+        assert "\nbatch_size = 20\n" in text
+        path.write_text(text.replace("\nbatch_size = 20\n", "\nbatch_size = ten\n"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["train", *args, "--checkpoint", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: batch_size: expected an integer, got 'ten'\n"
+        # a flag's value names the flag's field only, as it did
+        path.write_text(text)
+        assert cli.main(["train", *args, "--batch-size", "ten", "--checkpoint", str(out)]) == 1
+        assert capsys.readouterr().err == "error: batch_size: expected an integer, got 'ten'\n"
+        assert not out.exists()
 
     def test_train_with_a_short_labels_file_exits_1_naming_both_files(self, tmp_path, capsys):
         _, _, args = write_inputs(tmp_path)

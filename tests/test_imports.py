@@ -5,7 +5,8 @@ only ``Adam.__init__`` and the trainer's restore guard bind an optimizer's
 ``Adam.__init__`` bind a ``params`` map, only the checkpoint file format
 and the trainer's one loader raise ``CheckpointError``, only the one CSV
 loader and the two binary readers parse files, every autodiff op kind
-is in ``OP_KINDS``, the registry that ``collabsc gradcheck`` walks, the
+is a case of ``gradcheck.CASES``, which ``collabsc gradcheck`` walks, and
+its op is called by a module outside the engine and the checker, the
 generator takes ``log``, ``cos`` and ``sin`` from ``math`` only, and the
 training path fills no array with one repeated value or row."""
 
@@ -302,11 +303,45 @@ def test_finds_every_made_kind():
     assert made_kinds(source) == {"relu", "abs", "<no literal kind at line 6>"}
 
 
-def test_every_op_kind_is_under_gradcheck():
-    # an op missing from OP_KINDS would be skipped by `collabsc gradcheck`
-    from collabsc import autodiff
+def kind_functions(source: str) -> dict[str, str]:
+    """Each kind that a module-level function of ``source`` makes (see
+    ``made_kinds``), mapped to that function's name."""
+    return {kind: node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            for kind in made_kinds(ast.get_source_segment(source, node))}
 
-    assert made_kinds((SRC / "autodiff.py").read_text()) == set(autodiff.OP_KINDS)
+
+def ad_calls(source: str) -> set[str]:
+    """The name of every function that ``source`` calls as ``ad.<name>(...)``."""
+    return {node.func.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "ad"}
+
+
+def test_finds_kind_functions_and_ad_calls():
+    source = ("def relu(x):\n"
+              "    def bwd(g):\n"
+              "        return g\n"
+              "    return _make(x, (x,), 'relu', bwd)\n"
+              "def helper(x):\n"
+              "    return ad.relu(x), autodiff.scale(x, 2.0), relu(x), ad.grad\n")
+    assert kind_functions(source) == {"relu": "relu"}
+    assert ad_calls(source) == {"relu"}
+
+
+def test_every_op_kind_is_under_gradcheck():
+    # an op without a case would be skipped by `collabsc gradcheck`
+    from collabsc.gradcheck import CASES
+
+    assert made_kinds((SRC / "autodiff.py").read_text()) == set(CASES)
+
+
+def test_every_op_is_run_outside_the_engine_and_the_checker():
+    # an op that only gradcheck calls would exist for the checker alone
+    called = set().union(*(ad_calls(path.read_text()) for path in SRC.glob("*.py")
+                           if path.name not in ("autodiff.py", "gradcheck.py")))
+    kinds = kind_functions((SRC / "autodiff.py").read_text())
+    assert {kind: fn for kind, fn in kinds.items() if fn not in called} == {}
 
 
 def non_math_transcendentals(source: str) -> list[tuple[str, int]]:

@@ -423,12 +423,14 @@ class TestParameterViews:
         ("decoder.9.W", np.ones(3), "checkpoint key 'decoder.9.W' names no network parameter"),
         ("selfexpr.batch_4.C", np.zeros((10, 10)),
          "checkpoint key 'selfexpr.batch_4.C' names no batch of this partition of 4 batches"),
+        ("selfexpr.batch_03.C", np.zeros((10, 10)),
+         "checkpoint key 'selfexpr.batch_03.C' names no batch of this partition of 4 batches"),
         ("selfexpr.batch_3.C", np.zeros((3, 3)),
          "checkpoint key 'selfexpr.batch_3.C' has shape (3, 3), expected (10, 10)"),
         ("selfexpr.batch_3.C", np.where(np.eye(10), 0.0, np.nan),
          "checkpoint key 'selfexpr.batch_3.C' holds NaN or inf values")],
-        ids=["missing", "mis-shaped", "unknown", "C-of-no-batch", "C-mis-shaped",
-             "C-non-finite"])
+        ids=["missing", "mis-shaped", "unknown", "C-of-no-batch", "C-non-canonical-index",
+             "C-mis-shaped", "C-non-finite"])
     def test_refused_load_writes_nothing(self, key, value, message):
         # the bad key comes last, so every other one would be written first
         trainer = self.trainer_with_coefficients()

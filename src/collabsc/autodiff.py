@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The operator set is exactly what the clustering networks run: matmul, add,
-subtract, scale, transpose and reshape; strided convolution and its adjoint;
-relu, row softmax and row l2 normalization; the squared Frobenius norm of
+subtract, scale, transpose and reshape; strided convolution and its adjoint,
+each optionally with its layer's relu applied in the same call; relu, row
+softmax and row l2 normalization; the squared Frobenius norm of
 the reconstruction and self-expression losses; and one node each for the
 subspace affinity and the collaborative term. There is no broadcasting
 beyond the row-vector bias add, no mixed precision, and no graph rewriting.
@@ -27,7 +28,10 @@ ones of 1 - A): consumers only read it. Nothing writes into a value between
 a node's forward and its backward; ``matmul``, ``subspace-affinity`` and
 ``collaborative`` read their operands' live arrays in backward instead of
 copies. Convolutions keep the patch matrix of their forward pass for the
-kernel gradient instead of rebuilding it.
+kernel gradient instead of rebuilding it. A conv op called with ``relu``
+keeps relu's bool mask and frees its pre-activation, which a separate relu
+node would keep as its parent's output; a dense layer's pre-activation is
+only n x units, so dense layers keep their relu node.
 
 The strided conv ops move data by index: im2col gathers each image's
 patches through flat offsets built once per layer geometry. On the col2im
@@ -37,7 +41,9 @@ pixels through the same offsets, giving every pixel its taps in (ki, kj)
 order starting from +0.0. GEMM operands, and the layouts of their results,
 are part of the bit contract: a different layout sums the same floats in
 another order and moves the train logs. Relu masks the bit patterns as
-integers, so it has no branch per element and keeps its input's layout.
+integers, so it has no branch per element and keeps its input's layout;
+``relu`` and the conv ops' ``relu`` keyword share that arithmetic
+(`_masked_relu`), so a conv op with it has the bits of relu of the op.
 """
 
 from __future__ import annotations
@@ -207,19 +213,26 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values - b.values, (a, b), "subtract", bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    """x where x > 0, else +0.0 (also for -0.0, NaN and -inf), in x's memory layout.
+def _masked_relu(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """relu of ``values`` and its bool mask ``values > 0`` (subgradient 0 at exactly 0).
 
-    The forward multiplies the bit pattern by the 0/1 mask as integers,
-    which gives the same bits as ``np.where(x > 0, x, 0.0)`` without a
-    data-dependent branch per element.
+    The result is x where x > 0, else +0.0 (also for -0.0, NaN and -inf),
+    in the memory layout of ``values``. It multiplies the bit pattern by the
+    0/1 mask as integers, which gives the same bits as
+    ``np.where(values > 0, values, 0.0)`` without a data-dependent branch
+    per element. A backward multiplies its upstream gradient by the mask.
     """
-    mask = x.values > 0.0  # subgradient 0 at exactly 0
+    mask = values > 0.0
+    return (values.view(np.int64) * mask.astype(np.int64)).view(np.float64), mask
+
+
+def relu(x: Tensor) -> Tensor:
+    """x where x > 0, else +0.0, in x's memory layout (see `_masked_relu`)."""
+    out, mask = _masked_relu(x.values)
 
     def bwd(g):
         return (g * mask,)
 
-    out = (x.values.view(np.int64) * mask.astype(np.int64)).view(np.float64)
     return _make(out, (x,), "relu", bwd)
 
 
@@ -506,8 +519,15 @@ def _rows_col2im(x, w, stride, pads, in_hw):
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-           padding: str = "same") -> Tensor:
-    """Strided 2-d convolution; x is (N, C, H, W), w is (Cout, Cin, f, f)."""
+           padding: str = "same", *, relu: bool = False) -> Tensor:
+    """Strided 2-d convolution; x is (N, C, H, W), w is (Cout, Cin, f, f).
+
+    With ``relu`` the op applies relu to its biased output in the same call
+    and keeps only relu's bool mask, so the pre-activation is freed when the
+    op returns. Value, gradients and strides equal those of
+    ``relu(conv2d(...))`` bit for bit: backward multiplies its upstream
+    gradient by the mask, as relu's backward does, before the conv chain.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input and kernel, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -527,12 +547,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({w.shape[0]},)")
         out = out + b.values[None, :, None, None]
         parents.append(b)
+    out, mask = _masked_relu(out) if relu else (out, None)
     wv = w.values
     x_grad, w_grad = x.requires_grad, w.requires_grad
     if not w_grad:
         mat = None  # only the kernel gradient reads the patch matrix
 
     def bwd(g):
+        if mask is not None:
+            g = g * mask
         dx = _rows_col2im(g, wv, stride, pads, in_hw) if x_grad else None
         dw = (_pixel_rows(g).T @ mat).reshape(wv.shape) if w_grad else None
         if b is None:
@@ -543,12 +566,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-                     padding: str = "same", *, output_hw: tuple[int, int]) -> Tensor:
+                     padding: str = "same", *, output_hw: tuple[int, int],
+                     relu: bool = False) -> Tensor:
     """Adjoint of `conv2d`: x is (N, Cin, H, W), w is (Cin, Cout, f, f).
 
     The output spatial size must be given explicitly (strided shape
     arithmetic is not invertible); it is validated by running the forward
-    conv shape rule in reverse.
+    conv shape rule in reverse. ``relu`` works as in `conv2d`: the op
+    keeps relu's mask instead of the pre-activation, with the bits of
+    ``relu(conv2d_transpose(...))``.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d-transpose: need 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -573,12 +599,15 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
             raise ShapeError(f"conv2d-transpose: bias shape {b.shape} != ({w.shape[1]},)")
         out = out + b.values[None, :, None, None]
         parents.append(b)
+    out, mask = _masked_relu(out) if relu else (out, None)
     wv = w.values
     x_grad, w_grad = x.requires_grad, w.requires_grad
     # only the kernel gradient reads the input's pixel rows
     xrows = _pixel_rows(x.values) if w_grad else None
 
     def bwd(g):
+        if mask is not None:
+            g = g * mask
         gmat = _im2col(g, kernel, stride, pads, x_hw)
         dx = _patch_gemm(gmat, wv, g.shape[0], x_hw) if x_grad else None
         dw = (xrows.T @ gmat).reshape(wv.shape) if w_grad else None

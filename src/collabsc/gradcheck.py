@@ -6,6 +6,7 @@ One runner wraps the values as parameters and checks a fixed random-weighted
 sum of the op output, with weights drawn in the output's own shape, so
 transposition and indexing errors cannot cancel. The weighted sum is built
 from ops the model itself runs (reshape and matmul). Kinked ops (relu, the
+conv ops, which run with their relu as the network's hidden layers do, the
 |C| of the subspace affinity, the clamped log of the collaborative term) are
 sampled with every coordinate at least 10*eps away from the kink. The
 subspace affinity's row scales are constants for differentiation, so its
@@ -13,6 +14,8 @@ case fixes them.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,11 +36,30 @@ def _away_from_zero(values: np.ndarray) -> np.ndarray:
     return values + np.where(values >= 0, KINK_MARGIN, -KINK_MARGIN)
 
 
+def _relu_conv(op, draw, rng):
+    """``op`` with its relu, and values from ``draw(rng)``, drawn again until
+    every pre-activation lies at least 10*eps from relu's kink."""
+    while True:
+        values = draw(rng)
+        pre = op(*map(ad.constant, values), relu=False).values
+        if (np.abs(pre) >= KINK_MARGIN).all():
+            return functools.partial(op, relu=True), values
+
+
 def _conv2d(rng):
     padding = "same" if rng.below(2) == 0 else "valid"
     stride = 1 + int(rng.below(2))
-    return (lambda x, k, b: ad.conv2d(x, k, b, stride=stride, padding=padding),
-            [rng.normals((2, 2, 4, 4)), rng.normals((3, 2, 3, 3)) * 0.5, rng.normals((3,))])
+    return _relu_conv(
+        functools.partial(ad.conv2d, stride=stride, padding=padding),
+        lambda rng: [rng.normals((2, 2, 4, 4)), rng.normals((3, 2, 3, 3)) * 0.5,
+                     rng.normals((3,))], rng)
+
+
+def _conv2d_transpose(rng):
+    return _relu_conv(
+        functools.partial(ad.conv2d_transpose, stride=2, padding="same", output_hw=(4, 4)),
+        lambda rng: [rng.normals((2, 3, 2, 2)), rng.normals((3, 2, 3, 3)) * 0.5,
+                     rng.normals((2,))], rng)
 
 
 def _scale(rng):
@@ -71,9 +93,7 @@ CASES = {
     "softmax-rows": lambda rng: (ad.softmax_rows, [rng.normals((3, 5))]),
     "l2-normalize-rows": lambda rng: (ad.l2_normalize_rows, [rng.normals((3, 5))]),
     "conv2d-strided": _conv2d,
-    "conv2d-transpose-strided": lambda rng: (
-        lambda x, k, b: ad.conv2d_transpose(x, k, b, stride=2, padding="same", output_hw=(4, 4)),
-        [rng.normals((2, 3, 2, 2)), rng.normals((3, 2, 3, 3)) * 0.5, rng.normals((2,))]),
+    "conv2d-transpose-strided": _conv2d_transpose,
     "reshape": lambda rng: (lambda x: ad.reshape(x, (2, 6)), [rng.normals((3, 4))]),
     "frobenius-norm-squared": lambda rng: (ad.frobenius_sq, [rng.normals((3, 4))]),
     "scalar-multiply": _scale,

@@ -8,6 +8,9 @@ layer stays dense) and only its last layer is linear. The classifier is the
 head's plans plus a linear dense output plan, ``classifier.out``, with one
 unit per cluster. One initializer sets every plan's weights (He before a
 relu, Glorot for a linear layer), and one runner drives every stack. A
+conv or conv-transpose layer passes its relu to its op, which applies it in
+the same call and keeps only the mask, not the pre-activation; a dense
+layer's relu is a node of its own (its pre-activation is only n x units). A
 forward-only pass runs on ``Network.frozen()``, the same network with
 constant views of its parameters. Batches are rows everywhere. There is
 deliberately no batch normalization anywhere: normalizing activations
@@ -209,21 +212,18 @@ class Network:
         spec = plan.spec
         n = x.shape[0]
         w, b = self.params[f"{plan.name}.W"], self.params[f"{plan.name}.b"]
+        relu = spec.activation == "relu"
         if spec.kind == "dense":
             if x.ndim == 4:
                 x = ad.reshape(x, (n, int(np.prod(x.shape[1:]))))
             out = ad.add(ad.matmul(x, w), b)
-        else:
-            if x.ndim == 2:
-                x = ad.reshape(x, (n,) + plan.in_shape)
-            if spec.kind == "conv":
-                out = ad.conv2d(x, w, b, stride=spec.stride, padding=spec.padding)
-            else:
-                out = ad.conv2d_transpose(x, w, b, stride=spec.stride, padding=spec.padding,
-                                          output_hw=plan.out_shape[1:])
-        if spec.activation == "relu":
-            out = ad.relu(out)
-        return out
+            return ad.relu(out) if relu else out
+        if x.ndim == 2:
+            x = ad.reshape(x, (n,) + plan.in_shape)
+        if spec.kind == "conv":
+            return ad.conv2d(x, w, b, stride=spec.stride, padding=spec.padding, relu=relu)
+        return ad.conv2d_transpose(x, w, b, stride=spec.stride, padding=spec.padding,
+                                   output_hw=plan.out_shape[1:], relu=relu)
 
     def _as_input(self, x) -> ad.Tensor:
         t = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))

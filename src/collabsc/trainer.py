@@ -21,6 +21,10 @@ batch's latent rows Z as C^T Z: the one parameter of that batch's optimizer,
 which keeps it and its moments across epochs, the only state keyed by batch
 identity.
 
+Every step's graph is freed before the next step builds its own: no name
+binds a stage-1 or stage-2 step's loss, and pretraining drops each batch's
+loss, and with it the batch's graph, once its step is taken.
+
 One guard, ``_restoring``, owns a pretraining epoch's or a batch round's
 state: it saves each stepped group's buffer and Adam state, refuses a
 parameter the block leaves non-finite, and on failure puts the saved back.
@@ -52,7 +56,8 @@ METRICS_HEADER_PREFIX = "epoch,n,k,acc,nmi,ari"
 PRETRAIN_LOG_HEADER = "epoch,reconstruction_loss"
 
 # Pretraining has diverged once a batch's per-point reconstruction loss
-# exceeds this multiple of the first batch's, measured before any step. Adam
+# exceeds this multiple of the first positive one, measured before its
+# batch's step (a batch that reconstructs exactly is no reference). Adam
 # moves each parameter by at most about the learning rate per step, so a
 # runaway run can grow its loss by dozens of orders of magnitude and still
 # stay finite; a test for non-finite values alone misses it. Well-tuned runs
@@ -66,12 +71,12 @@ class TrainingDivergedError(RuntimeError):
 
     Raised for a loss non-finite before its step, stage 1's C non-finite
     after its steps, a pretraining per-point loss over
-    ``PRETRAIN_DIVERGENCE_FACTOR`` times the first batch's, a parameter that
-    a pretraining epoch or ``train_batch`` call leaves non-finite (named),
-    and, chained, a ``ValueError`` from a check on a value computed in
-    training. Each group that epoch or call steps (for ``train_batch`` the
-    autoencoder, the classifier and the batch's C) then holds its parameters
-    and Adam state from the start.
+    ``PRETRAIN_DIVERGENCE_FACTOR`` times the first positive one, a
+    parameter that a pretraining epoch or ``train_batch`` call leaves
+    non-finite (named), and, chained, a ``ValueError`` from a check on a
+    value computed in training. Each group that epoch or call steps (for
+    ``train_batch`` the autoencoder, the classifier and the batch's C) then
+    holds its parameters and Adam state from the start.
     """
 
 
@@ -286,6 +291,14 @@ class CollaborativeTrainer:
         recon = self.network.decode(mixed)
         return (latent, *subspace_loss(latent, coeffs, mixed, x, recon, self.config.lambda1))
 
+    def _reconstruction_loss(self, chunk: np.ndarray) -> ad.Tensor:
+        """Half the squared reconstruction error of the batch ``chunk``, with
+        the coefficients bypassed: pretraining's loss. Its graph holds the
+        batch's input, so dropping the loss frees both."""
+        x = ad.constant(self.dataset.features[chunk])
+        return ad.scale(ad.frobenius_sq(ad.subtract(
+            x, self.network.decode(self.network.encode(x)))), 0.5)
+
     # ------------------------------------------------------------------
 
     def pretrain(self) -> list[float]:
@@ -297,17 +310,18 @@ class CollaborativeTrainer:
         cfg = self.config
         adam = Adam(self.network.groups["autoencoder"], lr=cfg.lr_pretrain)
         history: list[float] = []
-        initial = None  # the first batch's per-point loss, before any step
+        # the first positive per-point loss, measured before its step; a batch
+        # that reconstructs exactly sets no reference, as 1e8 * 0 would refuse
+        # every later loss
+        initial = 0.0
         for epoch in range(1, cfg.pretrain_epochs + 1):
             epoch_loss, where = 0.0, f"pretraining epoch {epoch}"
             with self._restoring(where, adam):
                 for batch, chunk in enumerate(self.batches, start=1):
-                    x = ad.constant(self.dataset.features[chunk])
-                    recon = self.network.decode(self.network.encode(x))
-                    loss = ad.scale(ad.frobenius_sq(ad.subtract(x, recon)), 0.5)
+                    loss = self._reconstruction_loss(chunk)
                     value = loss.item()
                     per_point = value / chunk.size
-                    if initial is None:
+                    if initial == 0.0:
                         initial = per_point
                     if not (np.isfinite(per_point)
                             and per_point <= PRETRAIN_DIVERGENCE_FACTOR * initial):
@@ -318,6 +332,7 @@ class CollaborativeTrainer:
                             f"{epoch}, batch {batch}; the model holds its parameters from "
                             f"before epoch {epoch}")
                     self._descend(f"{where}: reconstruction loss", loss, adam)
+                    del loss  # free this batch's graph before the next is built
                     epoch_loss += value
             history.append(epoch_loss / len(self.batches))
         return history

@@ -381,6 +381,24 @@ class TestConvSemantics:
             ad.conv2d_transpose(x, w, stride=2, padding="same", output_hw=(9, 9))
 
 
+# pre-activations a conv op's relu must map as relu does: signed zeros, NaN,
+# infinities and subnormals
+RELU_SPECIALS = (-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310,
+                 -2.5e-310)
+CONV_ENTRIES = st.one_of(st.sampled_from(RELU_SPECIALS + (1e300, -1e300)),
+                         st.floats(-4.0, 4.0))
+
+
+def planting(fn):
+    """``fn`` with ``RELU_SPECIALS`` written over the first entries of its result."""
+    def planted(*args):
+        out = fn(*args)
+        k = min(out.size, len(RELU_SPECIALS))
+        out.flat[:k] = RELU_SPECIALS[:k]
+        return out
+    return planted
+
+
 def assert_same_array(actual, expected):
     """Bit-identical values in the same memory layout (layout fixes later sum orders).
 
@@ -542,6 +560,70 @@ class TestConvBitIdentity:
                                      stride, padding, out_hw)
         check_conv_against_reference(True, rng.normals((n, co) + out_hw), wk, rng.normals((ci,)),
                                      stride, padding, (h, w))
+
+    # the ci profile widens this fuzz too
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 60,
+              deadline=None)
+    @given(data=st.data(), transpose=st.booleans(), kernel=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.sampled_from(["same", "valid"]),
+           h=st.integers(1, 6), w=st.integers(1, 6), n=st.integers(1, 2), ci=st.integers(1, 2),
+           co=st.integers(1, 2), bias=st.booleans(), plant=st.booleans())
+    def test_relu_keyword_matches_relu_of_the_conv(self, data, transpose, kernel, stride,
+                                                   padding, h, w, n, ci, co, bias, plant):
+        # value, every gradient and strides of op(..., relu=True) are those of
+        # relu(op(...)), relu's backward then the op's. The GEMM and the tap
+        # scatter sum from +0.0 and never return -0.0, so with ``plant`` the
+        # special pre-activations are written over their first results.
+        if padding == "valid":
+            h, w = max(h, kernel), max(w, kernel)
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in (h, w))
+        kernels = arrays_of((co, ci, kernel, kernel), CONV_ENTRIES)
+        if transpose:
+            inputs = arrays_of((n, co) + out_hw, CONV_ENTRIES)
+            biases = arrays_of((ci,), CONV_ENTRIES)
+
+            def op(*args, relu=False):
+                return ad.conv2d_transpose(*args, stride=stride, padding=padding,
+                                           output_hw=(h, w), relu=relu)
+        else:
+            inputs = arrays_of((n, ci, h, w), CONV_ENTRIES)
+            biases = arrays_of((co,), CONV_ENTRIES)
+
+            def op(*args, relu=False):
+                return ad.conv2d(*args, stride=stride, padding=padding, relu=relu)
+        drawn = [data.draw(inputs), data.draw(kernels)] + ([data.draw(biases)] if bias else [])
+        params = [ad.parameter(v) for v in drawn]
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            if plant:
+                for name in ("_patch_gemm", "_rows_col2im"):
+                    mp.setattr(ad, name, planting(getattr(ad, name)))
+            fused = op(*params, relu=True)
+            pre = op(*params)
+            if plant and not bias:  # the plant reaches the relu unchanged
+                k = min(pre.size, len(RELU_SPECIALS))
+                assert pre.values.reshape(-1)[:k].tobytes() == np.array(RELU_SPECIALS[:k]).tobytes()
+            expected = ad.relu(pre)
+            assert_same_bits(fused.values, expected.values)
+            g = data.draw(arrays_of(fused.shape, CONV_ENTRIES))
+            (g_pre,) = expected._backward_fn(g)
+            for actual, want in zip(fused._backward_fn(g), pre._backward_fn(g_pre), strict=True):
+                assert_same_bits(actual, want)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_relu_keeps_its_mask_not_the_pre_activation(self, transpose):
+        # of the output's shape, the node keeps only relu's bool mask
+        rng = Xorshift64Star(93)
+        w = ad.parameter(rng.normals((3, 2, 3, 3)))
+        if transpose:
+            out = ad.conv2d_transpose(ad.parameter(rng.normals((2, 3, 5, 4))), w,
+                                      ad.parameter(rng.normals((2,))), stride=2, padding="same",
+                                      output_hw=(9, 8), relu=True)
+        else:
+            out = ad.conv2d(ad.parameter(rng.normals((2, 2, 9, 8))), w,
+                            ad.parameter(rng.normals((3,))), stride=2, padding="same", relu=True)
+        (mask,) = [a for a in kept_arrays(out) if a.shape == out.shape]
+        assert mask.dtype == np.bool_
+        assert_same_bits(mask, out.values > 0.0)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_index_memo_holds_one_entry_per_geometry(self, transpose):

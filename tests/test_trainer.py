@@ -12,7 +12,7 @@ import collabsc.autodiff as ad
 import collabsc.trainer as trainer_module
 from collabsc.checkpoint import CheckpointError
 from collabsc.config import ExperimentConfig
-from collabsc.data import SyntheticSpec, generate_synthetic
+from collabsc.data import Dataset, SyntheticSpec, generate_synthetic
 from collabsc.network import LayerSpec, NetworkConfig
 from collabsc.optim import Adam
 from collabsc.rng import Xorshift64Star
@@ -47,6 +47,39 @@ def tiny_config(**overrides):
                     inner_se_steps=3, seed=0)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def tiny_conv_dataset():
+    synthetic = generate_synthetic(SyntheticSpec(k=2, d=3, D=144, n_per=32, noise_sigma=0.02,
+                                                 seed=3, concentration=4.0))
+    return Dataset(synthetic.features, synthetic.labels_for_evaluation(), (1, 12, 12),
+                   synthetic.provenance)
+
+
+def tiny_conv_config(**overrides):
+    # conv layers with and without relu, mirrored as conv-transposes, and a
+    # dense relu layer in the head
+    network = NetworkConfig(
+        encoder=(LayerSpec("conv", 4, kernel_size=3, stride=2),
+                 LayerSpec("conv", 4, kernel_size=3, stride=2, activation="none")),
+        classifier_head=(LayerSpec("dense", 6),), num_clusters=2, intrinsic_dim_guess=2)
+    return tiny_config(network=network, **overrides)
+
+
+def traced_peak(fn):
+    """Most bytes ``tracemalloc`` traced during ``fn()``, above what it traced at the start."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def coefficients(trainer):
@@ -177,6 +210,27 @@ class TestPretrain:
         for name, p in trainer.network.params.items():
             np.testing.assert_array_equal(p.values, reference.network.params[name].values,
                                           err_msg=name)
+
+    def test_a_first_batch_reconstructed_exactly_sets_no_reference(self):
+        # all-zero images pass through zero biases as exact zeros: the first
+        # batch's loss is 0, and 1e8 times 0 would refuse every later batch
+        dataset = tiny_dataset()
+        trainer = CollaborativeTrainer(tiny_config(batch_size=10, pretrain_epochs=2), dataset)
+        dataset.features[trainer.batches[0]] = 0.0
+        history = trainer.pretrain()
+        assert len(history) == 2 and 0.0 < history[-1] < history[0]
+
+    def test_divergence_is_measured_from_the_first_positive_loss(self):
+        # with the first batch at zero loss, the second batch's 2.51 per
+        # point is the reference, so a run-away rate is still caught
+        dataset = tiny_dataset()
+        trainer = CollaborativeTrainer(
+            tiny_config(batch_size=10, pretrain_epochs=50, lr_pretrain=1e9), dataset)
+        dataset.features[trainer.batches[0]] = 0.0
+        with pytest.raises(TrainingDivergedError,
+                           match=r"initial per-point loss 2\.51\): \S+ per point at epoch 1, "
+                                 r"batch 3;"):
+            trainer.pretrain()
 
     def test_recovering_high_learning_rate_is_not_divergence(self):
         # lr 1.0 overshoots to about 8e5 times the initial per-point loss,
@@ -553,20 +607,25 @@ class TestMemoryBudget:
                                        tiny_dataset(n_per=128))
         trainer.train_batch(0, u=0.7)  # the first visit creates C and its moments
         n = trainer.batches[0].size
-        gc.collect()
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            trainer.train_batch(0, u=0.7)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: trainer.train_batch(0, u=0.7))
         assert n == 256
         assert peak / (n * n * 8) <= self.ROUND_PEAK_ARRAYS
+
+    # A pretraining epoch's traced peak on tiny_conv_config, two 32-point
+    # batches of 12x12 images, in units of one batch's input array: measured
+    # at 20.93 (22.96 when each conv layer's relu was a node of its own,
+    # which kept the pre-activation; 29.26 when the previous batch's graph
+    # outlived the next one's build; 33.31 with both). The bound leaves 5%
+    # slack, so undoing either change fails it.
+    PRETRAIN_EPOCH_PEAK_INPUTS = 22.0
+
+    def test_a_pretraining_epoch_holds_one_batch_graph_at_a_time(self):
+        trainer = CollaborativeTrainer(tiny_conv_config(batch_size=32, pretrain_epochs=1),
+                                       tiny_conv_dataset())
+        trainer.pretrain()  # fills the conv ops' index memo
+        peak = traced_peak(trainer.pretrain)
+        assert [b.size for b in trainer.batches] == [32, 32]
+        assert peak / (32 * 144 * 8) <= self.PRETRAIN_EPOCH_PEAK_INPUTS
 
 
 class TestGraphShape:
@@ -578,19 +637,22 @@ class TestGraphShape:
                      "frobenius-norm-squared": 3, "subtract": 2, "scalar-multiply": 2}
     CLASSIFIER_STEP = {"matmul": 2, "add": 1, "softmax-rows": 1, "l2-normalize-rows": 1,
                        "transpose": 1, "collaborative": 1}
+    # in tiny_conv_config's passes each conv op applies its layer's relu
+    # itself, so only the head's dense layer builds a relu node; the latent,
+    # the mixed rows and the reconstruction are reshaped between images and rows
+    CONV_SUBSPACE_PASS = {"conv2d-strided": 2, "conv2d-transpose-strided": 2, "reshape": 3,
+                          "matmul": 1, "add": 2, "transpose": 1, "frobenius-norm-squared": 3,
+                          "subtract": 2, "scalar-multiply": 2}
+    CONV_CLASSIFIER_STEP = {"matmul": 3, "add": 2, "relu": 1, "softmax-rows": 1,
+                            "l2-normalize-rows": 1, "transpose": 1, "collaborative": 1}
     # once a round: the subspace affinity; stage 3's negative term on
     # 1 - A_s, weighted by alpha, and the total weighted by lambda_cl
     ROUND = {"subspace-affinity": 1, "collaborative": 1, "subtract": 1, "scalar-multiply": 2,
              "add": 2}
 
-    @pytest.mark.parametrize("inner_se_steps, classifier_steps", [(1, 1), (3, 2)])
-    def test_a_round_builds_the_expected_nodes(self, monkeypatch, inner_se_steps,
-                                               classifier_steps):
+    def check_round(self, monkeypatch, trainer, subspace_pass, classifier_step):
         # stage 1 and stage 3 each run subspace passes, stages 2 and 3 each
         # run classifier steps; a new node or a fusion changes these counts
-        trainer = CollaborativeTrainer(
-            tiny_config(batch_size=10, inner_se_steps=inner_se_steps,
-                        classifier_steps=classifier_steps), tiny_dataset())
         trainer.pretrain()
         trainer.warm_start_classifier()  # so the negative teacher selects pairs
         made, built = ad._make, {}
@@ -605,11 +667,28 @@ class TestGraphShape:
         breakdown = trainer.train_batch(0, u=0.7)
         assert breakdown.count_pos > 0 and breakdown.count_neg > 0
         expected = dict(self.ROUND)
-        for per_pass, passes in ((self.SUBSPACE_PASS, inner_se_steps + 1),
-                                 (self.CLASSIFIER_STEP, classifier_steps + 1)):
+        for per_pass, passes in ((subspace_pass, trainer.config.inner_se_steps + 1),
+                                 (classifier_step, trainer.config.classifier_steps + 1)):
             for kind, count in per_pass.items():
                 expected[kind] = expected.get(kind, 0) + passes * count
         assert built == expected
+
+    @pytest.mark.parametrize("inner_se_steps, classifier_steps", [(1, 1), (3, 2)])
+    def test_a_round_builds_the_expected_nodes(self, monkeypatch, inner_se_steps,
+                                               classifier_steps):
+        trainer = CollaborativeTrainer(
+            tiny_config(batch_size=10, inner_se_steps=inner_se_steps,
+                        classifier_steps=classifier_steps), tiny_dataset())
+        self.check_round(monkeypatch, trainer, self.SUBSPACE_PASS, self.CLASSIFIER_STEP)
+
+    @pytest.mark.parametrize("inner_se_steps, classifier_steps", [(1, 1), (3, 2)])
+    def test_conv_layers_build_no_relu_node(self, monkeypatch, inner_se_steps,
+                                            classifier_steps):
+        trainer = CollaborativeTrainer(
+            tiny_conv_config(batch_size=10, inner_se_steps=inner_se_steps,
+                             classifier_steps=classifier_steps), tiny_conv_dataset())
+        self.check_round(monkeypatch, trainer, self.CONV_SUBSPACE_PASS,
+                         self.CONV_CLASSIFIER_STEP)
 
 
 class TestReleasedGradients:

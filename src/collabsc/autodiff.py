@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The operator set is exactly what the clustering networks run: matmul, add,
-subtract, scale, transpose and reshape; strided convolution and its adjoint,
-each optionally with its layer's relu applied in the same call; relu, row
-softmax and row l2 normalization; the squared Frobenius norm of
-the reconstruction and self-expression losses; and one node each for the
-subspace affinity and the collaborative term. There is no broadcasting
-beyond the row-vector bias add, no mixed precision, and no graph rewriting.
-``collabsc.gradcheck.CASES`` lists the op kinds.
+subtract, scale, transpose and reshape; strided convolution and its adjoint;
+row softmax and row l2 normalization; the squared Frobenius norm of the
+reconstruction and self-expression losses; and one node each for the
+subspace affinity and the collaborative term. The three layer ops, the bias
+mode of add and the two conv ops, each apply their layer's relu in the same
+call when asked. There is no broadcasting beyond the bias add, no mixed
+precision, and no graph rewriting. ``collabsc.gradcheck.CASES`` lists the op
+kinds.
 
 A forward pass builds an implicit DAG: every op output records its parent
 tensors and a closure computing parent gradients. ``backward`` topologically
@@ -28,10 +29,10 @@ ones of 1 - A): consumers only read it. Nothing writes into a value between
 a node's forward and its backward; ``matmul``, ``subspace-affinity`` and
 ``collaborative`` read their operands' live arrays in backward instead of
 copies. Convolutions keep the patch matrix of their forward pass for the
-kernel gradient instead of rebuilding it. A conv op called with ``relu``
+kernel gradient instead of rebuilding it. A layer op called with ``relu``
 keeps relu's bool mask and frees its pre-activation, which a separate relu
-node would keep as its parent's output; a dense layer's pre-activation is
-only n x units, so dense layers keep their relu node.
+node would keep as its parent's output. One tail, `_bias_relu`, adds every
+layer op's bias and applies its relu, and builds the matching backward.
 
 The strided conv ops move data by index: im2col gathers each image's
 patches through flat offsets built once per layer geometry. On the col2im
@@ -41,9 +42,8 @@ pixels through the same offsets, giving every pixel its taps in (ki, kj)
 order starting from +0.0. GEMM operands, and the layouts of their results,
 are part of the bit contract: a different layout sums the same floats in
 another order and moves the train logs. Relu masks the bit patterns as
-integers, so it has no branch per element and keeps its input's layout;
-``relu`` and the conv ops' ``relu`` keyword share that arithmetic
-(`_masked_relu`), so a conv op with it has the bits of relu of the op.
+integers (`_masked_relu`), so it has no branch per element and keeps its
+input's layout.
 """
 
 from __future__ import annotations
@@ -187,20 +187,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), "matmul", bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Same-shape add, or row-vector bias add of shape (m,) / (1, m)."""
+def add(a: Tensor, b: Tensor, *, relu: bool = False) -> Tensor:
+    """Same-shape add, or a dense layer's bias add of shape (m,) to (n, m)
+    rows, with its relu if ``relu`` (see `_bias_relu`)."""
     if a.shape == b.shape:
-        def bwd(g):
-            return g, g
-        return _make(a.values + b.values, (a, b), "add", bwd)
-    if a.ndim == 2 and b.shape in ((a.shape[1],), (1, a.shape[1])):
-        b_shape = b.shape
-
-        def bwd(g):
-            return g, g.sum(axis=0).reshape(b_shape)
-
-        return _make(a.values + b.values, (a, b), "add", bwd)
-    raise ShapeError(f"add: shapes {a.shape} and {b.shape} are not addable")
+        if relu:
+            raise AutodiffError("add: relu applies only to a bias add")
+        return _make(a.values + b.values, (a, b), "add", lambda g: (g, g))
+    if a.ndim != 2 or b.shape != (a.shape[1],):
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} are not addable")
+    out, bwd = _bias_relu("add", a.values, b, relu, lambda g: (g,))
+    return _make(out, (a, b), "add", bwd)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -226,14 +223,26 @@ def _masked_relu(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (values.view(np.int64) * mask.astype(np.int64)).view(np.float64), mask
 
 
-def relu(x: Tensor) -> Tensor:
-    """x where x > 0, else +0.0, in x's memory layout (see `_masked_relu`)."""
-    out, mask = _masked_relu(x.values)
+def _bias_relu(kind: str, out: np.ndarray, b: Tensor | None, relu: bool, op_bwd):
+    """A layer op's unbiased output ``out`` plus its bias ``b`` (or None)
+    along axis 1, then relu if asked, keeping only relu's bool mask; and the
+    op's backward. That masks its upstream gradient, asks ``op_bwd`` for the
+    other parents' gradients and appends the bias gradient, summed over
+    every axis but 1, for the op's last parent. A conv op passes ``out``
+    unnamed, so the bias add frees it."""
+    if b is not None:
+        if b.shape != (out.shape[1],):
+            raise ShapeError(f"{kind}: bias shape {b.shape} != ({out.shape[1]},)")
+        out = out + b.values.reshape(b.shape + (1,) * (out.ndim - 2))
+    out, mask = _masked_relu(out) if relu else (out, None)
 
     def bwd(g):
-        return (g * mask,)
+        if mask is not None:
+            g = g * mask
+        grads = op_bwd(g)
+        return grads if b is None else (*grads, g.sum(axis=(0, *range(2, g.ndim))))
 
-    return _make(out, (x,), "relu", bwd)
+    return out, bwd
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -522,11 +531,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: str = "same", *, relu: bool = False) -> Tensor:
     """Strided 2-d convolution; x is (N, C, H, W), w is (Cout, Cin, f, f).
 
-    With ``relu`` the op applies relu to its biased output in the same call
-    and keeps only relu's bool mask, so the pre-activation is freed when the
-    op returns. Value, gradients and strides equal those of
-    ``relu(conv2d(...))`` bit for bit: backward multiplies its upstream
-    gradient by the mask, as relu's backward does, before the conv chain.
+    ``b`` is a (Cout,) bias or None. With ``relu`` the op applies its
+    layer's relu to the biased output in the same call (see `_bias_relu`).
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -540,29 +546,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
               conv_output_size(in_hw[1], kernel, stride, padding))
     pads = _pads(in_hw, kernel, stride, padding)
     mat = _im2col(x.values, kernel, stride, pads, out_hw)
-    out = _patch_gemm(mat, w.values, x.shape[0], out_hw)
-    parents = [x, w]
-    if b is not None:
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"conv2d: bias shape {b.shape} != ({w.shape[0]},)")
-        out = out + b.values[None, :, None, None]
-        parents.append(b)
-    out, mask = _masked_relu(out) if relu else (out, None)
     wv = w.values
     x_grad, w_grad = x.requires_grad, w.requires_grad
-    if not w_grad:
-        mat = None  # only the kernel gradient reads the patch matrix
 
-    def bwd(g):
-        if mask is not None:
-            g = g * mask
+    def conv_bwd(g):
         dx = _rows_col2im(g, wv, stride, pads, in_hw) if x_grad else None
         dw = (_pixel_rows(g).T @ mat).reshape(wv.shape) if w_grad else None
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw
 
-    return _make(out, tuple(parents), "conv2d-strided", bwd)
+    out, bwd = _bias_relu("conv2d", _patch_gemm(mat, wv, x.shape[0], out_hw), b, relu,
+                          conv_bwd)
+    mat = mat if w_grad else None  # only the kernel gradient reads the patch matrix
+    return _make(out, (x, w) if b is None else (x, w, b), "conv2d-strided", bwd)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -572,9 +567,8 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 
     The output spatial size must be given explicitly (strided shape
     arithmetic is not invertible); it is validated by running the forward
-    conv shape rule in reverse. ``relu`` works as in `conv2d`: the op
-    keeps relu's mask instead of the pre-activation, with the bits of
-    ``relu(conv2d_transpose(...))``.
+    conv shape rule in reverse. ``b`` is a (Cout,) bias or None, and
+    ``relu`` works as in `conv2d`.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d-transpose: need 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -592,30 +586,20 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
             f"conv2d-transpose: output size {out_hw} maps to {check} under the forward "
             f"shape rule, but the input is {x_hw}")
     pads = _pads(out_hw, kernel, stride, padding)
-    out = _rows_col2im(x.values, w.values, stride, pads, out_hw)
-    parents = [x, w]
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"conv2d-transpose: bias shape {b.shape} != ({w.shape[1]},)")
-        out = out + b.values[None, :, None, None]
-        parents.append(b)
-    out, mask = _masked_relu(out) if relu else (out, None)
     wv = w.values
     x_grad, w_grad = x.requires_grad, w.requires_grad
-    # only the kernel gradient reads the input's pixel rows
-    xrows = _pixel_rows(x.values) if w_grad else None
 
-    def bwd(g):
-        if mask is not None:
-            g = g * mask
+    def conv_bwd(g):
         gmat = _im2col(g, kernel, stride, pads, x_hw)
         dx = _patch_gemm(gmat, wv, g.shape[0], x_hw) if x_grad else None
         dw = (xrows.T @ gmat).reshape(wv.shape) if w_grad else None
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw
 
-    return _make(out, tuple(parents), "conv2d-transpose-strided", bwd)
+    out, bwd = _bias_relu("conv2d-transpose", _rows_col2im(x.values, wv, stride, pads, out_hw),
+                          b, relu, conv_bwd)
+    # only the kernel gradient reads the input's pixel rows
+    xrows = _pixel_rows(x.values) if w_grad else None
+    return _make(out, (x, w) if b is None else (x, w, b), "conv2d-transpose-strided", bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ op, as a function of its trainable inputs, and the values of those inputs.
 One runner wraps the values as parameters and checks a fixed random-weighted
 sum of the op output, with weights drawn in the output's own shape, so
 transposition and indexing errors cannot cancel. The weighted sum is built
-from ops the model itself runs (reshape and matmul). Kinked ops (relu, the
-conv ops, which run with their relu as the network's hidden layers do, the
-|C| of the subspace affinity, the clamped log of the collaborative term) are
-sampled with every coordinate at least 10*eps away from the kink. The
-subspace affinity's row scales are constants for differentiation, so its
-case fixes them.
+from ops the model itself runs (reshape and matmul). Kinked ops are sampled
+with every coordinate at least 10*eps away from the kink: the three layer
+ops (the bias add and the two conv ops), which run with their relu as the
+network's hidden layers do, the |C| of the subspace affinity, and the
+clamped log of the collaborative term. The subspace affinity's row scales
+are constants for differentiation, so its case fixes them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _away_from_zero(values: np.ndarray) -> np.ndarray:
     return values + np.where(values >= 0, KINK_MARGIN, -KINK_MARGIN)
 
 
-def _relu_conv(op, draw, rng):
+def _relu_layer(op, draw, rng):
     """``op`` with its relu, and values from ``draw(rng)``, drawn again until
     every pre-activation lies at least 10*eps from relu's kink."""
     while True:
@@ -49,17 +49,24 @@ def _relu_conv(op, draw, rng):
 def _conv2d(rng):
     padding = "same" if rng.below(2) == 0 else "valid"
     stride = 1 + int(rng.below(2))
-    return _relu_conv(
+    return _relu_layer(
         functools.partial(ad.conv2d, stride=stride, padding=padding),
         lambda rng: [rng.normals((2, 2, 4, 4)), rng.normals((3, 2, 3, 3)) * 0.5,
                      rng.normals((3,))], rng)
 
 
 def _conv2d_transpose(rng):
-    return _relu_conv(
+    return _relu_layer(
         functools.partial(ad.conv2d_transpose, stride=2, padding="same", output_hw=(4, 4)),
         lambda rng: [rng.normals((2, 3, 2, 2)), rng.normals((3, 2, 3, 3)) * 0.5,
                      rng.normals((2,))], rng)
+
+
+def _add(rng):
+    # the same-shape add, then the bias add with its relu
+    return _relu_layer(lambda a, b, bias, relu: ad.add(ad.add(a, b), bias, relu=relu),
+                       lambda rng: [rng.normals((3, 4)), rng.normals((3, 4)), rng.normals((4,))],
+                       rng)
 
 
 def _scale(rng):
@@ -85,11 +92,8 @@ def _collaborative(rng):
 # op kind -> case(rng) -> (op over parameters, the parameters' values)
 CASES = {
     "matmul": lambda rng: (ad.matmul, [rng.normals((3, 4)), rng.normals((4, 2))]),
-    # the row-vector bias add, then the same-shape add
-    "add": lambda rng: (lambda a, bias, b: ad.add(ad.add(a, bias), b),
-                        [rng.normals((3, 4)), rng.normals((4,)), rng.normals((3, 4))]),
+    "add": _add,
     "subtract": lambda rng: (ad.subtract, [rng.normals((3, 4)), rng.normals((3, 4))]),
-    "relu": lambda rng: (ad.relu, [_away_from_zero(rng.normals((3, 4)))]),
     "softmax-rows": lambda rng: (ad.softmax_rows, [rng.normals((3, 5))]),
     "l2-normalize-rows": lambda rng: (ad.l2_normalize_rows, [rng.normals((3, 5))]),
     "conv2d-strided": _conv2d,

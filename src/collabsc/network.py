@@ -7,15 +7,14 @@ layer L-1-i's shapes backwards (a conv becomes a conv-transpose, a dense
 layer stays dense) and only its last layer is linear. The classifier is the
 head's plans plus a linear dense output plan, ``classifier.out``, with one
 unit per cluster. One initializer sets every plan's weights (He before a
-relu, Glorot for a linear layer), and one runner drives every stack. A
-conv or conv-transpose layer passes its relu to its op, which applies it in
-the same call and keeps only the mask, not the pre-activation; a dense
-layer's relu is a node of its own (its pre-activation is only n x units). A
-forward-only pass runs on ``Network.frozen()``, the same network with
-constant views of its parameters. Batches are rows everywhere. There is
-deliberately no batch normalization anywhere: normalizing activations
-across the batch would corrupt the subspace structure the latent space is
-supposed to carry.
+relu, Glorot for a linear layer), and one runner drives every stack. Each
+layer passes its relu to the op that adds its bias (a dense layer's bias
+add, a conv or a conv-transpose), which applies it in the same call and
+keeps only the mask, not the pre-activation. A forward-only pass runs on
+``Network.frozen()``, the same network with constant views of its
+parameters. Batches are rows everywhere. There is deliberately no batch
+normalization anywhere: normalizing activations across the batch would
+corrupt the subspace structure the latent space is supposed to carry.
 
 The self-expressive step between encoder and decoder has no layer here: its
 only weights, each batch's coefficient matrix, belong to the trainer.
@@ -210,16 +209,12 @@ class Network:
 
     def _apply(self, plan: _LayerPlan, x: ad.Tensor) -> ad.Tensor:
         spec = plan.spec
-        n = x.shape[0]
         w, b = self.params[f"{plan.name}.W"], self.params[f"{plan.name}.b"]
         relu = spec.activation == "relu"
+        if x.shape[1:] != plan.in_shape:  # rows into images, or images into rows
+            x = ad.reshape(x, x.shape[:1] + plan.in_shape)
         if spec.kind == "dense":
-            if x.ndim == 4:
-                x = ad.reshape(x, (n, int(np.prod(x.shape[1:]))))
-            out = ad.add(ad.matmul(x, w), b)
-            return ad.relu(out) if relu else out
-        if x.ndim == 2:
-            x = ad.reshape(x, (n,) + plan.in_shape)
+            return ad.add(ad.matmul(x, w), b, relu=relu)
         if spec.kind == "conv":
             return ad.conv2d(x, w, b, stride=spec.stride, padding=spec.padding, relu=relu)
         return ad.conv2d_transpose(x, w, b, stride=spec.stride, padding=spec.padding,

@@ -2,8 +2,9 @@
 
 Most of these are deliberately naive: exhaustive enumeration and direct
 formulas, sized for n <= 8, and loop-by-loop spellings of the conv ops, of
-k-means' centroid update, of the Adam step and of the normal draw, and
-the array-keeping forms of the subspace affinity and the collaborative term.
+k-means' centroid update, of the Adam step and of the normal draw, relu as
+``np.where`` gives it, and the array-keeping forms of the subspace affinity
+and the collaborative term.
 The last section holds a
 reference pipeline instead: the closed-form ridge self-expression solver and
 normalized-Laplacian spectral clustering, the post-processing that
@@ -228,6 +229,19 @@ def reference_conv2d_transpose(x, w, b, stride, pads, out_hw):
                 g.sum(axis=(0, 2, 3)))
 
     return out, bwd
+
+
+def reference_relu(x):
+    """relu of ``x`` as ``np.where(x > 0, x, 0.0)`` gives it, in x's memory
+    layout, and its backward closure g -> g * (x > 0) (subgradient 0 at
+    exactly 0): a relu node of its own, which every layer op's ``relu``
+    must match bit for bit.
+
+    ``np.where`` lays its result out as any ufunc does. ``np.empty_like``
+    would also copy the strides of x's length-1 axes, which a ufunc's
+    result does not keep.
+    """
+    return np.where(x > 0.0, x, 0.0), lambda g: g * (x > 0.0)
 
 
 # ---------------------------------------------------------------------------

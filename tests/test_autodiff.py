@@ -1,5 +1,8 @@
 """Operator semantics, backward correctness, and engine-level properties."""
 
+import functools
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,8 @@ from collabsc.gradcheck import CASES, run_gradient_checks, weighted_sum
 from collabsc.rng import Xorshift64Star
 
 from oracles import (central_difference_gradient, reference_col2im, reference_collaborative,
-                     reference_conv2d, reference_conv2d_transpose, reference_subspace_affinity)
+                     reference_conv2d, reference_conv2d_transpose, reference_relu,
+                     reference_subspace_affinity)
 
 
 class TestForwardSemantics:
@@ -24,8 +28,15 @@ class TestForwardSemantics:
         np.testing.assert_allclose(out.values, 0.25)
 
     def test_relu_definition(self):
-        out = ad.relu(ad.constant(np.array([-1.0, 0.0, 2.0])))
-        np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
+        out = ad.add(ad.constant(np.array([[-1.0, 0.0, 2.0]])), ad.constant(np.zeros(3)),
+                     relu=True)
+        np.testing.assert_array_equal(out.values, [[0.0, 0.0, 2.0]])
+
+    def test_same_shape_add_refuses_relu(self):
+        # a layer's relu follows its bias add; silently ignoring it would drop it
+        a = ad.constant(np.ones((2, 3)))
+        with pytest.raises(ad.AutodiffError, match="relu applies only to a bias add"):
+            ad.add(a, a, relu=True)
 
     @pytest.mark.parametrize("layout", ["nchw", "nhwc", "sliced"])
     def test_relu_bits_match_where(self, layout):
@@ -34,14 +45,14 @@ class TestForwardSemantics:
         a.reshape(-1)[:8] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
         x = {"nchw": a, "nhwc": a.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2),
              "sliced": a[:, ::2, :, ::-1]}[layout]
-        out = ad.relu(ad.parameter(x))
-        assert_same_array(out.values, np.where(x > 0.0, x, 0.0))
-        assert out.values.strides == np.empty_like(x).strides  # the input's layout
-        assert not np.signbit(out.values[x <= 0.0]).any() and not np.isnan(out.values).any()
+        out, mask = ad._masked_relu(x)
+        value, relu_bwd = reference_relu(x)
+        assert_same_array(out, value)
+        assert out.strides == np.empty_like(x).strides  # the input's layout
+        assert not np.signbit(out[x <= 0.0]).any() and not np.isnan(out).any()
         g = Xorshift64Star(6).normals(x.shape)
         g.reshape(-1)[:2] = -0.0
-        (dx,) = out._backward_fn(g)
-        assert_same_array(dx, g * (x > 0.0))
+        assert_same_array(g * mask, relu_bwd(g))
 
     def test_softmax_rows_sum_to_one_and_positive(self):
         rng = Xorshift64Star(3)
@@ -178,7 +189,7 @@ class TestBackward:
     def test_backward_visits_reverse_topological_order(self):
         x = ad.parameter(np.ones((2, 2)))
         a = ad.scale(x, 2.0)
-        b = ad.relu(a)
+        b = ad.add(a, ad.parameter(np.ones(2)), relu=True)
         loss = weighted_sum(b, np.ones((2, 2)))
         order = ad.topological_order(loss)
         positions = {id(t): i for i, t in enumerate(order)}
@@ -190,12 +201,13 @@ class TestBackward:
 class TestBackwardSemantics:
     @staticmethod
     def conv_net(seed):
-        """Conv, relu, conv-transpose on a constant input; each parameter is used once."""
+        """Conv with its relu, then conv-transpose, on a constant input; each
+        parameter is used once."""
         rng = Xorshift64Star(seed)
         x = ad.constant(rng.normals((2, 1, 6, 5)))
         w1, b1 = ad.parameter(rng.normals((3, 1, 3, 3))), ad.parameter(rng.normals((3,)))
         w2 = ad.parameter(rng.normals((3, 2, 2, 2)))
-        h = ad.relu(ad.conv2d(x, w1, b1, stride=2, padding="same"))
+        h = ad.conv2d(x, w1, b1, stride=2, padding="same", relu=True)
         out = ad.conv2d_transpose(h, w2, None, stride=1, padding="valid", output_hw=(4, 4))
         return x, [w1, b1, w2], ad.frobenius_sq(out)
 
@@ -271,9 +283,17 @@ def arrays_of(shape, values=entries):
 
 
 def kept_arrays(node):
-    """The arrays a node's backward closure holds."""
-    kept = [c.cell_contents for c in node._backward_fn.__closure__]
-    return [a for a in kept if isinstance(a, np.ndarray)]
+    """The arrays a node's backward closure holds, also through the closures
+    it calls (a layer op's own backward, under the shared bias-and-relu tail)."""
+    kept, closures = [], [node._backward_fn]
+    while closures:
+        for cell in closures.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                kept.append(value)
+            elif isinstance(value, types.FunctionType):
+                closures.append(value)
+    return kept
 
 
 class TestKeptArrays:
@@ -561,54 +581,6 @@ class TestConvBitIdentity:
         check_conv_against_reference(True, rng.normals((n, co) + out_hw), wk, rng.normals((ci,)),
                                      stride, padding, (h, w))
 
-    # the ci profile widens this fuzz too
-    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 60,
-              deadline=None)
-    @given(data=st.data(), transpose=st.booleans(), kernel=st.integers(1, 3),
-           stride=st.integers(1, 3), padding=st.sampled_from(["same", "valid"]),
-           h=st.integers(1, 6), w=st.integers(1, 6), n=st.integers(1, 2), ci=st.integers(1, 2),
-           co=st.integers(1, 2), bias=st.booleans(), plant=st.booleans())
-    def test_relu_keyword_matches_relu_of_the_conv(self, data, transpose, kernel, stride,
-                                                   padding, h, w, n, ci, co, bias, plant):
-        # value, every gradient and strides of op(..., relu=True) are those of
-        # relu(op(...)), relu's backward then the op's. The GEMM and the tap
-        # scatter sum from +0.0 and never return -0.0, so with ``plant`` the
-        # special pre-activations are written over their first results.
-        if padding == "valid":
-            h, w = max(h, kernel), max(w, kernel)
-        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in (h, w))
-        kernels = arrays_of((co, ci, kernel, kernel), CONV_ENTRIES)
-        if transpose:
-            inputs = arrays_of((n, co) + out_hw, CONV_ENTRIES)
-            biases = arrays_of((ci,), CONV_ENTRIES)
-
-            def op(*args, relu=False):
-                return ad.conv2d_transpose(*args, stride=stride, padding=padding,
-                                           output_hw=(h, w), relu=relu)
-        else:
-            inputs = arrays_of((n, ci, h, w), CONV_ENTRIES)
-            biases = arrays_of((co,), CONV_ENTRIES)
-
-            def op(*args, relu=False):
-                return ad.conv2d(*args, stride=stride, padding=padding, relu=relu)
-        drawn = [data.draw(inputs), data.draw(kernels)] + ([data.draw(biases)] if bias else [])
-        params = [ad.parameter(v) for v in drawn]
-        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
-            if plant:
-                for name in ("_patch_gemm", "_rows_col2im"):
-                    mp.setattr(ad, name, planting(getattr(ad, name)))
-            fused = op(*params, relu=True)
-            pre = op(*params)
-            if plant and not bias:  # the plant reaches the relu unchanged
-                k = min(pre.size, len(RELU_SPECIALS))
-                assert pre.values.reshape(-1)[:k].tobytes() == np.array(RELU_SPECIALS[:k]).tobytes()
-            expected = ad.relu(pre)
-            assert_same_bits(fused.values, expected.values)
-            g = data.draw(arrays_of(fused.shape, CONV_ENTRIES))
-            (g_pre,) = expected._backward_fn(g)
-            for actual, want in zip(fused._backward_fn(g), pre._backward_fn(g_pre), strict=True):
-                assert_same_bits(actual, want)
-
     @pytest.mark.parametrize("transpose", [False, True])
     def test_relu_keeps_its_mask_not_the_pre_activation(self, transpose):
         # of the output's shape, the node keeps only relu's bool mask
@@ -681,6 +653,75 @@ class TestConvBitIdentity:
             ad.conv2d_transpose(xt, tkernel, tbias, stride=3, padding="valid", output_hw=(8, 7)),
             tweights), [xt, tkernel, tbias])
         assert err < 1e-4
+
+
+class TestLayerRelu:
+    """Each layer op, the bias add and both conv ops, with ``relu=True``
+    against relu's ``np.where`` oracle, byte for byte."""
+
+    # the ci profile widens this fuzz too
+    @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 60,
+              deadline=None)
+    @given(data=st.data(), layer=st.sampled_from(["dense", "conv", "conv-transpose"]),
+           kernel=st.integers(1, 3), stride=st.integers(1, 3),
+           padding=st.sampled_from(["same", "valid"]), h=st.integers(1, 6), w=st.integers(1, 6),
+           n=st.integers(1, 2), ci=st.integers(1, 2), co=st.integers(1, 2), bias=st.booleans(),
+           plant=st.booleans())
+    def test_relu_keyword_matches_the_reference_relu(self, data, layer, kernel, stride, padding,
+                                                     h, w, n, ci, co, bias, plant):
+        # value, every gradient and strides of op(..., relu=True) are relu's
+        # of op(...), then op(...)'s backward of relu's gradient. The GEMM and
+        # the tap scatter sum from +0.0 and never return -0.0, so with
+        # ``plant`` the special pre-activations are written over their first
+        # results; a dense layer's rows get them directly, with a -0.0 bias,
+        # which adds every one of them unchanged.
+        if padding == "valid":
+            h, w = max(h, kernel), max(w, kernel)
+        out_hw = tuple(ad.conv_output_size(s, kernel, stride, padding) for s in (h, w))
+        kernels = arrays_of((co, ci, kernel, kernel), CONV_ENTRIES)
+        if layer == "dense":
+            op = ad.add
+            rows = data.draw(arrays_of((n * h, w), CONV_ENTRIES))
+            drawn = ([planting(np.copy)(rows), np.full(w, -0.0)] if plant
+                     else [rows, data.draw(arrays_of((w,), CONV_ENTRIES))])
+        elif layer == "conv-transpose":
+            op = functools.partial(ad.conv2d_transpose, stride=stride, padding=padding,
+                                   output_hw=(h, w))
+            drawn = [data.draw(arrays_of((n, co) + out_hw, CONV_ENTRIES)), data.draw(kernels)]
+            drawn += [data.draw(arrays_of((ci,), CONV_ENTRIES))] if bias else []
+        else:
+            op = functools.partial(ad.conv2d, stride=stride, padding=padding)
+            drawn = [data.draw(arrays_of((n, ci, h, w), CONV_ENTRIES)), data.draw(kernels)]
+            drawn += [data.draw(arrays_of((co,), CONV_ENTRIES))] if bias else []
+        params = [ad.parameter(v) for v in drawn]
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            if plant:
+                for name in ("_patch_gemm", "_rows_col2im"):
+                    mp.setattr(ad, name, planting(getattr(ad, name)))
+            fused = op(*params, relu=True)
+            pre = op(*params)
+            if plant and (layer == "dense" or not bias):  # the plant reaches the relu unchanged
+                k = min(pre.size, len(RELU_SPECIALS))
+                assert pre.values.reshape(-1)[:k].tobytes() == np.array(RELU_SPECIALS[:k]).tobytes()
+            value, relu_bwd = reference_relu(pre.values)
+            # np.where may stride a length-1 axis otherwise than the
+            # integer-mask product; such a stride addresses nothing
+            long = [i for i, size in enumerate(value.shape) if size > 1]
+            assert fused.shape == value.shape and fused.values.tobytes() == value.tobytes()
+            assert [fused.values.strides[i] for i in long] == [value.strides[i] for i in long]
+            g = data.draw(arrays_of(fused.shape, CONV_ENTRIES))
+            for actual, want in zip(fused._backward_fn(g), pre._backward_fn(relu_bwd(g)),
+                                    strict=True):
+                assert_same_bits(actual, want)
+
+    def test_bias_add_keeps_its_mask_not_the_pre_activation(self):
+        # a dense layer's relu, as a conv layer's, keeps only relu's bool mask
+        rng = Xorshift64Star(94)
+        out = ad.add(ad.parameter(rng.normals((5, 4))), ad.parameter(rng.normals((4,))),
+                     relu=True)
+        (mask,) = kept_arrays(out)
+        assert mask.dtype == np.bool_
+        assert_same_bits(mask, out.values > 0.0)
 
 
 class TestGradCheckSuite:

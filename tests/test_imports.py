@@ -7,8 +7,9 @@ and the trainer's one loader raise ``CheckpointError``, only the one CSV
 loader and the two binary readers parse files, every autodiff op kind
 is a case of ``gradcheck.CASES``, which ``collabsc gradcheck`` walks, and
 its op is called by a module outside the engine and the checker, the
-generator takes ``log``, ``cos`` and ``sin`` from ``math`` only, and the
-training path fills no array with one repeated value or row."""
+engine applies relu in one place, the generator takes ``log``, ``cos`` and
+``sin`` from ``math`` only, and the training path fills no array with one
+repeated value or row."""
 
 import ast
 from pathlib import Path
@@ -342,6 +343,35 @@ def test_every_op_is_run_outside_the_engine_and_the_checker():
                            if path.name not in ("autodiff.py", "gradcheck.py")))
     kinds = kind_functions((SRC / "autodiff.py").read_text())
     assert {kind: fn for kind, fn in kinds.items() if fn not in called} == {}
+
+
+def name_uses(source: str, name: str) -> list[tuple[tuple[str, ...], int]]:
+    """(enclosing class/def names, line) of every use of ``name``, by name or
+    as a module attribute, called or passed on; its own def is not a use."""
+    return [(scope, node.lineno) for scope, node in scoped_nodes(source)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
+
+
+def test_finds_every_use_of_a_name():
+    source = ("def _masked_relu(v):\n"
+              "    return v\n"
+              "def _bias_relu(out):\n"
+              "    def bwd(g):\n"
+              "        return _masked_relu(g)\n"
+              "    return _masked_relu(out), bwd\n"
+              "def relu(x):\n"
+              "    return ad._masked_relu(x), list(map(_masked_relu, [x])), masked_relu(x)\n")
+    assert name_uses(source, "_masked_relu") == [(("_bias_relu", "bwd"), 5), (("_bias_relu",), 6),
+                                                 (("relu",), 8), (("relu",), 8)]
+
+
+def test_relu_has_one_path():
+    # every layer op applies its relu through the one bias-and-relu tail; a
+    # second caller of the relu arithmetic would be a second relu path
+    uses = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+            for scope, _ in name_uses(path.read_text(), "_masked_relu")]
+    assert uses == [("autodiff.py", ("_bias_relu",))]
 
 
 def non_math_transcendentals(source: str) -> list[tuple[str, int]]:

@@ -169,6 +169,15 @@ def test_contingency_table_counts():
     assert table.sum() == 4
 
 
+def test_contingency_table_spans_the_labels_that_occur():
+    # sized by the largest id, the table made accuracy's matching cubic in it
+    table = contingency_table([0, 1000], [1000, 0])
+    assert table.shape == (2, 2) and table.tolist() == [[0, 1], [1, 0]]
+    sparse, dense = ([0, 0, 5, 5, 9], [3, 3, 3, 70, 70]), ([0, 0, 1, 1, 2], [0, 0, 0, 1, 1])
+    for metric in (accuracy, nmi, ari):
+        assert metric(*sparse) == metric(*dense)
+
+
 def test_cluster_sizes():
     assert list(cluster_sizes([0, 2, 2, 1], 4)) == [1, 1, 2, 0]
     with pytest.raises(ValueError, match="out of range"):

@@ -595,11 +595,13 @@ class TestTrainBatch:
 
 class TestMemoryBudget:
     # One round's traced peak on an already visited 256-point batch, in n x n
-    # float64 arrays, measured at 13.41 (20.41 when the subspace affinity and
-    # the collaborative term were chains of elementwise nodes and the last
-    # step's gradients outlived the round; 27.17 when nodes also kept arrays
-    # their backward never reads and a stage's graph outlived it); the bound
-    # leaves under 10% slack. The peak repeats to about 0.05% across processes.
+    # float64 arrays, measured at 13.28 (13.41 when a dense layer's relu was
+    # a node of its own, which kept the pre-activation; 20.41 when the
+    # subspace affinity and the collaborative term were chains of elementwise
+    # nodes and the last step's gradients outlived the round; 27.17 when
+    # nodes also kept arrays their backward never reads and a stage's graph
+    # outlived it); the bound leaves under 10% slack. The peak repeats to
+    # about 0.05% across processes.
     ROUND_PEAK_ARRAYS = 14.5
 
     def test_a_batch_round_peaks_within_its_budget(self):
@@ -613,7 +615,7 @@ class TestMemoryBudget:
 
     # A pretraining epoch's traced peak on tiny_conv_config, two 32-point
     # batches of 12x12 images, in units of one batch's input array: measured
-    # at 20.93 (22.96 when each conv layer's relu was a node of its own,
+    # at 20.96 (22.96 when each conv layer's relu was a node of its own,
     # which kept the pre-activation; 29.26 when the previous batch's graph
     # outlived the next one's build; 33.31 with both). The bound leaves 5%
     # slack, so undoing either change fails it.
@@ -630,21 +632,22 @@ class TestMemoryBudget:
 
 class TestGraphShape:
     # tracked nodes per op kind in tiny_config's passes: a subspace pass
-    # encodes and decodes through two dense layers each (relu on the first),
-    # mixes C^T Z and builds the three subspace terms; a classifier step
+    # encodes and decodes through two dense layers each (the first one's
+    # bias add applies its relu, so a layer is a matmul and an add), mixes
+    # C^T Z and builds the three subspace terms; a classifier step
     # classifies, builds the class affinity and the positive term
-    SUBSPACE_PASS = {"matmul": 5, "add": 6, "relu": 2, "transpose": 1,
-                     "frobenius-norm-squared": 3, "subtract": 2, "scalar-multiply": 2}
+    SUBSPACE_PASS = {"matmul": 5, "add": 6, "transpose": 1, "frobenius-norm-squared": 3,
+                     "subtract": 2, "scalar-multiply": 2}
     CLASSIFIER_STEP = {"matmul": 2, "add": 1, "softmax-rows": 1, "l2-normalize-rows": 1,
                        "transpose": 1, "collaborative": 1}
     # in tiny_conv_config's passes each conv op applies its layer's relu
-    # itself, so only the head's dense layer builds a relu node; the latent,
-    # the mixed rows and the reconstruction are reshaped between images and rows
+    # itself, as the head's dense layer's bias add does; the latent, the
+    # mixed rows and the reconstruction are reshaped between images and rows
     CONV_SUBSPACE_PASS = {"conv2d-strided": 2, "conv2d-transpose-strided": 2, "reshape": 3,
                           "matmul": 1, "add": 2, "transpose": 1, "frobenius-norm-squared": 3,
                           "subtract": 2, "scalar-multiply": 2}
-    CONV_CLASSIFIER_STEP = {"matmul": 3, "add": 2, "relu": 1, "softmax-rows": 1,
-                            "l2-normalize-rows": 1, "transpose": 1, "collaborative": 1}
+    CONV_CLASSIFIER_STEP = {"matmul": 3, "add": 2, "softmax-rows": 1, "l2-normalize-rows": 1,
+                            "transpose": 1, "collaborative": 1}
     # once a round: the subspace affinity; stage 3's negative term on
     # 1 - A_s, weighted by alpha, and the total weighted by lambda_cl
     ROUND = {"subspace-affinity": 1, "collaborative": 1, "subtract": 1, "scalar-multiply": 2,

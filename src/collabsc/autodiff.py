@@ -14,8 +14,12 @@ A forward pass builds an implicit DAG: every op output records its parent
 tensors and a closure computing parent gradients. ``backward`` topologically
 sorts the DAG and walks it in exact reverse order, accumulating gradients
 into every tensor that (transitively) requires them. Op closures skip the
-gradient of a constant parent, and ``backward`` releases each op output's
-gradient once its parents have it, so only leaf gradients outlive the call.
+gradient of a constant parent. The walk consumes the graph: once a node has
+passed its gradient on, it drops that gradient, its closure and its links
+to its parents, so what it kept for its backward is freed as the walk
+passes it, and only leaf gradients outlive the call. A loss is therefore
+walked once; a walk that would reach a node an earlier walk consumed raises
+``AutodiffError``. A name on an op output keeps only that node's own values.
 
 A node keeps only what its backward reads. Its closure holds an operand's
 values only when the other operand's gradient reads them, and anything a
@@ -24,15 +28,17 @@ backward can rebuild cheaply from its parents (the sign of C in
 there rather than kept from forward time. Each of the two n x n formulas
 of collaborative training is one node for this reason: as a chain of
 elementwise ops it would keep every intermediate n x n value, although no
-backward reads them. A constant may be a read-only broadcast view (the
-ones of 1 - A): consumers only read it. Nothing writes into a value between
-a node's forward and its backward; ``matmul``, ``subspace-affinity`` and
-``collaborative`` read their operands' live arrays in backward instead of
-copies. Convolutions keep the patch matrix of their forward pass for the
-kernel gradient instead of rebuilding it. A layer op called with ``relu``
-keeps relu's bool mask and frees its pre-activation, which a separate relu
-node would keep as its parent's output. One tail, `_bias_relu`, adds every
-layer op's bias and applies its relu, and builds the matching backward.
+backward reads them. For the same reason ``collaborative`` takes the
+negative term's 1 - A_s inside its node (``complement``) instead of from a
+subtract node. Constants may be read-only broadcast views: consumers only
+read them. Nothing writes into a value between a node's forward and its
+backward; ``matmul``, ``subspace-affinity`` and ``collaborative`` read their
+operands' live arrays in backward instead of copies. Convolutions keep the
+patch matrix of their forward pass for the kernel gradient instead of
+rebuilding it. A layer op called with ``relu`` keeps relu's bool mask and
+frees its pre-activation, which a separate relu node would keep as its
+parent's output. One tail, `_bias_relu`, adds every layer op's bias and
+applies its relu, and builds the matching backward.
 
 The strided conv ops move data by index: im2col gathers each image's
 patches through flat offsets built once per layer geometry. On the col2im
@@ -139,33 +145,51 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(g):
+    """The backward of a node a walk consumed; ``backward`` refuses to reach one."""
+    raise AutodiffError("this node's graph was consumed by an earlier backward walk")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dT into ``grad`` of every tracked leaf under loss.
+    """Accumulate dLoss/dT into ``grad`` of every tracked leaf under loss,
+    consuming the graph on the way.
 
     The loss must be scalar. Leaf gradients accumulate across calls; callers
-    zero parameter grads between steps. An op output's gradient is released
-    (set to None) once it has been passed to its parents, so after the call
-    only leaves hold gradients and a second call on the same graph adds the
-    same leaf gradients again. Ops compute no gradient for a parent that
-    does not require one (a constant); they return None in its slot.
+    zero parameter grads between steps. The walk pops each node in reverse
+    topological order, and once the node's gradient is passed to its
+    parents it drops that gradient, its closure and its parent links. So
+    what a node keeps for its backward is freed as the walk passes it, and
+    after the call only leaves hold gradients. A loss is walked once: if a
+    walk would reach a node an earlier walk consumed (the same loss again,
+    or a subgraph two losses share), it raises ``AutodiffError`` before it
+    touches any gradient. Ops compute no gradient for a parent that does not
+    require one (a constant); they return None in its slot.
     """
     if loss.values.shape != ():
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = topological_order(loss)
+    if any(node._backward_fn is _consumed for node in order):
+        raise AutodiffError("backward reached a node an earlier walk consumed: "
+                            "a loss is walked once")
     if loss.grad is None:
         loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
+    while order:
+        node = order.pop()
+        fn, parents, grad = node._backward_fn, node._parents, node.grad
+        if fn is None:
+            continue  # a leaf keeps its gradient
+        node._backward_fn, node._parents, node.grad = _consumed, (), None
+        if grad is not None:
+            _pass_on(parents, fn(grad))
+
+
+def _pass_on(parents, grads) -> None:
+    """Add each parent's gradient to what it holds, in the parents' order;
+    no name here outlives the call, so no gradient outlives its use."""
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
             continue
-        parent_grads = node._backward_fn(node.grad)
-        node.grad = None
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = pg
-            else:
-                parent.grad = parent.grad + pg
+        parent.grad = g if parent.grad is None else parent.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +383,34 @@ def subspace_affinity(c: Tensor, row_scales) -> Tensor:
     return _make(sym, (c, c), "subspace-affinity", bwd)
 
 
-def collaborative(student: Tensor, weights: np.ndarray, floor: float, factor: float) -> Tensor:
-    """``factor * sum(weights * log(max(student, floor)))``, a scalar, with ``floor > 0``.
+def _clamped(sv: np.ndarray, floor: float, complement: bool) -> np.ndarray:
+    """A fresh ``max(s, floor)``, with ``s = 1 - sv`` if ``complement`` else
+    ``sv``. With ``floor > 0`` and no NaN in ``sv`` it has the bits of
+    ``np.where(s > floor, s, floor)``: both give s above the floor, and the
+    floor elsewhere (an s equal to it is the floor's bits)."""
+    out = np.empty_like(sv)  # in sv's layout, as np.where gives, and 0-d too
+    if complement:
+        sv = np.subtract(1.0, sv, out=out)
+    return np.maximum(sv, floor, out=out)
 
-    ``weights`` is a constant array of the student's shape. Entries at or
-    below the floor are clamped to it and get zero gradient (the
-    subgradient of the max). The gradient is formed as
-    ``((factor * g) * weights) / clamped * above``, with ``above`` the bool
-    mask of entries above the floor, which multiplies as 0.0 or 1.0. The
-    node keeps only that mask; backward rebuilds the clamped input from its
-    parent and reads the caller's weights. NaN input raises. Value and
-    gradient equal, bit for bit, those of the chain it replaced: a clamped
-    log, a product, a sum and a scale (the test oracle
+
+def collaborative(student: Tensor, weights: np.ndarray, floor: float, factor: float, *,
+                  complement: bool = False) -> Tensor:
+    """``factor * sum(weights * log(max(s, floor)))``, a scalar, with ``floor > 0``.
+
+    ``s`` is the student's values, or with ``complement`` one minus them
+    (the negative term's 1 - A_s, taken inside the node, so no n x n
+    tensor of 1 - A_s is built or kept). ``weights`` is a constant array of
+    the student's shape. Entries of s at or below the floor are clamped to
+    it and get zero gradient (the subgradient of the max). The gradient
+    with respect to s is formed as ``((factor * g) * weights) / clamped *
+    above``, with ``above`` the bool mask of entries above the floor, which
+    multiplies as 0.0 or 1.0; with ``complement`` the student's gradient is
+    its negation. The node keeps only that mask; backward rebuilds the
+    clamped s from its parent and reads the caller's weights. NaN input
+    raises. Value and gradient equal, bit for bit, those of the chains it
+    replaced: a clamped log, a product, a sum and a scale, after a subtract
+    from a view of ones with ``complement`` (the test oracle
     ``reference_collaborative``).
     """
     floor, factor = float(floor), float(factor)
@@ -382,15 +422,17 @@ def collaborative(student: Tensor, weights: np.ndarray, floor: float, factor: fl
                          f"{sv.shape}")
     if np.isnan(sv).any():
         raise AutodiffError("collaborative: NaN input")
-    above = sv > floor
-    terms = np.where(above, sv, floor)
+    terms = _clamped(sv, floor, complement)
+    above = terms > floor
     np.log(terms, out=terms)
     np.multiply(weights, terms, out=terms)
 
     def bwd(g):
-        grad = np.where(above, sv, floor)
+        grad = _clamped(sv, floor, complement)
         np.divide(np.float64(factor * g) * weights, grad, out=grad)
         np.multiply(grad, above, out=grad)
+        if complement:
+            np.negative(grad, out=grad)
         return (grad,)
 
     return _make(np.asarray(factor * terms.sum()), (student,), "collaborative", bwd)

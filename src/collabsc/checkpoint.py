@@ -38,7 +38,9 @@ def save_checkpoint(path, params: dict) -> None:
             f.write(struct.pack("<Q", values.ndim))
             for d in values.shape:
                 f.write(struct.pack("<Q", d))
-            f.write(values.astype("<f8").tobytes())
+            # row-major little-endian bytes, written from the array itself
+            # when it is already laid out so, and from one copy otherwise
+            f.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

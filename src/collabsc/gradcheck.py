@@ -9,8 +9,9 @@ from ops the model itself runs (reshape and matmul). Kinked ops are sampled
 with every coordinate at least 10*eps away from the kink: the three layer
 ops (the bias add and the two conv ops), which run with their relu as the
 network's hidden layers do, the |C| of the subspace affinity, and the
-clamped log of the collaborative term. The subspace affinity's row scales
-are constants for differentiation, so its case fixes them.
+clamped log of the collaborative term, checked on its input and on the
+input's complement. The subspace affinity's row scales are constants for
+differentiation, so its case fixes them.
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ def _subspace_affinity(rng):
 
 
 def _collaborative(rng):
-    # entries on both sides of the floor, each at least 10*eps from it
-    floor = 1.0
+    # the term on x plus the term on 1 - x (the negative term's complement);
+    # with the floor at 0.5, x and 1 - x have entries on both sides of it,
+    # each at least 10*eps from it
+    floor = 0.5
     x = floor + _away_from_zero(0.5 * rng.normals((3, 4)))
-    w, factor = rng.normals((3, 4)), rng.normals(())
-    return lambda x: ad.collaborative(x, w, floor, factor), [x]
+    w, w_neg, factor, factor_neg = (rng.normals((3, 4)), rng.normals((3, 4)), rng.normals(()),
+                                    rng.normals(()))
+    return lambda x: ad.add(ad.collaborative(x, w, floor, factor),
+                            ad.collaborative(x, w_neg, floor, factor_neg, complement=True)), [x]
 
 
 # op kind -> case(rng) -> (op over parameters, the parameters' values)

@@ -11,10 +11,12 @@ both terms (students A_c and 1 - A_s). The caller builds each teacher from
 its teacher affinity (``positive_teacher``, ``negative_teacher``): the
 selected pairs, their count and their mask weights. The term is one
 ``collaborative`` autodiff node, so the n x n log and product of its
-forward pass, which no backward reads, are not kept. Only pairs off the
-diagonal are selected: a point paired with itself carries no signal (there
-the class affinity is 1 within rounding and the subspace affinity is 0). A
-teacher is a constant: no gradient flows into it.
+forward pass, which no backward reads, are not kept. The negative term is
+given A_s itself, and its teacher marks the student as the complement: the
+node takes 1 - A_s inside, so no n x n tensor of 1 - A_s is built. Only
+pairs off the diagonal are selected: a point paired with itself carries no
+signal (there the class affinity is 1 within rounding and the subspace
+affinity is 0). A teacher is a constant: no gradient flows into it.
 
 The entropy in the source formulation is written without a sign, but
 minimizing +sum(p log q) is ill-posed (it drives q to 0); the standard
@@ -40,12 +42,15 @@ class Teacher:
     ``selected`` marks the confident pairs and ``weights`` their mask
     weights (0 elsewhere). Both depend only on the teacher affinity and its
     threshold, so the trainer builds its positive teacher once per batch
-    for stage 2's classifier steps and stage 3's joint step.
+    for stage 2's classifier steps and stage 3's joint step. With
+    ``complement`` the student is one minus the tensor the term is given:
+    the negative teacher teaches 1 - A_s and is given A_s.
     """
 
     selected: np.ndarray
     weights: np.ndarray
     count: int
+    complement: bool = False
 
 
 def _checked_affinity(name: str, affinity: np.ndarray) -> np.ndarray:
@@ -55,13 +60,13 @@ def _checked_affinity(name: str, affinity: np.ndarray) -> np.ndarray:
     return a
 
 
-def _teacher(confident: np.ndarray, weight) -> Teacher:
+def _teacher(confident: np.ndarray, weight, complement: bool = False) -> Teacher:
     """The teacher of a fresh mask ``confident``, which becomes its
     ``selected`` once its diagonal is cleared; the bool mask multiplies
     ``weight`` as 0.0 or 1.0 without a float copy of itself."""
     np.fill_diagonal(confident, False)
     return Teacher(selected=confident, weights=np.multiply(confident, weight),
-                   count=int(confident.sum()))
+                   count=int(confident.sum()), complement=complement)
 
 
 def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True) -> Teacher:
@@ -71,9 +76,10 @@ def positive_teacher(subspace_aff: np.ndarray, u: float, soft_mask: bool = True)
 
 
 def negative_teacher(class_aff: np.ndarray, l: float, soft_mask: bool = True) -> Teacher:
-    """Pairs with A_c < l; weight 1 - A_c with soft masks, else 1."""
+    """Pairs with A_c < l; weight 1 - A_c with soft masks, else 1. Its
+    student is 1 - A_s: the term is given A_s (``Teacher.complement``)."""
     a_c = _checked_affinity("class", class_aff)
-    return _teacher(a_c < l, (1.0 - a_c) if soft_mask else 1.0)
+    return _teacher(a_c < l, (1.0 - a_c) if soft_mask else 1.0, complement=True)
 
 
 def collaboration_rate(count_pos: int, count_neg: int) -> float:
@@ -82,18 +88,22 @@ def collaboration_rate(count_pos: int, count_neg: int) -> float:
 
 
 def collaborative_loss(teacher: Teacher, student: ad.Tensor) -> ad.Tensor:
-    """-sum(w * log(max(student, 1e-12))) / count over the teacher's
-    selected pairs, with w its mask weights: one ``collaborative`` autodiff
-    node, which keeps only the bool mask of entries above the floor. A
-    constant 0 when the teacher selects none."""
+    """-sum(w * log(max(s, 1e-12))) / count over the teacher's selected
+    pairs, with w its mask weights and s the student, or 1 - student if
+    ``teacher.complement``: one ``collaborative`` autodiff node, which keeps
+    only the bool mask of entries above the floor. A constant 0 when the
+    teacher selects none."""
     if teacher.count == 0:
         return ad.constant(np.asarray(0.0))
-    return ad.collaborative(student, teacher.weights, LOG_CLAMP, -1.0 / teacher.count)
+    return ad.collaborative(student, teacher.weights, LOG_CLAMP, -1.0 / teacher.count,
+                            complement=teacher.complement)
 
 
 def clamped_count(teacher: Teacher, student: ad.Tensor) -> int:
-    """Selected pairs whose student entry sits at or below the log floor."""
-    return int((teacher.selected & ~(student.values > LOG_CLAMP)).sum())
+    """Selected pairs whose student entry (1 - student if
+    ``teacher.complement``) sits at or below the log floor."""
+    s = np.subtract(1.0, student.values) if teacher.complement else student.values
+    return int((teacher.selected & ~(s > LOG_CLAMP)).sum())
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,9 @@ def _ranks(labels: np.ndarray) -> tuple[np.ndarray, int]:
 def contingency_table(y_true, y_pred) -> np.ndarray:
     """Counts[i, j] = |{points with the i-th true and j-th predicted label
     that occur}|, so accuracy's cubic matching does not grow with the label
-    ids; the one place the metrics check a pair of label vectors."""
+    ids; the one place the metrics check a pair of label vectors. Each
+    metric reads its value from this table (``scores`` reads all three from
+    one)."""
     t = _as_labels(y_true, "y_true")
     p = _as_labels(y_pred, "y_pred")
     if t.shape != p.shape:
@@ -101,9 +103,18 @@ def hungarian(cost) -> np.ndarray:
     return assign
 
 
+def scores(y_true, y_pred) -> tuple[float, float, float]:
+    """Accuracy, NMI and ARI, all read from one checked contingency table."""
+    table = contingency_table(y_true, y_pred)
+    return _accuracy(table), _nmi(table), _ari(table)
+
+
 def accuracy(y_true, y_pred) -> float:
     """Fraction correct under the best one-to-one cluster-to-label mapping."""
-    table = contingency_table(y_true, y_pred)
+    return _accuracy(contingency_table(y_true, y_pred))
+
+
+def _accuracy(table: np.ndarray) -> float:
     side = max(table.shape)
     padded = np.zeros((side, side), dtype=np.float64)
     padded[:table.shape[0], :table.shape[1]] = table
@@ -118,7 +129,10 @@ def nmi(y_true, y_pred) -> float:
     Natural logs; a degenerate single-cluster partition has zero entropy and
     the result is defined as 0.
     """
-    table = contingency_table(y_true, y_pred)
+    return _nmi(contingency_table(y_true, y_pred))
+
+
+def _nmi(table: np.ndarray) -> float:
     n = int(table.sum())
     row = table.sum(axis=1)
     col = table.sum(axis=0)
@@ -144,7 +158,10 @@ def _pairs(x: int) -> int:
 
 def ari(y_true, y_pred) -> float:
     """Adjusted Rand index via pair counting with expected-index correction."""
-    table = contingency_table(y_true, y_pred)
+    return _ari(contingency_table(y_true, y_pred))
+
+
+def _ari(table: np.ndarray) -> float:
     n = int(table.sum())
     if n < 2:
         raise ValueError("ari needs at least 2 points")

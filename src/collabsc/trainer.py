@@ -21,9 +21,13 @@ batch's latent rows Z as C^T Z: the one parameter of that batch's optimizer,
 which keeps it and its moments across epochs, the only state keyed by batch
 identity.
 
-Every step's graph is freed before the next step builds its own: no name
-binds a stage-1 or stage-2 step's loss, and pretraining drops each batch's
-loss, and with it the batch's graph, once its step is taken.
+Every step's graph is freed by the step itself: ``autodiff.backward``
+consumes the graph it walks, so each node's kept operands go as the walk
+passes them, and a name on a loss holds only its scalar. A walk cannot free
+what a name outside the graph holds, so stage 3 takes its counts before its
+step and keeps no name on an n x n tensor or a teacher across it; the walk
+then frees the class affinity, both teachers' weights, A_s and the C^T copy
+as it passes their last readers.
 
 One guard, ``_restoring``, owns a pretraining epoch's or a batch round's
 state: it saves each stepped group's buffer and Adam state, refuses a
@@ -45,7 +49,7 @@ from .config import ExperimentConfig
 from .data import Dataset
 from .losses import (LossBreakdown, clamped_count, collaboration_rate, collaborative_loss,
                      negative_teacher, positive_teacher, subspace_loss, total_loss)
-from .metrics import accuracy, ari, cluster_sizes, infer_labels, nmi
+from .metrics import cluster_sizes, infer_labels, scores
 from .network import Network
 from .optim import Adam, flat_parameters, group_views
 from .rng import Xorshift64Star, mix_seed
@@ -125,13 +129,9 @@ def predict_dataset(network: Network, features: np.ndarray, batch_size: int) -> 
 def metrics_row(epoch: int, labels_true: np.ndarray, labels_pred: np.ndarray,
                 k: int) -> MetricsRow:
     sizes = tuple(int(s) for s in cluster_sizes(labels_pred, k))
-    return MetricsRow(
-        epoch=epoch, n=len(labels_true), k=k,
-        acc=accuracy(labels_true, labels_pred),
-        nmi=nmi(labels_true, labels_pred),
-        ari=ari(labels_true, labels_pred),
-        sizes=sizes,
-    )
+    acc, nmi, ari = scores(labels_true, labels_pred)  # one checked contingency table
+    return MetricsRow(epoch=epoch, n=len(labels_true), k=k, acc=acc, nmi=nmi, ari=ari,
+                      sizes=sizes)
 
 
 def evaluate(network: Network, dataset: Dataset, epoch: int, batch_size: int) -> MetricsRow:
@@ -294,7 +294,7 @@ class CollaborativeTrainer:
     def _reconstruction_loss(self, chunk: np.ndarray) -> ad.Tensor:
         """Half the squared reconstruction error of the batch ``chunk``, with
         the coefficients bypassed: pretraining's loss. Its graph holds the
-        batch's input, so dropping the loss frees both."""
+        batch's input, and the step's backward walk frees both."""
         x = ad.constant(self.dataset.features[chunk])
         return ad.scale(ad.frobenius_sq(ad.subtract(
             x, self.network.decode(self.network.encode(x)))), 0.5)
@@ -332,7 +332,6 @@ class CollaborativeTrainer:
                             f"{epoch}, batch {batch}; the model holds its parameters from "
                             f"before epoch {epoch}")
                     self._descend(f"{where}: reconstruction loss", loss, adam)
-                    del loss  # free this batch's graph before the next is built
                     epoch_loss += value
             history.append(epoch_loss / len(self.batches))
         return history
@@ -380,8 +379,7 @@ class CollaborativeTrainer:
         coeff_adam = self.coeff_adams[batch_index]
         (coeffs,) = coeff_adam.params.values()
 
-        # stage 1: subspace objective over autoencoder + coefficients; no name
-        # binds a step's loss, so each step's graph is freed once it has stepped
+        # stage 1: subspace objective over autoencoder + coefficients
         for _ in range(cfg.inner_se_steps):
             self._descend(f"{where}: stage-1 subspace loss", self._subspace_pass(x, coeffs)[1],
                           self.ae_adam, coeff_adam)
@@ -392,8 +390,7 @@ class CollaborativeTrainer:
         subspace_aff_t = subspace_affinity_tensor(coeffs)
 
         # stage 2: classifier-only steps on the positive term (the negative term
-        # would add a constant); stage 3 reuses the teacher. As in stage 1, a
-        # step's graph is freed before the next step builds its own.
+        # would add a constant); stage 3 reuses the teacher
         latent_frozen = self.network.frozen().encode(x)
         teacher = positive_teacher(subspace_aff_t.values, u, soft_mask=cfg.soft_mask)
         for _ in range(cfg.classifier_steps):
@@ -401,16 +398,20 @@ class CollaborativeTrainer:
                           collaborative_loss(teacher, class_affinity_tensor(
                               self.network.classify(latent_frozen))), self.cls_adam)
 
-        # stage 3: one joint step on the full objective
+        # stage 3: one joint step on the full objective. Its counts are taken
+        # first, and no name holds an n x n tensor or a teacher across the
+        # step, so its backward frees each as the walk passes its last reader
         latent, l_sub_t, coeff_norm_t, self_expr_t, recon_t = self._subspace_pass(x, coeffs)
         class_aff_t = class_affinity_tensor(self.network.classify(latent))
         l_pos_t = collaborative_loss(teacher, class_aff_t)
         neg_teacher = negative_teacher(clip_overshoot(class_aff_t.values), cfg.l,
                                        soft_mask=cfg.soft_mask)
-        ones = np.broadcast_to(1.0, subspace_aff_t.shape)  # a read-only view
-        dissimilarity_t = ad.subtract(ad.constant(ones), subspace_aff_t)
-        l_neg_t = collaborative_loss(neg_teacher, dissimilarity_t)
-        alpha = collaboration_rate(teacher.count, neg_teacher.count)
+        count_pos, count_neg = teacher.count, neg_teacher.count
+        clamped_pos = clamped_count(teacher, class_aff_t)
+        clamped_neg = clamped_count(neg_teacher, subspace_aff_t)
+        l_neg_t = collaborative_loss(neg_teacher, subspace_aff_t)  # takes 1 - A_s inside
+        del teacher, neg_teacher, class_aff_t, subspace_aff_t
+        alpha = collaboration_rate(count_pos, count_neg)
         omega_t = ad.add(l_pos_t, ad.scale(l_neg_t, alpha))
         total_t = total_loss(l_sub_t, omega_t, cfg.lambda_cl)
         self._descend(f"{where}: stage-3 joint loss", total_t, self.ae_adam, self.cls_adam,
@@ -427,10 +428,10 @@ class CollaborativeTrainer:
             alpha=alpha,
             omega=omega_t.item(),
             total=total_t.item(),
-            count_pos=teacher.count,
-            count_neg=neg_teacher.count,
-            clamped_pos=clamped_count(teacher, class_aff_t),
-            clamped_neg=clamped_count(neg_teacher, dissimilarity_t),
+            count_pos=count_pos,
+            count_neg=count_neg,
+            clamped_pos=clamped_pos,
+            clamped_neg=clamped_neg,
         )
 
     # ------------------------------------------------------------------

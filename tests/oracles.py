@@ -267,15 +267,19 @@ def reference_subspace_affinity(c, g):
     return sym * scale_matrix, (g2 * sign, g2.T * sign)
 
 
-def reference_collaborative(x, w, floor, factor, g):
-    """Value of factor * sum(w * log(max(x, floor))), and its gradient for
-    upstream ``g``."""
-    above = x > floor
-    clamped = np.where(above, x, floor)
+def reference_collaborative(x, w, floor, factor, g, complement=False):
+    """Value of factor * sum(w * log(max(s, floor))), and its gradient with
+    respect to x for upstream ``g``. s is x, or with ``complement`` the
+    negative term's 1 - x as the trainer once built it: a subtract from a
+    read-only view of ones, whose backward negates the gradient."""
+    s = np.broadcast_to(1.0, np.shape(x)) - x if complement else x
+    above = s > floor
+    clamped = np.where(above, s, floor)
     keep = above.astype(np.float64)
     value = np.asarray(factor * np.asarray((w * np.log(clamped)).sum()))
-    upstream = np.broadcast_to(np.float64(factor * g), x.shape) * w
-    return value, (upstream / clamped) * keep
+    upstream = np.broadcast_to(np.float64(factor * g), np.shape(x)) * w
+    grad = (upstream / clamped) * keep
+    return value, -grad if complement else grad
 
 
 # ---------------------------------------------------------------------------

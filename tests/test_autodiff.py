@@ -212,11 +212,15 @@ class TestBackwardSemantics:
         return x, [w1, b1, w2], ad.frobenius_sq(out)
 
     def test_only_leaves_keep_gradients(self):
+        # the walk drops each node's parent links, so take the nodes first
         _, params, loss = self.conv_net(31)
+        nodes = ad.topological_order(loss)
+        interior = [node for node in nodes if node._backward_fn is not None]
+        assert len(interior) == 3
         ad.backward(loss)
-        for node in ad.topological_order(loss):
-            if node._backward_fn is not None:
-                assert node.grad is None, node.op_kind
+        for node in interior:
+            assert node.grad is None, node.op_kind
+            assert node._parents == (), node.op_kind
         assert all(p.grad is not None for p in params)
 
     def test_leaf_gradients_match_the_reference_chain(self):
@@ -232,13 +236,34 @@ class TestBackwardSemantics:
         for p, expected in ((w1, dw1), (b1, db1), (w2, dw2)):
             assert np.array_equal(p.grad, expected)
 
-    def test_second_backward_doubles_leaf_gradients(self):
+    def test_second_backward_on_one_loss_raises(self):
+        # the first walk consumed the graph; a second one is refused, and the
+        # leaf gradients keep what the first walk gave them
         _, params, loss = self.conv_net(33)
         ad.backward(loss)
         first = [p.grad.copy() for p in params]
-        ad.backward(loss)
+        with pytest.raises(ad.AutodiffError, match="earlier walk consumed"):
+            ad.backward(loss)
         for p, g in zip(params, first):
-            np.testing.assert_array_equal(p.grad, 2.0 * g)
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_walk_into_a_consumed_subgraph_raises(self):
+        # two losses over one shared intermediate, walked one after the
+        # other: the second walk reaches the subgraph the first consumed,
+        # and is refused before it touches any gradient
+        rng = Xorshift64Star(35)
+        a, b = ad.parameter(rng.normals((3, 4))), ad.parameter(rng.normals((4, 2)))
+        other = ad.parameter(rng.normals((3, 2)))
+        shared = ad.matmul(a, b)
+        first = ad.frobenius_sq(shared)
+        second = ad.frobenius_sq(ad.add(shared, other))
+        ad.backward(first)
+        held = [a.grad.copy(), b.grad.copy()]
+        with pytest.raises(ad.AutodiffError, match="earlier walk consumed"):
+            ad.backward(second)
+        np.testing.assert_array_equal(a.grad, held[0])
+        np.testing.assert_array_equal(b.grad, held[1])
+        assert other.grad is None
 
     def test_constant_parents_get_no_gradient(self):
         rng = Xorshift64Star(34)
@@ -303,13 +328,13 @@ class TestKeptArrays:
 
     @settings(max_examples=1000 if settings.get_current_profile_name() == "ci" else 100)
     @given(data=st.data(), shape=st.lists(st.integers(1, 5), max_size=3).map(tuple),
-           floor=st.sampled_from(LOG_FLOORS))
-    def test_collaborative_matches_its_array_keeping_form(self, data, shape, floor):
+           floor=st.sampled_from(LOG_FLOORS), complement=st.booleans())
+    def test_collaborative_matches_its_array_keeping_form(self, data, shape, floor, complement):
         x, w = data.draw(arrays_of(shape)), data.draw(arrays_of(shape))
         factor, g = data.draw(entries), np.asarray(data.draw(entries))
         with np.errstate(all="ignore"):  # inf - inf, 0 * inf and the like are meant
-            out = ad.collaborative(ad.parameter(x), w, floor, factor)
-            value, grad = reference_collaborative(x, w, floor, factor, g)
+            out = ad.collaborative(ad.parameter(x), w, floor, factor, complement=complement)
+            value, grad = reference_collaborative(x, w, floor, factor, g, complement)
             assert_same_bits(out.values, value)
             (dx,) = out._backward_fn(g)
             assert_same_bits(dx, grad)
@@ -350,7 +375,9 @@ class TestKeptArrays:
         c = ad.parameter(np.array([[0.0, -2.0, 1e-13], [3.0, 0.0, 0.5], [-1.0, 4.0, 0.0]]))
         w = np.array([[0.0, 0.9, 0.0], [0.8, 0.0, 1.0], [0.0, 0.0, 0.0]])
         for out, inputs in ((subspace_affinity_tensor(c), (c.values,)),
-                            (ad.collaborative(c, w, 1e-12, -0.25), (c.values, w))):
+                            (ad.collaborative(c, w, 1e-12, -0.25), (c.values, w)),
+                            (ad.collaborative(c, w, 1e-12, -0.25, complement=True),
+                             (c.values, w))):
             for a in kept_arrays(out):
                 if not any(a is v for v in inputs):
                     assert a.dtype == np.bool_ or a.size < c.size, out.op_kind

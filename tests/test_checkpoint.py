@@ -40,6 +40,28 @@ def test_header_layout(tmp_path):
     assert len(blob) == 57
 
 
+def test_values_are_written_row_major_little_endian_whatever_the_layout(tmp_path):
+    # the writer hands the file the array's own buffer when it can; an
+    # F-ordered, a strided and a big-endian input must give the same bytes
+    rows = np.arange(6.0).reshape(2, 3) - 2.5
+    inputs = {"big_endian": rows.astype(">f8"), "f_ordered": np.asfortranarray(rows),
+              "strided": np.arange(12.0).reshape(2, 6)[:, ::2],
+              "zero_d": np.asarray(np.float64(-0.0))}
+    assert not inputs["f_ordered"].flags.c_contiguous
+    assert not inputs["strided"].flags.c_contiguous
+    path = tmp_path / "layouts.ckpt"
+    save_checkpoint(path, inputs)
+    expected = b"NCSC" + struct.pack("<IQ", 2, 4)
+    for name, dims, values in (
+            ("big_endian", (2, 3), (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)),
+            ("f_ordered", (2, 3), (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)),
+            ("strided", (2, 3), (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)),
+            ("zero_d", (), (-0.0,))):
+        expected += struct.pack(f"<Q{len(name)}sQ{len(dims)}Q{len(values)}d", len(name),
+                                name.encode(), len(dims), *dims, *values)
+    assert path.read_bytes() == expected
+
+
 def test_canonical_ordering_is_byte_stable(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(a, {"x": np.ones(2), "y": np.zeros(3)})

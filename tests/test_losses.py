@@ -80,12 +80,6 @@ class TestBuildMasks:
         assert (negative == negative.T).all()
 
 
-def dissimilarity(subspace_aff) -> ad.Tensor:
-    """Stage 3's negative-term student 1 - A_s, built as the trainer builds it."""
-    a_s = subspace_aff if isinstance(subspace_aff, ad.Tensor) else ad.constant(subspace_aff)
-    return ad.subtract(ad.constant(np.ones(a_s.shape)), a_s)
-
-
 class TestPositiveLoss:
     """``collaborative_loss`` with the positive teacher onto the class affinity."""
 
@@ -161,14 +155,15 @@ class TestPositiveLoss:
 
 
 class TestNegativeLoss:
-    """``collaborative_loss`` with the negative teacher onto 1 - subspace affinity."""
+    """``collaborative_loss`` with the negative teacher onto 1 - subspace
+    affinity: the term is given A_s, and its node takes 1 - A_s inside."""
 
     def test_single_pair_hard_mask(self):
         a_c = np.array([[1.0, 0.05], [0.05, 1.0]])
         a_s = np.array([[1.0, 0.5], [0.5, 1.0]])
         teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
         assert teacher.count == 2
-        loss = collaborative_loss(teacher, dissimilarity(a_s))
+        loss = collaborative_loss(teacher, ad.constant(a_s))
         assert loss.item() == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_single_pair_soft_mask(self):
@@ -176,7 +171,7 @@ class TestNegativeLoss:
         a_s = np.array([[1.0, 0.5], [0.5, 1.0]])
         teacher = negative_teacher(a_c, l=0.3, soft_mask=True)
         assert teacher.count == 1
-        loss = collaborative_loss(teacher, dissimilarity(a_s))
+        loss = collaborative_loss(teacher, ad.constant(a_s))
         assert loss.item() == pytest.approx(0.8 * -np.log(0.5), abs=1e-12)
 
     def test_zero_subspace_affinity_is_zero_loss(self):
@@ -184,13 +179,13 @@ class TestNegativeLoss:
         a_s = np.eye(2)
         teacher = negative_teacher(a_c, l=0.1)
         assert teacher.count == 2
-        assert collaborative_loss(teacher, dissimilarity(a_s)).item() == 0.0
+        assert collaborative_loss(teacher, ad.constant(a_s)).item() == 0.0
 
     def test_saturated_subspace_affinity_clamped(self):
         a_c = np.zeros((2, 2)) + np.eye(2)
         a_s = np.ones((2, 2))
         teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
-        student = dissimilarity(a_s)
+        student = ad.constant(a_s)
         assert clamped_count(teacher, student) == 2
         assert np.isfinite(collaborative_loss(teacher, student).item())
 
@@ -199,11 +194,11 @@ class TestNegativeLoss:
         teacher = negative_teacher(a_c, l=0.35)
         if teacher.count == 0:
             pytest.skip("no selected pair in this draw")
-        base = collaborative_loss(teacher, dissimilarity(a_s))
+        base = collaborative_loss(teacher, ad.constant(a_s))
         i, j = np.argwhere(teacher.selected)[0]
         bumped = a_s.copy()
         bumped[i, j] = min(bumped[i, j] + 0.05, 0.999)
-        higher = collaborative_loss(teacher, dissimilarity(bumped))
+        higher = collaborative_loss(teacher, ad.constant(bumped))
         assert higher.item() > base.item()
 
 
@@ -359,7 +354,7 @@ class TestSubspaceAffinityTensor:
         a_c = np.zeros((4, 4)) + np.eye(4)  # everything off-diagonal is a negative pair
         teacher = negative_teacher(a_c, l=0.1, soft_mask=False)
         assert teacher.count == 12
-        ad.backward(collaborative_loss(teacher, dissimilarity(subspace_affinity_tensor(coeffs))))
+        ad.backward(collaborative_loss(teacher, subspace_affinity_tensor(coeffs)))
         assert coeffs.grad is not None
         assert float(np.abs(coeffs.grad).max()) > 0
 
@@ -371,7 +366,7 @@ def test_losses_always_finite_property():
         a_s, a_c = affinity_pair(n=n, seed=100 + trial)
         pos, neg = positive_teacher(a_s, u=0.6), negative_teacher(a_c, l=0.3)
         lp = collaborative_loss(pos, ad.constant(a_c))
-        ln = collaborative_loss(neg, dissimilarity(a_s))
+        ln = collaborative_loss(neg, ad.constant(a_s))
         omega = ad.add(lp, ad.scale(ln, collaboration_rate(pos.count, neg.count)))
         assert np.isfinite(omega.item())
         assert lp.item() >= 0.0 and ln.item() >= 0.0

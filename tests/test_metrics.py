@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from collabsc import metrics
 from collabsc.metrics import accuracy, ari, cluster_sizes, contingency_table, hungarian, \
     infer_labels, nmi
+from collabsc.trainer import metrics_row
 from collabsc.rng import Xorshift64Star
 
 from oracles import brute_force_accuracy, brute_force_ari, brute_force_assignment, \
@@ -176,6 +178,23 @@ def test_contingency_table_spans_the_labels_that_occur():
     sparse, dense = ([0, 0, 5, 5, 9], [3, 3, 3, 70, 70]), ([0, 0, 1, 1, 2], [0, 0, 0, 1, 1])
     for metric in (accuracy, nmi, ari):
         assert metric(*sparse) == metric(*dense)
+
+
+def test_metrics_row_builds_one_contingency_table(monkeypatch):
+    built = []
+    table = metrics.contingency_table
+
+    def counting(y_true, y_pred):
+        built.append(1)
+        return table(y_true, y_pred)
+
+    monkeypatch.setattr(metrics, "contingency_table", counting)
+    y_true, y_pred = [0, 0, 3, 3, 9], [7, 7, 0, 0, 0]  # sparse ids
+    row = metrics_row(3, np.array(y_true), np.array(y_pred), k=8)
+    assert len(built) == 1
+    assert (row.acc, row.sizes) == (0.8, (3, 0, 0, 0, 0, 0, 0, 2))
+    assert (row.nmi, row.ari) == (nmi(y_true, y_pred), ari(y_true, y_pred))
+    assert row.nmi != row.ari
 
 
 def test_cluster_sizes():
